@@ -373,7 +373,7 @@ func BenchmarkTrainEnsemble(b *testing.B) {
 }
 
 // BenchmarkPredictBatch measures scoring a large candidate pool — the
-// SelectVariance / full-space-sweep hot path — through the per-point
+// variance-acquisition / full-space-sweep hot path — through the per-point
 // Predict loop versus the batched PredictBatch kernel. One benchmark
 // iteration scores the whole pool, so ns/op is directly comparable
 // across sub-benchmarks.

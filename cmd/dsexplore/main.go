@@ -53,7 +53,7 @@ func main() {
 	batch := flag.Int("batch", 50, "simulations per round (paper: 50)")
 	traceLen := flag.Int("insts", 30000, "instructions per simulation")
 	paperCfg := flag.Bool("paper", false, "use the paper's exact ANN hyperparameters (slower training)")
-	active := flag.Bool("active", false, "use variance-driven (active) sampling instead of random")
+	active := flag.Bool("active", false, "use variance-driven (active) sampling instead of random; shorthand for -acquire variance")
 	acquire := flag.String("acquire", "", "Pareto-aware acquisition spec: hvi|frontier|variance with :max=outN/:min=outN/:var=outN objectives and :outN>=v constraints")
 	workers := flag.Int("workers", 0, "goroutines for fold training and batched prediction (0 = all cores)")
 	oracleWorkers := flag.Int("oracle-workers", 0, "goroutines simulating design points concurrently (0 = all cores)")
@@ -161,7 +161,7 @@ func main() {
 			}
 			cfg.Model.Workers = *workers
 			if *active {
-				cfg.Strategy = core.SelectVariance
+				cfg.Acquire = &core.AcquireConfig{Strategy: core.AcquireVariance}
 			}
 			if *acquire != "" {
 				cfg.Acquire, err = core.ParseAcquireSpec(*acquire)

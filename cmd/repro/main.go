@@ -26,6 +26,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/pb"
 	"repro/internal/stats"
 	"repro/internal/studies"
@@ -335,16 +336,16 @@ func (r *runner) model(save, load string) {
 
 	fmt.Printf("== training %s / %s model (%d sims, batches of %d) ==\n", st.Name, app, cfg.End, cfg.Step)
 	oracle := experiments.NewSimOracle(st, app, cfg.TraceLen, experiments.IPCOnly)
-	ex, err := core.NewExplorer(st.Space, oracle, core.ExploreConfig{
+	d, err := explore.New(st.Space, oracle, explore.Config{ExploreConfig: core.ExploreConfig{
 		Model:      cfg.Model,
 		BatchSize:  cfg.Step,
 		MaxSamples: cfg.End,
 		Seed:       r.seed,
-	})
+	}})
 	fatal(err)
-	ens, err := ex.Run()
+	ens, err := d.Run(context.Background())
 	fatal(err)
-	steps := ex.Steps()
+	steps := d.Steps()
 	last := steps[len(steps)-1]
 	fmt.Printf("%d sims (%.2f%% of space): estimated %.2f%% ± %.2f%%\n",
 		last.Samples, 100*last.Fraction, last.Est.MeanErr, last.Est.SDErr)
@@ -352,7 +353,7 @@ func (r *runner) model(save, load string) {
 		Study:   st.Name,
 		App:     app,
 		Metric:  "IPC",
-		Samples: len(ex.Samples()),
+		Samples: len(d.Samples()),
 		Model:   cfg.Model,
 	})
 	fatal(err)

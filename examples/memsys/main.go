@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/studies"
 )
 
@@ -39,21 +41,21 @@ func main() {
 	cfg.TargetMeanErr = 0
 	cfg.Seed = 1
 
-	ex, err := core.NewExplorer(sp, oracle, cfg)
+	d, err := explore.New(sp, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ens, err := ex.Run()
+	ens, err := d.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	est := ens.Estimate()
 	fmt.Printf("model of %s over %d-point memory space from %d simulations\n",
-		*app, sp.Size(), oracle.SimulationsRun())
+		*app, sp.Size(), len(d.Samples()))
 	fmt.Printf("self-reported accuracy: %.2f%% ± %.2f%% error\n\n", est.MeanErr, est.SDErr)
 
 	// Sweep the ENTIRE space through the model (23,040 predictions).
-	enc := ex.Encoder()
+	enc := d.Encoder()
 	type scored struct {
 		idx int
 		ipc float64

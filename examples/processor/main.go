@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/studies"
 )
 
@@ -37,22 +39,23 @@ func main() {
 	cfg.TargetMeanErr = *target
 	cfg.Seed = 99
 
-	ex, err := core.NewExplorer(study.Space, oracle, cfg)
+	d, err := explore.New(study.Space, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("exploring %s for %s: batches of %d until estimated error < %.1f%%\n\n",
 		study.Space.Name, *app, cfg.BatchSize, *target)
-	ens, err := ex.Run()
+	ens, err := d.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range ex.Steps() {
+	steps := d.Steps()
+	for _, s := range steps {
 		fmt.Printf("  %4d sims (%4.2f%%): est %.2f%% ± %.2f%%  (train %v)\n",
 			s.Samples, 100*s.Fraction, s.Est.MeanErr, s.Est.SDErr,
 			s.TrainTime.Round(time.Millisecond))
 	}
-	final := ex.Steps()[len(ex.Steps())-1]
+	final := steps[len(steps)-1]
 	if *target > 0 && final.Est.MeanErr <= *target {
 		fmt.Printf("\nreached %.2f%% estimated error with %d simulations (%.2f%% of the space)\n",
 			final.Est.MeanErr, final.Samples, 100*final.Fraction)
@@ -62,7 +65,7 @@ func main() {
 
 	// Multi-task predictions: one forward pass yields all three metrics.
 	fmt.Println("\nmulti-task predictions vs simulation on three unseen points:")
-	enc := ex.Encoder()
+	enc := d.Encoder()
 	for _, idx := range []int{137, 9999, 20000} {
 		pred := ens.PredictAll(enc.EncodeIndex(idx, nil))
 		r, err := oracle.Result(idx)
@@ -72,7 +75,7 @@ func main() {
 		fmt.Printf("  point %5d: IPC %.3f/%.3f   L2miss %.3f/%.3f   brMis %.4f/%.4f  (pred/sim)\n",
 			idx, pred[0], r.IPC, pred[1], r.L2MissRate, pred[2], r.BrMispredRate)
 	}
-	fmt.Printf("\ntotal simulations: %d of %d points (%.2f%%)\n",
-		oracle.SimulationsRun(), study.Space.Size(),
-		100*float64(oracle.SimulationsRun())/float64(study.Space.Size()))
+	fmt.Printf("\ntraining simulations: %d of %d points (%.2f%%)\n",
+		len(d.Samples()), study.Space.Size(),
+		100*float64(len(d.Samples()))/float64(study.Space.Size()))
 }

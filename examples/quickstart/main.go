@@ -6,7 +6,7 @@
 //
 //  1. define the design space            (studies.MemorySystem)
 //  2. simulate random batches of points  (experiments.SimOracle)
-//  3. train a 10-fold CV ANN ensemble    (core.Explorer)
+//  3. train a 10-fold CV ANN ensemble    (explore.Driver)
 //  4. read the error estimate the model computes about itself
 //  5. predict unsimulated points and check against the simulator
 //
@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/stats"
 	"repro/internal/studies"
 )
@@ -43,28 +45,28 @@ func main() {
 	cfg.TargetMeanErr = 0 // run the full budget; we stop by sample count
 	cfg.Seed = 42
 
-	ex, err := core.NewExplorer(study.Space, oracle, cfg)
+	d, err := explore.New(study.Space, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\ntraining on batches of %d simulations of %s:\n", cfg.BatchSize, *app)
 	start := time.Now()
-	ens, err := ex.Run()
+	ens, err := d.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range ex.Steps() {
+	for _, s := range d.Steps() {
 		fmt.Printf("  %4d sims (%4.2f%% of space): estimated error %5.2f%% ± %5.2f%%  (train %v)\n",
 			s.Samples, 100*s.Fraction, s.Est.MeanErr, s.Est.SDErr, s.TrainTime.Round(time.Millisecond))
 	}
-	fmt.Printf("total: %d simulations, %v\n", oracle.SimulationsRun(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("total: %d simulations, %v\n", len(d.Samples()), time.Since(start).Round(time.Millisecond))
 
 	// Verify on points the model has never seen.
 	rng := stats.NewRNG(7)
 	var evalIdx []int
 	sampled := map[int]bool{}
-	for _, i := range ex.Samples() {
+	for _, i := range d.Samples() {
 		sampled[i] = true
 	}
 	for len(evalIdx) < *check {
@@ -78,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := ex.Encoder()
+	enc := d.Encoder()
 	var errs []float64
 	x := make([]float64, enc.Width())
 	for i, idx := range evalIdx {

@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/simpoint"
 	"repro/internal/stats"
 	"repro/internal/studies"
@@ -51,16 +53,16 @@ func main() {
 	cfg.MaxSamples = *samples
 	cfg.TargetMeanErr = 0
 	cfg.Seed = 5
-	ex, err := core.NewExplorer(study.Space, spOracle, cfg)
+	d, err := explore.New(study.Space, spOracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ens, err := ex.Run()
+	ens, err := d.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	est := ens.Estimate()
-	fmt.Printf("model trained on %d SimPoint estimates\n", spOracle.SimulationsRun())
+	fmt.Printf("model trained on %d SimPoint estimates\n", len(d.Samples()))
 	fmt.Printf("cross-validation estimate (vs SimPoint targets): %.2f%% ± %.2f%%\n",
 		est.MeanErr, est.SDErr)
 
@@ -68,7 +70,7 @@ func main() {
 	fullOracle := experiments.NewSimOracle(study, *app, *traceLen, experiments.IPCOnly)
 	rng := stats.NewRNG(8)
 	sampled := map[int]bool{}
-	for _, i := range ex.Samples() {
+	for _, i := range d.Samples() {
 		sampled[i] = true
 	}
 	var evalIdx []int
@@ -83,7 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := ex.Encoder()
+	enc := d.Encoder()
 	var errs []float64
 	for i, idx := range evalIdx {
 		pred := ens.Predict(enc.EncodeIndex(idx, nil))

@@ -2,17 +2,19 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/studies"
 )
 
 // TestEndToEndExploration runs the complete paper pipeline on a small
-// budget: design space → simulation oracle → incremental explorer →
+// budget: design space → simulation oracle → exploration driver →
 // ensemble → predictions on unseen points, asserting the three
 // properties the paper claims: the model learns, the self-estimate
 // tracks true error, and everything is deterministic.
@@ -32,17 +34,17 @@ func TestEndToEndExploration(t *testing.T) {
 		MaxSamples: 225,
 		Seed:       1234,
 	}
-	ex, err := core.NewExplorer(st.Space, oracle, cfg)
+	d, err := explore.New(st.Space, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := ex.Run()
+	ens, err := d.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Error should not grow as data is added (allowing small noise).
-	steps := ex.Steps()
+	steps := d.Steps()
 	if len(steps) != 3 {
 		t.Fatalf("expected 3 rounds, got %d", len(steps))
 	}
@@ -53,10 +55,10 @@ func TestEndToEndExploration(t *testing.T) {
 
 	// True error on unseen points must be in the estimate's ballpark.
 	sampled := map[int]bool{}
-	for _, idx := range ex.Samples() {
+	for _, idx := range d.Samples() {
 		sampled[idx] = true
 	}
-	enc := ex.Encoder()
+	enc := d.Encoder()
 	var errSum float64
 	count := 0
 	for idx := 7; count < 150; idx += 131 {
@@ -112,11 +114,11 @@ func TestDeterministicPipeline(t *testing.T) {
 		model.Train.MaxEpochs = 80
 		model.Train.Patience = 20
 		cfg := core.ExploreConfig{Model: model, BatchSize: 60, MaxSamples: 60, Seed: 77}
-		ex, err := core.NewExplorer(st.Space, oracle, cfg)
+		d, err := explore.New(st.Space, oracle, explore.Config{ExploreConfig: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ens, err := ex.Run()
+		ens, err := d.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

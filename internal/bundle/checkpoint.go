@@ -29,8 +29,11 @@ import (
 	"repro/internal/space"
 )
 
-// CheckpointVersion identifies the on-disk checkpoint format.
-const CheckpointVersion = 1
+// CheckpointVersion identifies the on-disk checkpoint format. Version 2
+// dropped the loop configuration's "Strategy" field: variance selection
+// is now Acquire {"strategy":"variance"}, and a version 1 file from an
+// active-learning run would otherwise resume with random selection.
+const CheckpointVersion = 2
 
 // QuarantinedPoint records one design point whose oracle evaluation
 // failed even after retries. Quarantined points are never re-drawn by

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -21,18 +22,12 @@ func fastModel() core.ModelConfig {
 	return cfg
 }
 
-// explorerCheckpoint runs a short sequential exploration and snapshots
-// it by hand, standing in for the pipelined driver's own snapshots.
-func explorerCheckpoint(t *testing.T) *Checkpoint {
+// sampleCheckpoint samples and trains two rounds the way the
+// exploration loop does and snapshots them by hand, standing in for
+// the driver's own snapshots (internal/explore imports this package).
+func sampleCheckpoint(t *testing.T) *Checkpoint {
 	t.Helper()
 	sp := testSpace()
-	oracle := core.OracleFunc(func(indices []int) ([][]float64, error) {
-		out := make([][]float64, len(indices))
-		for i, idx := range indices {
-			out[i] = []float64{testTarget(sp, idx)}
-		}
-		return out, nil
-	})
 	cfg := core.ExploreConfig{
 		Model:      fastModel(),
 		BatchSize:  15,
@@ -40,43 +35,55 @@ func explorerCheckpoint(t *testing.T) *Checkpoint {
 		Exclude:    []int{0, 1, 2},
 		Seed:       7,
 	}
-	ex, err := core.NewExplorer(sp, oracle, cfg)
-	if err != nil {
-		t.Fatal(err)
+	enc := encoding.NewEncoder(sp)
+	sel := core.NewBatchSelector(sp, enc, cfg.SeedRNG())
+	for _, idx := range cfg.Exclude {
+		sel.Reserve(idx)
 	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	idxs := ex.Samples()
-	targets := make([][]float64, len(idxs))
-	taken := map[int]bool{0: true, 1: true, 2: true}
-	for i, idx := range idxs {
-		targets[i] = []float64{testTarget(sp, idx)}
-		taken[idx] = true
+	var idxs []int
+	var inputs, targets [][]float64
+	var steps []core.Step
+	var ens *core.Ensemble
+	for len(idxs) < cfg.MaxSamples {
+		for _, idx := range sel.Random(cfg.BatchSize) {
+			sel.Reserve(idx)
+			idxs = append(idxs, idx)
+			inputs = append(inputs, enc.EncodeIndex(idx, nil))
+			targets = append(targets, []float64{testTarget(sp, idx)})
+		}
+		var err error
+		if ens, err = core.TrainEnsemble(inputs, targets, cfg.RoundModel(len(idxs))); err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, core.Step{
+			Samples:  len(idxs),
+			Fraction: float64(len(idxs)) / float64(sp.Size()),
+			Est:      ens.Estimate(),
+		})
 	}
 	quarantined := -1
 	for idx := 0; idx < sp.Size(); idx++ {
-		if !taken[idx] {
+		if !sel.IsReserved(idx) {
 			quarantined = idx
 			break
 		}
 	}
 	return &Checkpoint{
 		Space:      sp,
-		Encoder:    encoding.NewEncoder(sp),
+		Encoder:    enc,
 		Config:     cfg,
 		RNG:        stats.NewRNG(99).State(),
 		Indices:    idxs,
 		Targets:    targets,
-		Steps:      ex.Steps(),
+		Steps:      steps,
 		Quarantine: []QuarantinedPoint{{Index: quarantined, Attempts: 2, Error: "synthetic failure"}},
-		Ensemble:   ex.Ensemble(),
+		Ensemble:   ens,
 		Meta:       Meta{Study: "synth", App: "none", Metric: "IPC", TraceLen: 1000},
 	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	cp := explorerCheckpoint(t)
+	cp := sampleCheckpoint(t)
 	var buf bytes.Buffer
 	if err := cp.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -121,7 +128,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointWriteFileAtomicRoundTrip(t *testing.T) {
-	cp := explorerCheckpoint(t)
+	cp := sampleCheckpoint(t)
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
 	if err := cp.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -165,9 +172,13 @@ func corrupt(t *testing.T, cp *Checkpoint, f func(doc map[string]any)) error {
 }
 
 func TestCheckpointLoadRejectsCorruption(t *testing.T) {
-	cp := explorerCheckpoint(t)
+	cp := sampleCheckpoint(t)
 	cases := map[string]func(doc map[string]any){
-		"future version":   func(d map[string]any) { d["version"] = CheckpointVersion + 1 },
+		"future version": func(d map[string]any) { d["version"] = CheckpointVersion + 1 },
+		"v1 active-learning run": func(d map[string]any) {
+			d["version"] = 1
+			d["config"].(map[string]any)["Strategy"] = 1
+		},
 		"zero rng":         func(d map[string]any) { d["rng"] = []int{0, 0, 0, 0} },
 		"truncated target": func(d map[string]any) { d["targets"] = d["targets"].([]any)[:1] },
 		"out-of-range sample": func(d map[string]any) {
@@ -215,8 +226,14 @@ func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 	}
 	for name, f := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := corrupt(t, cp, f); err == nil {
+			err := corrupt(t, cp, f)
+			if err == nil {
 				t.Fatalf("%s accepted", name)
+			}
+			// Version 1 carried variance selection in a field this
+			// build no longer reads; the refusal must say why.
+			if strings.HasPrefix(name, "v1 ") && !strings.Contains(err.Error(), "version 1") {
+				t.Fatalf("v1 checkpoint refused without naming its version: %v", err)
 			}
 		})
 	}

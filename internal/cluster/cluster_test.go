@@ -232,12 +232,16 @@ func TestClusterMixedModeKernelSweep(t *testing.T) {
 // failingNode wraps a serve handler so shard requests start failing
 // after the first `healthy` of them — a node dying mid-sweep. mode
 // "500" answers errors; mode "abort" severs the connection like a
-// crashed process.
-func failingNode(healthy int64, mode string) (func(http.Handler) http.Handler, *atomic.Int64) {
+// crashed process. The returned channel closes once the first failing
+// call has been answered.
+func failingNode(healthy int64, mode string) (func(http.Handler) http.Handler, *atomic.Int64, <-chan struct{}) {
 	var calls atomic.Int64
+	failed := make(chan struct{})
+	var once sync.Once
 	return func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/sweep/shard" && calls.Add(1) > healthy {
+				defer once.Do(func() { close(failed) })
 				if mode == "abort" {
 					panic(http.ErrAbortHandler)
 				}
@@ -247,18 +251,38 @@ func failingNode(healthy int64, mode string) (func(http.Handler) http.Handler, *
 			}
 			h.ServeHTTP(w, r)
 		})
-	}, &calls
+	}, &calls, failed
+}
+
+// heldNode wraps a serve handler so shard requests wait until release
+// closes, or until the coordinator abandons them.
+func heldNode(release <-chan struct{}) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep/shard" {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
 }
 
 // TestClusterSurvivesNodeFailure kills one of three nodes mid-sweep —
 // both failure styles — and requires the retried, redistributed
-// result to stay byte-identical to the single-process run.
+// result to stay byte-identical to the single-process run. The flaky
+// node fails on its second shard, so the healthy nodes hold their
+// shards until it has: otherwise they could drain the queue first and
+// the failure path would never run.
 func TestClusterSurvivesNodeFailure(t *testing.T) {
 	want := canonJSON(t, localRun(t, 5, 8))
 	for _, mode := range []string{"500", "abort"} {
-		mw, calls := failingNode(1, mode)
+		mw, calls, failed := failingNode(1, mode)
 		flaky := newNode(t, mw)
-		nodes := []string{newNode(t, nil).URL, flaky.URL, newNode(t, nil).URL}
+		nodes := []string{newNode(t, heldNode(failed)).URL, flaky.URL, newNode(t, heldNode(failed)).URL}
 		coord, err := New(Config{
 			Nodes:        nodes,
 			Request:      serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8},
@@ -288,7 +312,7 @@ func TestClusterSurvivesNodeFailure(t *testing.T) {
 // the healthy ones.
 func TestClusterProbeDropsBrokenNode(t *testing.T) {
 	want := canonJSON(t, localRun(t, 5, 8))
-	mw, _ := failingNode(0, "500") // fails every shard, including the probe
+	mw, _, _ := failingNode(0, "500") // fails every shard, including the probe
 	coord, err := New(Config{
 		Nodes:       []string{newNode(t, mw).URL, newNode(t, nil).URL},
 		Request:     serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8},
@@ -311,8 +335,8 @@ func TestClusterProbeDropsBrokenNode(t *testing.T) {
 // TestClusterAllNodesFail: when no node can run shards, the sweep
 // fails with an error instead of hanging.
 func TestClusterAllNodesFail(t *testing.T) {
-	mwA, _ := failingNode(0, "500")
-	mwB, _ := failingNode(0, "500")
+	mwA, _, _ := failingNode(0, "500")
+	mwB, _, _ := failingNode(0, "500")
 	coord, err := New(Config{
 		Nodes:        []string{newNode(t, mwA).URL, newNode(t, mwB).URL},
 		Request:      serve.SweepRequest{Model: "synth"},

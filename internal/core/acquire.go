@@ -30,10 +30,9 @@ const (
 	// dominated under another — where one simulation buys the most
 	// frontier information.
 	AcquireFrontier AcquireStrategy = "frontier"
-	// AcquireVariance is the Chapter 7 disagreement rule behind the
-	// Acquirer interface: score by ensemble variance on the primary
-	// objective's output. Without constraints it selects bit-identically
-	// to BatchSelector.ByVariance.
+	// AcquireVariance is the Chapter 7 active-learning rule: score by
+	// ensemble variance on the primary objective's output, so each batch
+	// takes the candidates on which the members disagree most.
 	AcquireVariance AcquireStrategy = "variance"
 )
 
@@ -251,8 +250,9 @@ func ParseAcquireSpec(spec string) (*AcquireConfig, error) {
 // current ensemble and the encoded inputs of every already-simulated
 // point, it selects the next batch from sel's drawable pool. All
 // implementations hold the repo invariant — selection is bit-identical
-// for any ensemble worker count and consumes the selection RNG exactly
-// like ByVariance, so checkpoint resume replays it exactly.
+// for any ensemble worker count and consumes the selection RNG only
+// through the selector's candidate draw, so checkpoint resume replays
+// it exactly.
 type Acquirer interface {
 	// Strategy names the acquisition function.
 	Strategy() AcquireStrategy
@@ -587,8 +587,7 @@ type acqScored struct {
 
 // acqWeaker orders candidates for the bounded min-heap: a is weaker
 // than b when it violates more constraints, scores lower, or ties were
-// drawn later. With zero violations everywhere it is exactly
-// topVariance's order.
+// drawn later.
 func acqWeaker(a, b acqScored) bool {
 	if a.violations != b.violations {
 		return a.violations > b.violations
@@ -614,7 +613,9 @@ func (h *acqHeap) Pop() interface{} {
 }
 
 // topScored returns the n best candidates under the acquisition order,
-// strongest first, via the same bounded min-heap shape as topVariance.
+// strongest first, via a bounded min-heap: O(pool·log n) against the
+// O(n·pool) selection sort that dominated a round's cost at 10k+
+// candidate pools.
 func topScored(idxs []int, scores []float64, violations []int, n int) []int {
 	if n > len(idxs) {
 		n = len(idxs)

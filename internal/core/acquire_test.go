@@ -155,12 +155,12 @@ func TestParseAcquireSpec(t *testing.T) {
 	}
 }
 
-// TestAcquireVarianceMatchesByVariance: the variance strategy without
-// constraints is the Chapter 7 rule behind the new interface — it must
-// select bit-identically to ByVariance from the same RNG state, so
-// `-acquire variance` and the legacy active-learning flag produce the
-// same runs.
-func TestAcquireVarianceMatchesByVariance(t *testing.T) {
+// TestAcquireVarianceMatchesNaive: the variance strategy without
+// constraints is the Chapter 7 rule — from the same RNG state it must
+// select exactly what a sorted reference picks from the same candidate
+// draw, and consume the selection stream identically, so `-active` and
+// `-acquire variance` runs replay bit-identically.
+func TestAcquireVarianceMatchesNaive(t *testing.T) {
 	ens := trainAcquireEnsemble(t, 1, 60, 0)
 	sp := synthSpace()
 	enc := newTestEncoder(sp)
@@ -171,13 +171,15 @@ func TestAcquireVarianceMatchesByVariance(t *testing.T) {
 	for _, seed := range []uint64{1, 9, 42} {
 		a := NewBatchSelector(sp, enc, stats.NewRNG(seed))
 		b := NewBatchSelector(sp, enc, stats.NewRNG(seed))
-		want := a.ByVariance(ens, 8, 40)
-		got, err := b.Acquire(acq, ens, nil, 8, 40)
+		idxs, xs := a.drawPool(8, 40)
+		_, vs := ens.PredictVarianceBatch(xs, len(idxs), nil, nil)
+		want := naiveTopVariance(idxs, vs, 8)
+		got, err := acq.Select(b, ens, nil, 8, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: acquire variance %v != ByVariance %v", seed, got, want)
+			t.Fatalf("seed %d: acquire variance %v != naive top variance %v", seed, got, want)
 		}
 		if a.RNG().State() != b.RNG().State() {
 			t.Fatalf("seed %d: RNG states diverged", seed)
@@ -212,7 +214,7 @@ func TestAcquireStrategiesDeterministicAcrossEnsembleWorkers(t *testing.T) {
 		for _, workers := range []int{1, 4, 16} {
 			ens := trainAcquireEnsemble(t, 2, 60, workers)
 			sel := NewBatchSelector(sp, enc, stats.NewRNG(77))
-			got, err := sel.Acquire(acq, ens, trainXs, 6, 48)
+			got, err := acq.Select(sel, ens, trainXs, 6, 48)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +271,7 @@ func TestAcquireConstraintsPreferFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := NewBatchSelector(sp, enc, stats.NewRNG(5))
-	got, err := sel.Acquire(acq, ens, trainXs, 5, 80)
+	got, err := acq.Select(sel, ens, trainXs, 5, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestAcquireUnknownOutputErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel := NewBatchSelector(sp, enc, stats.NewRNG(1))
-		if _, err := sel.Acquire(acq, ens, nil, 4, 0); err == nil ||
+		if _, err := acq.Select(sel, ens, nil, 4, 0); err == nil ||
 			!strings.Contains(err.Error(), "outputs") {
 			t.Fatalf("%s: err = %v, want output-range rejection", spec, err)
 		}
@@ -330,7 +332,7 @@ func TestAcquireHVIPrefersFrontierImprovers(t *testing.T) {
 	for _, idx := range trainIdx {
 		sel.Reserve(idx)
 	}
-	got, err := sel.Acquire(acq, ens, trainXs, 4, 60)
+	got, err := acq.Select(sel, ens, trainXs, 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +345,7 @@ func TestAcquireHVIPrefersFrontierImprovers(t *testing.T) {
 	for _, idx := range trainIdx {
 		sel2.Reserve(idx)
 	}
-	again, err := sel2.Acquire(acq, ens, trainXs, 4, 60)
+	again, err := acq.Select(sel2, ens, trainXs, 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +379,7 @@ func BenchmarkAcquire(b *testing.B) {
 				// selector would exhaust the 120-point pool and measure
 				// ever-emptier selections.
 				sel := NewBatchSelector(sp, enc, stats.NewRNG(7))
-				if _, err := sel.Acquire(acq, ens, trainXs, 8, 64); err != nil {
+				if _, err := acq.Select(sel, ens, trainXs, 8, 64); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -104,19 +104,18 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 
 func TestExplorerRejectsOutOfRangeExclude(t *testing.T) {
 	sp := synthSpace()
-	oracle := &synthOracle{sp: sp}
 	base := ExploreConfig{Model: fastModel(), BatchSize: 10, MaxSamples: 20}
 	for _, bad := range []int{-1, sp.Size(), sp.Size() + 17} {
 		cfg := base
 		cfg.Exclude = []int{0, bad}
-		if _, err := NewExplorer(sp, oracle, cfg); err == nil {
-			t.Fatalf("NewExplorer accepted out-of-range Exclude index %d", bad)
+		if err := cfg.Validate(sp); err == nil {
+			t.Fatalf("Validate accepted out-of-range Exclude index %d", bad)
 		}
 	}
 	cfg := base
 	cfg.Exclude = []int{0, sp.Size() - 1}
-	if _, err := NewExplorer(sp, oracle, cfg); err != nil {
-		t.Fatalf("NewExplorer rejected valid Exclude indices: %v", err)
+	if err := cfg.Validate(sp); err != nil {
+		t.Fatalf("Validate rejected valid Exclude indices: %v", err)
 	}
 }
 

@@ -10,13 +10,16 @@
 //     all members; the pooled test-fold percentage errors estimate the
 //     model's mean error and its standard deviation over the full
 //     design space (§3.2, §5.2).
-//   - Explorer — the incremental procedure of §3.3 (steps 1–8): sample a
-//     batch of design points, simulate them, train an ensemble, read the
-//     cross-validation error estimate, and repeat until the estimate
-//     falls below the architect's threshold.
-//   - SelectVariance — the active-learning extension sketched in
+//   - ExploreConfig, BatchSelector and Step — the parameters, batch
+//     draws and round record of the incremental procedure of §3.3
+//     (steps 1–8): sample a batch of design points, simulate them, train
+//     an ensemble, read the cross-validation error estimate, and repeat
+//     until the estimate falls below the architect's threshold. The loop
+//     itself is explore.Driver.
+//   - AcquireVariance — the active-learning extension sketched in
 //     Chapter 7: instead of random batches, pick the candidate points on
-//     which the ensemble members disagree most.
+//     which the ensemble members disagree most. It is one Acquirer; hvi
+//     and frontier target the predicted Pareto frontier instead.
 //   - Multi-target support — the multi-task-learning extension of
 //     Chapter 7: oracles may return several correlated metrics (IPC plus
 //     cache miss and branch mispredict rates); one network with several

@@ -1,13 +1,18 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
+
+// newTestEncoder centralizes encoder construction for core tests.
+func newTestEncoder(sp *space.Space) *encoding.Encoder {
+	return encoding.NewEncoder(sp)
+}
 
 // synthSpace is a small analytic design space for model tests: three
 // cardinal axes and one nominal axis.
@@ -32,25 +37,6 @@ func synthTarget(sp *space.Space, idx int) float64 {
 		v *= 1.25
 	}
 	return v
-}
-
-// synthOracle evaluates synthTarget, counting calls.
-type synthOracle struct {
-	sp    *space.Space
-	calls int
-	fail  bool
-}
-
-func (o *synthOracle) Evaluate(indices []int) ([][]float64, error) {
-	if o.fail {
-		return nil, fmt.Errorf("synthetic oracle failure")
-	}
-	out := make([][]float64, len(indices))
-	for i, idx := range indices {
-		o.calls++
-		out[i] = []float64{synthTarget(o.sp, idx)}
-	}
-	return out, nil
 }
 
 func fastModel() ModelConfig {

@@ -4,23 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
-)
-
-// Selection names a batch-selection strategy for the explorer.
-type Selection uint8
-
-// Batch-selection strategies.
-const (
-	// SelectRandom samples each batch uniformly at random without
-	// replacement, the paper's §3.3 procedure.
-	SelectRandom Selection = iota
-	// SelectVariance implements the active-learning extension of
-	// Chapter 7: each batch takes the unsimulated candidates on which
-	// the current ensemble's members disagree most.
-	SelectVariance
 )
 
 // ExploreConfig controls the incremental exploration loop.
@@ -32,18 +17,17 @@ type ExploreConfig struct {
 	// TargetMeanErr stops the loop once the cross-validation estimate
 	// of mean percentage error falls below it (0 disables).
 	TargetMeanErr float64
-	Strategy      Selection
-	// Acquire, when non-nil, selects batches with a Pareto-aware
-	// acquisition function (see AcquireConfig) instead of Strategy once
-	// an ensemble exists; the first round is always random. It is part
-	// of the loop configuration, so checkpoints carry it and a resumed
-	// run replays the same acquisition bit-identically.
+	// Acquire, when non-nil, selects every batch after the first with
+	// an acquisition function (see AcquireConfig); without it every
+	// batch is uniformly random, the paper's §3.3 procedure. Chapter 7's
+	// active learning is &AcquireConfig{Strategy: AcquireVariance}.
+	// Checkpoints carry it, so a resumed run replays the same
+	// acquisition bit-identically.
 	Acquire *AcquireConfig
 	// CandidatePool is the number of random unsimulated points scored
-	// per round under SelectVariance or acquisition (0 selects 20×
-	// batch size).
+	// per acquisition round (0 selects 20× batch size).
 	CandidatePool int
-	// Exclude lists design points the explorer must never sample —
+	// Exclude lists design points a run must never sample —
 	// typically a held-out evaluation set.
 	Exclude []int
 	Seed    uint64
@@ -77,8 +61,8 @@ func (c ExploreConfig) Validate(sp *space.Space) error {
 	return nil
 }
 
-// SeedRNG returns the selection RNG the configuration induces; the
-// explorer and the pipelined driver both draw from this stream.
+// SeedRNG returns the selection RNG the configuration induces; every
+// batch a run selects is drawn from this stream.
 func (c ExploreConfig) SeedRNG() *stats.RNG {
 	return stats.NewRNG(c.Seed ^ 0xE1F00D)
 }
@@ -101,7 +85,6 @@ func DefaultExploreConfig() ExploreConfig {
 		BatchSize:     50,
 		MaxSamples:    2000,
 		TargetMeanErr: 2.0,
-		Strategy:      SelectRandom,
 	}
 }
 
@@ -111,156 +94,4 @@ type Step struct {
 	Fraction  float64       // Samples / |design space|
 	Est       Estimate      // cross-validation error estimate
 	TrainTime time.Duration // wall-clock ensemble training time
-}
-
-// Explorer runs the paper's fully automated modeling procedure
-// (§3.3, steps 1–8) over one design space and oracle, strictly
-// sequentially: each round selects a batch, blocks on one oracle call,
-// then blocks on ensemble training.
-//
-// Explorer is kept as the compatibility surface and the deterministic
-// reference implementation; the pipelined engine in internal/explore
-// overlaps these stages, fans the oracle out over workers and
-// checkpoints between rounds, and is tested to reproduce this loop
-// bit-identically. New code should prefer explore.Driver.
-type Explorer struct {
-	sp     *space.Space
-	enc    *encoding.Encoder
-	oracle Oracle
-	cfg    ExploreConfig
-	sel    *BatchSelector
-	acq    Acquirer // non-nil iff cfg.Acquire is
-
-	indices []int       // simulated design points, in sampling order
-	inputs  [][]float64 // encoded inputs, aligned with indices
-	targets [][]float64 // oracle target vectors, aligned with indices
-	width   int         // established target-vector width (0 before any)
-
-	ens   *Ensemble
-	steps []Step
-}
-
-// NewExplorer constructs an explorer over the design space with the
-// given oracle.
-func NewExplorer(sp *space.Space, oracle Oracle, cfg ExploreConfig) (*Explorer, error) {
-	if err := cfg.Validate(sp); err != nil {
-		return nil, err
-	}
-	enc := encoding.NewEncoder(sp)
-	e := &Explorer{
-		sp:     sp,
-		enc:    enc,
-		oracle: oracle,
-		cfg:    cfg,
-		sel:    NewBatchSelector(sp, enc, cfg.SeedRNG()),
-	}
-	if cfg.Acquire != nil {
-		acq, err := NewAcquirer(cfg.Acquire)
-		if err != nil {
-			return nil, err
-		}
-		e.acq = acq
-	}
-	for _, idx := range cfg.Exclude {
-		e.sel.Reserve(idx) // reserved forever, never trained on
-	}
-	return e, nil
-}
-
-// Samples returns the design-point indices simulated so far.
-func (e *Explorer) Samples() []int { return append([]int(nil), e.indices...) }
-
-// Steps returns the per-round history.
-func (e *Explorer) Steps() []Step { return append([]Step(nil), e.steps...) }
-
-// Ensemble returns the most recently trained ensemble (nil before the
-// first round).
-func (e *Explorer) Ensemble() *Ensemble { return e.ens }
-
-// Encoder exposes the input encoding, so callers can encode evaluation
-// points consistently.
-func (e *Explorer) Encoder() *encoding.Encoder { return e.enc }
-
-// Run executes rounds of sample→simulate→train→estimate until the error
-// target is met or MaxSamples is reached, returning the final ensemble.
-func (e *Explorer) Run() (*Ensemble, error) {
-	for len(e.indices) < e.cfg.MaxSamples {
-		n := e.cfg.BatchSize
-		if rem := e.cfg.MaxSamples - len(e.indices); n > rem {
-			n = rem
-		}
-		before := len(e.indices)
-		if err := e.Grow(n); err != nil {
-			return nil, err
-		}
-		if len(e.indices) == before {
-			break // space (minus exclusions) exhausted; no progress possible
-		}
-		if err := e.TrainRound(); err != nil {
-			return nil, err
-		}
-		if e.cfg.TargetMeanErr > 0 && e.ens.Estimate().MeanErr <= e.cfg.TargetMeanErr {
-			break
-		}
-	}
-	if e.ens == nil {
-		return nil, fmt.Errorf("core: explorer ran no rounds")
-	}
-	return e.ens, nil
-}
-
-// Grow selects n new unsimulated design points (per the configured
-// strategy), evaluates them through the oracle, and adds them to the
-// training pool.
-func (e *Explorer) Grow(n int) error {
-	var batch []int
-	switch {
-	case e.acq != nil && e.ens != nil:
-		var err error
-		batch, err = e.sel.Acquire(e.acq, e.ens, e.inputs, n, e.cfg.CandidatePool)
-		if err != nil {
-			return err
-		}
-	case e.cfg.Strategy == SelectVariance && e.ens != nil:
-		batch = e.sel.ByVariance(e.ens, n, e.cfg.CandidatePool)
-	default:
-		batch = e.sel.Random(n)
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	targets, err := e.oracle.Evaluate(batch)
-	if err != nil {
-		return fmt.Errorf("core: oracle: %w", err)
-	}
-	width, err := CheckBatchTargets(batch, targets, e.width)
-	if err != nil {
-		return err
-	}
-	e.width = width
-	for i, idx := range batch {
-		e.sel.Reserve(idx)
-		e.indices = append(e.indices, idx)
-		e.inputs = append(e.inputs, e.enc.EncodeIndex(idx, nil))
-		e.targets = append(e.targets, targets[i])
-	}
-	return nil
-}
-
-// TrainRound trains a fresh ensemble on everything simulated so far and
-// records the round.
-func (e *Explorer) TrainRound() error {
-	start := time.Now() //repolint:allow determinism -- Step.TrainTime is wall-clock training telemetry; it never feeds selection or weights
-	ens, err := TrainEnsemble(e.inputs, e.targets, e.cfg.RoundModel(len(e.indices)))
-	if err != nil {
-		return err
-	}
-	e.ens = ens
-	e.steps = append(e.steps, Step{
-		Samples:   len(e.indices),
-		Fraction:  float64(len(e.indices)) / float64(e.sp.Size()),
-		Est:       ens.Estimate(),
-		TrainTime: time.Since(start), //repolint:allow determinism -- wall-clock training telemetry; excluded from bit-identity comparisons
-	})
-	return nil
 }

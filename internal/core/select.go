@@ -1,21 +1,18 @@
 package core
 
 import (
-	"container/heap"
-	"sort"
-
 	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
 
-// BatchSelector implements the explorer's batch-selection strategies
-// over one design space, tracking which points remain drawable. It is
-// shared by the sequential core.Explorer and the pipelined
-// explore.Driver so that both consume the RNG in exactly the same
-// order — the property the driver's deterministic-parity tests rely
-// on. It is not safe for concurrent use; the driver serializes
-// selection on its orchestration goroutine.
+// BatchSelector draws batches from one design space, tracking which
+// points remain drawable: Random is the paper's §3.3 sampling, and
+// every Acquirer scores a candidate pool it draws. Both consume the
+// selection RNG in a fixed order, which is what makes a run replay
+// bit-identically from its seed or checkpoint. It is not safe for
+// concurrent use; explore.Driver serializes selection on its
+// orchestration goroutine.
 type BatchSelector struct {
 	sp       *space.Space
 	enc      *encoding.Encoder
@@ -140,87 +137,4 @@ func (s *BatchSelector) drawPool(n, pool int) ([]int, []float64) {
 		s.enc.EncodeIndex(idx, xs[i*width:(i+1)*width])
 	}
 	return idxs, xs
-}
-
-// ByVariance scores a random pool of unreserved candidates with the
-// ensemble and returns the n on which its members disagree most, in
-// decreasing disagreement order (ties broken by draw order) — the
-// Chapter 7 active-learning batch. pool <= 0 selects 20×n candidates.
-// Like Random, the returned points are not reserved.
-func (s *BatchSelector) ByVariance(ens *Ensemble, n, pool int) []int {
-	idxs, xs := s.drawPool(n, pool)
-	if len(idxs) == 0 {
-		return nil
-	}
-	_, vs := ens.PredictVarianceBatch(xs, len(idxs), nil, nil)
-	return topVariance(idxs, vs, n)
-}
-
-// Acquire selects up to n points with the given acquisition function —
-// the frontier-aware generalization of ByVariance. The candidate pool
-// is drawn exactly as ByVariance draws it (same RNG stream), trainXs
-// are the encoded inputs of the already-simulated points (the
-// predicted-frontier reference set), and the returned points are not
-// reserved.
-func (s *BatchSelector) Acquire(acq Acquirer, ens *Ensemble, trainXs [][]float64, n, pool int) ([]int, error) {
-	return acq.Select(s, ens, trainXs, n, pool)
-}
-
-// scored pairs a candidate with its ensemble disagreement and its draw
-// position, the deterministic tie-breaker.
-type scored struct {
-	idx, pos int
-	v        float64
-}
-
-// weaker orders candidates for the bounded min-heap: a is weaker than b
-// when it has lower variance, or equal variance drawn later.
-func weaker(a, b scored) bool {
-	if a.v != b.v {
-		return a.v < b.v
-	}
-	return a.pos > b.pos
-}
-
-// varianceHeap is a min-heap whose root is the weakest kept candidate.
-type varianceHeap []scored
-
-func (h varianceHeap) Len() int            { return len(h) }
-func (h varianceHeap) Less(i, j int) bool  { return weaker(h[i], h[j]) }
-func (h varianceHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *varianceHeap) Push(x interface{}) { *h = append(*h, x.(scored)) }
-func (h *varianceHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// topVariance returns the n candidates with the highest variance in
-// decreasing order (ties by draw position), via a bounded min-heap:
-// O(pool·log n) against the O(n·pool) selection-sort it replaced,
-// which dominated a round's cost at 10k+ candidate pools.
-func topVariance(idxs []int, vs []float64, n int) []int {
-	if n > len(idxs) {
-		n = len(idxs)
-	}
-	if n <= 0 {
-		return nil
-	}
-	h := make(varianceHeap, 0, n)
-	for i, idx := range idxs {
-		c := scored{idx: idx, pos: i, v: vs[i]}
-		if len(h) < n {
-			heap.Push(&h, c)
-		} else if weaker(h[0], c) {
-			h[0] = c
-			heap.Fix(&h, 0)
-		}
-	}
-	sort.Slice(h, func(i, j int) bool { return weaker(h[j], h[i]) })
-	out := make([]int, len(h))
-	for i, c := range h {
-		out[i] = c.idx
-	}
-	return out
 }

@@ -8,8 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
-// naiveTopVariance is the sorted reference defining topVariance's
-// contract: highest variance first, exact ties by earlier draw order.
+// naiveTopVariance is the sorted reference defining variance
+// selection's order: highest variance first, exact ties by earlier draw
+// order.
 func naiveTopVariance(idxs []int, vs []float64, n int) []int {
 	type cand struct {
 		idx, pos int
@@ -47,7 +48,7 @@ func TestTopVarianceMatchesNaive(t *testing.T) {
 			// Coarse quantization forces plenty of exact ties.
 			vs[i] = float64(rng.Intn(8))
 		}
-		got := topVariance(idxs, vs, n)
+		got := topScored(idxs, vs, make([]int, pool), n)
 		want := naiveTopVariance(idxs, vs, n)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d picks, want %d", trial, len(got), len(want))
@@ -62,17 +63,17 @@ func TestTopVarianceMatchesNaive(t *testing.T) {
 }
 
 func TestTopVarianceBounds(t *testing.T) {
-	if got := topVariance(nil, nil, 5); got != nil {
+	if got := topScored(nil, nil, nil, 5); got != nil {
 		t.Fatalf("empty pool returned %v", got)
 	}
-	got := topVariance([]int{3, 9}, []float64{1, 2}, 5)
+	got := topScored([]int{3, 9}, []float64{1, 2}, []int{0, 0}, 5)
 	if len(got) != 2 || got[0] != 9 || got[1] != 3 {
 		t.Fatalf("n beyond pool returned %v, want [9 3]", got)
 	}
 }
 
 // selectionSortTopVariance is the literal O(n·pool) partial selection
-// sort that selectByVariance used before the heap, kept only so the
+// sort variance selection used before the heap, kept only so the
 // benchmark can quantify the win.
 func selectionSortTopVariance(idxs []int, vs []float64, n int) []int {
 	type cand struct {
@@ -102,8 +103,8 @@ func selectionSortTopVariance(idxs []int, vs []float64, n int) []int {
 	return out
 }
 
-// historicRejectionDraw is the literal rejection loop Random and
-// ByVariance always used: uniform draws over the whole space,
+// historicRejectionDraw is the literal rejection loop Random and the
+// candidate-pool draw always used: uniform draws over the whole space,
 // re-drawing reserved or repeated points. It defines the RNG
 // consumption the non-fallback regime of drawDistinct must reproduce
 // draw for draw.
@@ -270,10 +271,11 @@ func TestRandomDrainsExhaustedPool(t *testing.T) {
 	}
 }
 
-// BenchmarkTopVariance measures the top-n extraction alone at the pool
-// sizes where active learning hurts: 50-point batches over 10k–100k
-// candidate pools. The heap is O(pool·log n) against the selection
-// sort's O(n·pool).
+// BenchmarkTopVariance measures the top-n extraction alone — topScored
+// with no constraint violations, as variance acquisition runs it — at
+// the pool sizes where active learning hurts: 50-point batches over
+// 10k–100k candidate pools. The heap is O(pool·log n) against the
+// selection sort's O(n·pool).
 func BenchmarkTopVariance(b *testing.B) {
 	for _, pool := range []int{10_000, 100_000} {
 		rng := stats.NewRNG(11)
@@ -283,10 +285,11 @@ func BenchmarkTopVariance(b *testing.B) {
 			idxs[i] = i
 			vs[i] = rng.Float64()
 		}
+		violations := make([]int, pool)
 		const n = 50
 		b.Run(fmt.Sprintf("heap/pool=%d", pool), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				topVariance(idxs, vs, n)
+				topScored(idxs, vs, violations, n)
 			}
 		})
 		b.Run(fmt.Sprintf("selection-sort/pool=%d", pool), func(b *testing.B) {

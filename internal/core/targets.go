@@ -25,22 +25,3 @@ func CheckTarget(idx int, target []float64, width int) error {
 	}
 	return nil
 }
-
-// CheckBatchTargets validates an oracle's reply against the batch it
-// was asked for: one target vector per requested point, each non-empty,
-// finite, and width-consistent. It returns the (possibly newly
-// established) target width.
-func CheckBatchTargets(batch []int, targets [][]float64, width int) (int, error) {
-	if len(targets) != len(batch) {
-		return width, fmt.Errorf("core: oracle returned %d results for %d points", len(targets), len(batch))
-	}
-	for i, idx := range batch {
-		if err := CheckTarget(idx, targets[i], width); err != nil {
-			return width, err
-		}
-		if width == 0 {
-			width = len(targets[i])
-		}
-	}
-	return width, nil
-}

@@ -60,17 +60,13 @@ func AcquisitionLearning(study *studies.Study, app string, cfg CurveConfig, spec
 		cfg.TraceLen = 50000
 	}
 
-	type arm struct {
-		name string
-		acq  *core.AcquireConfig
-	}
-	arms := []arm{{name: "variance"}} // baseline: ByVariance, no acquisition
+	arms := []*core.AcquireConfig{{Strategy: core.AcquireVariance}} // the baseline
 	for _, spec := range specs {
 		acq, err := core.ParseAcquireSpec(spec)
 		if err != nil {
 			return nil, err
 		}
-		arms = append(arms, arm{name: acq.Spec(), acq: acq})
+		arms = append(arms, acq)
 	}
 
 	ctx := context.Background()
@@ -85,9 +81,8 @@ func AcquisitionLearning(study *studies.Study, app string, cfg CurveConfig, spec
 			Model:      cfg.Model,
 			BatchSize:  cfg.Start,
 			MaxSamples: cfg.End,
-			Strategy:   core.SelectVariance,
 			Seed:       cfg.Seed,
-			Acquire:    a.acq,
+			Acquire:    a,
 			// Every arm scores the same generously-sized candidate draw;
 			// Pareto-aware arms live or die by whether frontier-extending
 			// candidates appear in the pool at all.
@@ -110,7 +105,7 @@ func AcquisitionLearning(study *studies.Study, app string, cfg CurveConfig, spec
 		for _, row := range drv.Checkpoint().Targets {
 			raw[i] = append(raw[i], [2]float64{row[0], row[1]})
 		}
-		curves[i] = AcquireCurve{Name: a.name}
+		curves[i] = AcquireCurve{Name: a.Spec()}
 	}
 
 	// Normalize both axes over the union of every arm's designs, so

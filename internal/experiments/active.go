@@ -22,7 +22,7 @@ func ActiveLearning(study *studies.Study, app string, cfg CurveConfig) ([]Active
 	// file would have the second arm "resume" the first one's run.
 	randomCfg := cfg
 	activeCfg := cfg
-	activeCfg.Strategy = core.SelectVariance
+	activeCfg.Acquire = &core.AcquireConfig{Strategy: core.AcquireVariance}
 	if cfg.Checkpoint != "" {
 		randomCfg.Checkpoint = cfg.Checkpoint + ".random"
 		activeCfg.Checkpoint = cfg.Checkpoint + ".active"

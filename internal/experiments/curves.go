@@ -52,9 +52,9 @@ type CurveConfig struct {
 	// Noisy selects the SimPoint-estimated oracle for training data
 	// (§5.3); true error is still measured against full simulation.
 	Noisy bool
-	// Strategy selects batch sampling (random in the paper; variance
-	// for the active-learning extension).
-	Strategy core.Selection
+	// Acquire selects batches after the first (nil: random, as in the
+	// paper; AcquireVariance: the active-learning extension).
+	Acquire *core.AcquireConfig
 	// Workers bounds the per-point oracle fan-out of each batch
 	// (0 = all cores); results are identical for any setting.
 	Workers int
@@ -145,7 +145,7 @@ func CurveAtSizes(study *studies.Study, app string, cfg CurveConfig, sizes []int
 		Model:      cfg.Model,
 		BatchSize:  sizes[0],
 		MaxSamples: maxSize,
-		Strategy:   cfg.Strategy,
+		Acquire:    cfg.Acquire,
 		Seed:       cfg.Seed,
 		Exclude:    evalIdx,
 	}
@@ -246,9 +246,9 @@ func curveDriver(study *studies.Study, oracle core.Oracle, exCfg core.ExploreCon
 				return nil, fmt.Errorf("experiments: resume %s: checkpoint simulated %q at %d instructions, this run wants %q at %d — mixed oracles would corrupt the curve; delete the checkpoint or restore the original settings",
 					pipe.CheckpointPath, cp.Meta.Note, cp.Meta.TraceLen, pipe.Meta.Note, pipe.Meta.TraceLen)
 			}
-			if cp.Config.Seed != exCfg.Seed || cp.Config.Strategy != exCfg.Strategy ||
+			if cp.Config.Seed != exCfg.Seed || !reflect.DeepEqual(cp.Config.Acquire, exCfg.Acquire) ||
 				!reflect.DeepEqual(cp.Config.Exclude, exCfg.Exclude) {
-				return nil, fmt.Errorf("experiments: resume %s: checkpoint was written under a different study configuration (seed/strategy/evaluation set); delete it or restore the original settings",
+				return nil, fmt.Errorf("experiments: resume %s: checkpoint was written under a different study configuration (seed/acquisition/evaluation set); delete it or restore the original settings",
 					pipe.CheckpointPath)
 			}
 			drv, err := explore.Resume(cp, oracle, pipe)

@@ -41,7 +41,7 @@ func acquireCfg(t *testing.T, spec string) core.ExploreConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	cfg.MaxSamples = 45
 	cfg.Acquire = acq
 	cfg.CandidatePool = 60
@@ -55,19 +55,6 @@ var acquireSpecs = []string{
 	"frontier:max=out0:min=out1",
 	"variance",
 	"hvi:max=out0:min=out1:out0>=0.8",
-}
-
-func dualExplorerState(t *testing.T, cfg core.ExploreConfig) runState {
-	t.Helper()
-	sp := synthSpace()
-	ex, err := core.NewExplorer(sp, &dualOracle{sp: sp}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return runState{samples: ex.Samples(), steps: stripTimes(ex.Steps()), ens: ensembleBytes(t, ex.Ensemble())}
 }
 
 func dualDriverState(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState {
@@ -84,21 +71,12 @@ func dualDriverState(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runSta
 }
 
 // TestDriverMatchesExplorerUnderAcquisition is the acquisition
-// determinism guarantee, mirroring TestDriverMatchesSequentialExplorer:
-// for every strategy and every worker count, the pipelined driver
-// reproduces the sequential reference loop's exact sample order, step
+// determinism guarantee: for every strategy, every pipeline setting
+// reproduces the strictly sequential setting's exact sample order, step
 // history and final ensemble weights.
 func TestDriverMatchesExplorerUnderAcquisition(t *testing.T) {
 	for _, spec := range acquireSpecs {
-		cfg := acquireCfg(t, spec)
-		want := dualExplorerState(t, cfg)
-		for label, pipe := range map[string]Pipeline{
-			"workers=1":  {Workers: -1},
-			"workers=4":  {Workers: 4},
-			"workers=16": {Workers: 16},
-		} {
-			requireSameRun(t, spec+" "+label, dualDriverState(t, cfg, pipe), want)
-		}
+		requirePipelineParity(t, spec, acquireCfg(t, spec), dualDriverState)
 	}
 }
 

@@ -53,9 +53,9 @@ func BenchmarkOracleFanout(b *testing.B) {
 }
 
 // BenchmarkDriverRound measures a full pipelined round — selection,
-// fan-out simulation, training — against the sequential explorer on the
-// same latency-bound oracle, capturing the train/simulate overlap win
-// as well.
+// fan-out simulation, training — against the strictly sequential
+// setting on the same latency-bound oracle, capturing the
+// train/simulate overlap win as well.
 func BenchmarkDriverRound(b *testing.B) {
 	const latency = 1 * time.Millisecond
 	cfg := core.ExploreConfig{
@@ -64,24 +64,19 @@ func BenchmarkDriverRound(b *testing.B) {
 		MaxSamples: 50,
 		Seed:       3,
 	}
-	b.Run("sequential-explorer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp := synthSpace()
-			ex, err := core.NewExplorer(sp, &slowOracle{inner: &synthOracle{sp: sp}, latency: latency}, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ex.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("driver/workers=%d", workers), func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		pipe Pipeline
+	}{
+		{"sequential", Pipeline{Workers: -1, Sequential: true}},
+		{"driver/workers=1", Pipeline{Workers: 1}},
+		{"driver/workers=8", Pipeline{Workers: 8}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sp := synthSpace()
 				d, err := New(sp, &slowOracle{inner: &synthOracle{sp: sp}, latency: latency},
-					Config{ExploreConfig: cfg, Pipeline: Pipeline{Workers: workers}})
+					Config{ExploreConfig: cfg, Pipeline: bc.pipe})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -32,7 +32,7 @@ func uninterrupted(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState
 // uninterrupted run's sampled set, step history and final ensemble
 // weights bit-identically.
 func TestKillBetweenRoundsResumeBitIdentical(t *testing.T) {
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	cfg.MaxSamples = 45 // three rounds
 	want := uninterrupted(t, cfg, Pipeline{Workers: 2})
 
@@ -85,7 +85,7 @@ func TestKillBetweenRoundsResumeBitIdentical(t *testing.T) {
 // none recorded. Resume must replay the interrupted round from the last
 // boundary and still converge to the uninterrupted run bit-identically.
 func TestKillMidRoundResumeBitIdentical(t *testing.T) {
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	cfg.MaxSamples = 45
 	want := uninterrupted(t, cfg, Pipeline{Workers: 2})
 
@@ -136,7 +136,7 @@ func TestCheckpointCarriesQuarantine(t *testing.T) {
 		return nil
 	}}
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	d, err := New(sp, oracle, Config{ExploreConfig: cfg, Pipeline: Pipeline{Retries: -1, CheckpointPath: path}})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestCheckpointCarriesQuarantine(t *testing.T) {
 // round's checkpoint on disk. Resuming it must finish without
 // simulating another batch.
 func TestResumeOfTargetMetRunFinishesImmediately(t *testing.T) {
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	cfg.TargetMeanErr = 1e9 // met after the first round
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
 	sp := synthSpace()
@@ -217,7 +217,7 @@ func TestStepSkipsTrainingOnFullyQuarantinedBatch(t *testing.T) {
 		return nil
 	}}
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	cfg.MaxSamples = sp.Size()
 	d, err := New(sp, oracle, Config{ExploreConfig: cfg, Pipeline: Pipeline{Retries: -1, CheckpointPath: path}})
 	if err != nil {

@@ -1,6 +1,7 @@
-// Package explore is the pipelined exploration engine: the paper's
-// §3.3 simulate→train→estimate loop (core.Explorer) decomposed into
-// overlapping stages that are durable, concurrent and cancellable.
+// Package explore runs the paper's §3.3 select→simulate→train→estimate
+// loop as overlapping stages that are durable, concurrent and
+// cancellable. It is the repo's one exploration loop: CLIs, examples,
+// experiments and the HTTP job API (internal/serve) all run a Driver.
 //
 //   - Oracle evaluation fans each batch out over a worker pool,
 //     per-point, with order-preserving reassembly — the cycle-level
@@ -15,17 +16,15 @@
 //     draws from the RNG exactly where the sequential loop would, and
 //     training never touches the selection stream, so the overlap is
 //     invisible in the outputs. If round N meets the error target, the
-//     speculative simulations are discarded. (Variance-driven selection
-//     needs round N's ensemble to choose round N+1, so it runs the
-//     stages in lockstep; the within-batch fan-out still applies.)
+//     speculative simulations are discarded. (Acquisition, variance
+//     included, needs round N's ensemble to choose round N+1, so it runs
+//     the stages in lockstep; the within-batch fan-out still applies.)
 //   - After every completed round the driver can write a versioned
 //     bundle.Checkpoint — kill the process anywhere and Resume
 //     reproduces the uninterrupted run bit-identically.
 //
-// The sequential core.Explorer remains as the compatibility shim and
-// the reference this engine's deterministic-parity tests compare
-// against; CLI tools, experiments and the HTTP job API (internal/serve)
-// all run on the driver.
+// Pipeline{Workers: -1, Sequential: true} runs the stages strictly one
+// after another; every other setting must reproduce it bit for bit.
 package explore
 
 import (
@@ -305,9 +304,9 @@ func (d *Driver) targetMet() bool {
 
 // Step runs one synchronous round growing the pool by up to n points —
 // the incremental API the learning-curve experiments script against.
-// Unlike Run it always trains, even when the batch came back smaller
-// than asked (quarantine) — matching the sequential Grow+TrainRound
-// contract.
+// Unlike Run it trains even when the batch came back smaller than
+// asked (quarantine, or fewer than n points left to draw), so every
+// requested size gets a round as long as the pool grew.
 func (d *Driver) Step(ctx context.Context, n int) error {
 	if n > 0 {
 		batch, err := d.selectBatch(n)
@@ -347,28 +346,23 @@ func (d *Driver) nextBatch() ([]int, error) {
 	return d.selectBatch(n)
 }
 
-// selectBatch draws up to n points per the configured strategy:
-// acquisition once an ensemble exists (the first round is always
-// random), else variance or random selection.
+// selectBatch draws up to n points: by acquisition once an ensemble
+// exists (the first round is always random), else uniformly at random.
 func (d *Driver) selectBatch(n int) ([]int, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	if d.acq != nil && d.ens != nil {
-		return d.sel.Acquire(d.acq, d.ens, d.inputs, n, d.cfg.CandidatePool)
-	}
-	if d.cfg.Strategy == core.SelectVariance && d.ens != nil {
-		return d.sel.ByVariance(d.ens, n, d.cfg.CandidatePool), nil
+		return d.acq.Select(d.sel, d.ens, d.inputs, n, d.cfg.CandidatePool)
 	}
 	return d.sel.Random(n), nil
 }
 
 // speculative reports whether the driver may overlap training with the
-// next round's simulations. Acquisition (like variance selection) needs
-// the latest ensemble to choose the next batch, so it always runs the
-// stages in lockstep.
+// next round's simulations. Acquisition needs the latest ensemble to
+// choose the next batch, so it always runs the stages in lockstep.
 func (d *Driver) speculative() bool {
-	return !d.cfg.Sequential && d.cfg.Strategy == core.SelectRandom && d.acq == nil
+	return !d.cfg.Sequential && d.acq == nil
 }
 
 // launch starts the fan-out evaluation of batch.

@@ -3,8 +3,11 @@ package explore
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -84,12 +87,11 @@ func fastModel() core.ModelConfig {
 	return cfg
 }
 
-func exploreCfg(strategy core.Selection) core.ExploreConfig {
+func exploreCfg() core.ExploreConfig {
 	return core.ExploreConfig{
 		Model:      fastModel(),
 		BatchSize:  15,
 		MaxSamples: 30,
-		Strategy:   strategy,
 		Seed:       41,
 	}
 }
@@ -121,19 +123,6 @@ func stripTimes(steps []core.Step) []core.Step {
 		out[i].TrainTime = 0 // wall clock is the one legitimately varying field
 	}
 	return out
-}
-
-func explorerState(t *testing.T, cfg core.ExploreConfig) runState {
-	t.Helper()
-	sp := synthSpace()
-	ex, err := core.NewExplorer(sp, &synthOracle{sp: sp}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return runState{samples: ex.Samples(), steps: stripTimes(ex.Steps()), ens: ensembleBytes(t, ex.Ensemble())}
 }
 
 func driverState(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState {
@@ -176,39 +165,101 @@ func requireSameRun(t *testing.T, label string, got, want runState) {
 	}
 }
 
-// TestDriverMatchesSequentialExplorer is the tentpole's deterministic-
-// parity guarantee: for every pipeline setting — one worker, many
-// workers, speculation on or off — the driver reproduces the sequential
-// core.Explorer's exact sample order, step history and ensemble
-// weights. The pipeline may only change wall-clock time.
-func TestDriverMatchesSequentialExplorer(t *testing.T) {
-	cfg := exploreCfg(core.SelectRandom)
-	want := explorerState(t, cfg)
-	pipelines := map[string]Pipeline{
-		"workers=1 sequential": {Workers: -1, Sequential: true},
-		"workers=1 overlapped": {Workers: -1},
-		"workers=4 overlapped": {Workers: 4},
-		"workers=16 no-retry":  {Workers: 16, Retries: -1},
+// pipelines are the scheduling settings a run must be invariant under.
+// The first runs the stages strictly one after another; it is the
+// reference the others must reproduce.
+var pipelines = []struct {
+	label string
+	pipe  Pipeline
+}{
+	{"workers=1 sequential", Pipeline{Workers: -1, Sequential: true}},
+	{"workers=1 overlapped", Pipeline{Workers: -1}},
+	{"workers=4 overlapped", Pipeline{Workers: 4}},
+	{"workers=16 no-retry", Pipeline{Workers: 16, Retries: -1}},
+}
+
+// sampleDigest is the SHA-256 of a sample order written as decimal
+// indices, each followed by a comma.
+func sampleDigest(samples []int) string {
+	h := sha256.New()
+	for _, idx := range samples {
+		fmt.Fprintf(h, "%d,", idx)
 	}
-	for label, pipe := range pipelines {
-		requireSameRun(t, label, driverState(t, cfg, pipe), want)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenRuns are random-selection runs of exploreCfg variants, recorded
+// from the sequential Explorer loop the driver replaced: the digest of
+// the sample order and the cumulative sample count after each round.
+// Both depend only on the selection RNG and the loop, so they hold on
+// any machine. Trained weights are left out: on amd64, math.Exp takes
+// an FMA path on CPUs that have FMA.
+var goldenRuns = []struct {
+	name   string
+	mod    func(*core.ExploreConfig)
+	digest string
+	rounds []int
+}{
+	{"exploreCfg", func(*core.ExploreConfig) {},
+		"34622de7735eec8a690828f78ef5fc6a9a337dc271799dd90d3f544f2b436cf3", []int{15, 30}},
+	{"exclusions", func(c *core.ExploreConfig) { c.Exclude = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9} },
+		"d8b818edcf6041006d04f0ed471dbecbdd6d8cbe17ee07c15bc641529e1a9653", []int{15, 30}},
+	{"clamped last batch", func(c *core.ExploreConfig) { c.MaxSamples = 40 },
+		"b2514b8d45e4ed53610272c60f2019d0c226bebd8755d116c3a674a110d1304d", []int{15, 30, 40}},
+	{"budget above drawable", func(c *core.ExploreConfig) {
+		c.MaxSamples = synthSpace().Size()
+		for i := 0; i < c.MaxSamples; i += 3 {
+			c.Exclude = append(c.Exclude, i)
+		}
+	}, "0bb6861567bf0cd3718eeba4fdce7d6cd94b1b0e39bc10b88db82ab3e63801a2", []int{15, 30, 45, 60, 75, 80}},
+	{"target met", func(c *core.ExploreConfig) { c.TargetMeanErr = 1e9 },
+		"908997de719ac79793a8e8196fe72e9e51e9b21396189230ebd6242dda5b4ea8", []int{15}},
+}
+
+// requirePipelineParity runs cfg at every pipeline setting and requires
+// each to reproduce the strictly sequential setting's sample order, step
+// history and final ensemble weights: the pipeline may only change
+// wall-clock time. It returns the sequential run.
+func requirePipelineParity(t *testing.T, name string, cfg core.ExploreConfig,
+	state func(*testing.T, core.ExploreConfig, Pipeline) runState) runState {
+	t.Helper()
+	want := state(t, cfg, pipelines[0].pipe)
+	for _, p := range pipelines[1:] {
+		requireSameRun(t, name+" "+p.label, state(t, cfg, p.pipe), want)
+	}
+	return want
+}
+
+// TestDriverMatchesSequentialExplorer: the sequential setting reproduces
+// each golden run's sample order and round sizes, and every other
+// pipeline setting reproduces that run exactly, weights included.
+func TestDriverMatchesSequentialExplorer(t *testing.T) {
+	for _, g := range goldenRuns {
+		cfg := exploreCfg()
+		g.mod(&cfg)
+		got := requirePipelineParity(t, g.name, cfg, driverState)
+		var rounds []int
+		for _, s := range got.steps {
+			rounds = append(rounds, s.Samples)
+		}
+		if d := sampleDigest(got.samples); d != g.digest || !reflect.DeepEqual(rounds, g.rounds) {
+			t.Fatalf("%s: sample digest %s rounds %v, want %s %v", g.name, d, rounds, g.digest, g.rounds)
+		}
 	}
 }
 
+// TestDriverMatchesExplorerUnderVarianceSelection: under variance
+// selection (the variance acquirer on a one-metric oracle) every
+// pipeline setting reproduces the sequential setting exactly.
 func TestDriverMatchesExplorerUnderVarianceSelection(t *testing.T) {
-	cfg := exploreCfg(core.SelectVariance)
+	cfg := exploreCfg()
+	cfg.Acquire = &core.AcquireConfig{Strategy: core.AcquireVariance}
 	cfg.CandidatePool = 60
-	want := explorerState(t, cfg)
-	for label, pipe := range map[string]Pipeline{
-		"workers=1": {Workers: -1},
-		"workers=4": {Workers: 4},
-	} {
-		requireSameRun(t, label, driverState(t, cfg, pipe), want)
-	}
+	requirePipelineParity(t, "variance", cfg, driverState)
 }
 
 func TestDriverStopsAtErrorTarget(t *testing.T) {
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	cfg.TargetMeanErr = 1e9 // stop after the first round
 	sp := synthSpace()
 	oracle := &synthOracle{sp: sp}
@@ -239,7 +290,7 @@ func TestDriverQuarantinesFailingPoints(t *testing.T) {
 		}
 		return nil
 	}}
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	d, err := New(sp, oracle, Config{ExploreConfig: cfg, Pipeline: Pipeline{Workers: 4, Retries: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +325,8 @@ func TestDriverQuarantinesFailingPoints(t *testing.T) {
 }
 
 func TestDriverRetriesTransientFailures(t *testing.T) {
-	cfg := exploreCfg(core.SelectRandom)
-	want := explorerState(t, cfg)
+	cfg := exploreCfg()
+	want := driverState(t, cfg, pipelines[0].pipe)
 	sp := synthSpace()
 	// Every point fails exactly once, then succeeds: one retry must
 	// make the run indistinguishable from a healthy oracle's.
@@ -315,7 +366,7 @@ func TestDriverMalformedTargetsQuarantineNotAbort(t *testing.T) {
 		}
 		return out, nil
 	})
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	d, err := New(sp, wrapped, Config{ExploreConfig: cfg, Pipeline: Pipeline{Retries: -1}})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +400,7 @@ func TestDriverCancellation(t *testing.T) {
 		}
 		return oracle.Evaluate(indices)
 	})
-	cfg := exploreCfg(core.SelectRandom)
+	cfg := exploreCfg()
 	d, err := New(sp, counting, Config{ExploreConfig: cfg, Pipeline: Pipeline{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -373,10 +424,10 @@ func TestDriverValidatesConfig(t *testing.T) {
 	if _, err := New(sp, oracle, Config{ExploreConfig: core.ExploreConfig{Model: fastModel(), BatchSize: 0, MaxSamples: 10}}); err == nil {
 		t.Fatal("zero batch accepted")
 	}
-	if _, err := New(sp, nil, Config{ExploreConfig: exploreCfg(core.SelectRandom)}); err == nil {
+	if _, err := New(sp, nil, Config{ExploreConfig: exploreCfg()}); err == nil {
 		t.Fatal("nil oracle accepted")
 	}
-	bad := exploreCfg(core.SelectRandom)
+	bad := exploreCfg()
 	bad.Exclude = []int{sp.Size()}
 	if _, err := New(sp, oracle, Config{ExploreConfig: bad}); err == nil {
 		t.Fatal("out-of-range exclusion accepted")

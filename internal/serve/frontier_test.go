@@ -159,37 +159,42 @@ func TestFrontierEndpointMatchesInProcessSweep(t *testing.T) {
 	}
 }
 
-// TestFrontierWithoutAcquisition: a plain exploration job (no acquire
-// spec) still serves a frontier over the default objective pair —
-// predicted performance vs prediction disagreement.
+// TestFrontierWithoutAcquisition: a job with no acquire spec — plain,
+// or "active" (shorthand for the variance acquirer) — still serves a
+// frontier over the default objective pair: predicted performance vs
+// prediction disagreement.
 func TestFrontierWithoutAcquisition(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
 	s := NewJobStore(reg, testBackend(0, nil), 1, 4, CoalesceOpts{})
 	defer s.Close()
 
-	info, err := s.Submit(fastJobRequest("plain"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := awaitJob(t, s, info.ID); done.Status != JobDone {
-		t.Fatalf("job finished %s (%s)", done.Status, done.Error)
-	}
-	doc, err := s.Frontier(context.Background(), info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Acquire != "" {
-		t.Fatalf("plain job reports acquire spec %q", doc.Acquire)
-	}
-	if len(doc.Metrics) != 2 || doc.Metrics[0].Name != "out0" || doc.Metrics[1].Name != "var(out0)" {
-		t.Fatalf("default frontier axes %+v, want out0 and var(out0)", doc.Metrics)
-	}
-	if !doc.Metrics[1].Minimize {
-		t.Fatal("disagreement axis must be minimized")
-	}
-	if len(doc.Frontier) == 0 {
-		t.Fatal("empty predicted frontier")
+	for _, active := range []bool{false, true} {
+		req := fastJobRequest(fmt.Sprintf("active-%v", active))
+		req.Active = active
+		info, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := awaitJob(t, s, info.ID); done.Status != JobDone {
+			t.Fatalf("job finished %s (%s)", done.Status, done.Error)
+		}
+		doc, err := s.Frontier(context.Background(), info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]string{false: "", true: "variance"}[active]; doc.Acquire != want {
+			t.Fatalf("active=%v job reports acquire spec %q, want %q", active, doc.Acquire, want)
+		}
+		if len(doc.Metrics) != 2 || doc.Metrics[0].Name != "out0" || doc.Metrics[1].Name != "var(out0)" {
+			t.Fatalf("default frontier axes %+v, want out0 and var(out0)", doc.Metrics)
+		}
+		if !doc.Metrics[1].Minimize {
+			t.Fatal("disagreement axis must be minimized")
+		}
+		if len(doc.Frontier) == 0 {
+			t.Fatal("empty predicted frontier")
+		}
 	}
 }
 

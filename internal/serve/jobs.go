@@ -34,12 +34,13 @@ type ExploreRequest struct {
 	Budget int     `json:"budget"`
 	Batch  int     `json:"batch,omitempty"`
 	Target float64 `json:"target,omitempty"`
-	// Active selects variance-driven (active-learning) sampling.
+	// Active selects variance-driven (active-learning) sampling; it is
+	// shorthand for "acquire":"variance".
 	Active bool `json:"active,omitempty"`
-	// Acquire selects a Pareto-aware acquisition function, in the
+	// Acquire selects an acquisition function, in the
 	// core.ParseAcquireSpec grammar ("hvi:max=out0:min=out1",
-	// "variance:out0>=1.2", ...). It overrides Active once an ensemble
-	// exists; the first round is always random.
+	// "variance:out0>=1.2", ...), and overrides Active. The first round
+	// is always random.
 	Acquire string `json:"acquire,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
 	// Workers bounds the per-job oracle fan-out (0 = all cores);
@@ -539,7 +540,7 @@ func driverConfig(req ExploreRequest, batch int) (explore.Config, error) {
 		},
 	}
 	if req.Active {
-		cfg.Strategy = core.SelectVariance
+		cfg.Acquire = &core.AcquireConfig{Strategy: core.AcquireVariance}
 	}
 	if req.Acquire != "" {
 		acq, err := core.ParseAcquireSpec(req.Acquire)
