@@ -38,8 +38,7 @@
 // separately from errors.
 //
 // Server-side counters (coalescing efficiency, cache hit rate) are
-// scraped from GET /metrics, falling back to /v1/stats on servers that
-// predate the endpoint.
+// scraped from GET /metrics.
 //
 // -train-demo trains a small simulator-backed bundle and writes it to
 // the given path, so a self-contained smoke soak needs no prior
@@ -93,7 +92,7 @@ func main() {
 	timelinePath := flag.String("timeline", "", "write the bucketed timeline here (.csv or .json by extension)")
 	reportPath := flag.String("report", "", "write the JSON run report here (default stdout)")
 	sloSpec := flag.String("slo", "", "SLO clauses, e.g. 'p99<50ms,error_rate<0.1%,rejected<1%,cache_hit>=50%,dropped<1,completion>99.9%'")
-	noStats := flag.Bool("no-stats", false, "skip polling server counters (GET /metrics, falling back to /v1/stats)")
+	noStats := flag.Bool("no-stats", false, "skip polling server counters (GET /metrics)")
 	trainDemo := flag.String("train-demo", "", "train a small simulator-backed demo bundle, write it here, and exit")
 	flag.Parse()
 

@@ -20,9 +20,9 @@
 // setting. -json emits the full result document instead of tables.
 //
 // -kernel selects the forward-pass tier (see internal/ann): "exact"
-// (the default) is the bit-identical reference; "fast" and "fast32"
-// trade documented activation error bounds for multi-million-point/s
-// throughput, and stay bit-identical within a tier for any
+// (the default) is the bit-identical reference; "fast32" trades
+// documented activation error bounds for multi-million-point/s
+// throughput, and stays bit-identical within a tier for any
 // -workers/-chunk/node setting:
 //
 //	sweep -kernel fast32 -topk 25 perf.bundle   # ~3.5x exact throughput
@@ -69,7 +69,7 @@ func main() {
 	chunk := flag.Int("chunk", 0, "design points per streamed chunk (0 = default)")
 	jsonOut := flag.Bool("json", false, "emit the result document as JSON")
 	quiet := flag.Bool("quiet", false, "suppress progress reporting on stderr")
-	kernelFlag := flag.String("kernel", "", "forward-kernel tier: exact (default, bit-identical), fast, or fast32 (bounded-error, faster; bit-identical within a tier)")
+	kernelFlag := flag.String("kernel", "", "forward-kernel tier: exact (default, bit-identical) or fast32 (bounded-error, faster; bit-identical within a tier)")
 	nodes := flag.String("nodes", "", "comma-separated serve-node URLs to fan the sweep out across (empty = run locally)")
 	shardPts := flag.Int("shard", 0, "with -nodes: design points per dispatched shard (0 = auto, chunk-aligned)")
 	probe := flag.Bool("probe", false, "with -nodes: weight dispatch by each node's probed points/s")
@@ -184,9 +184,8 @@ func runCluster(ctx context.Context, nodeList string, args, modelFlags []string,
 	}
 	// The flag string goes on the wire as given: an explicit tier —
 	// including "exact" — overrides any node-local -kernel default,
-	// while the empty default omits the field entirely, so requests to
-	// nodes predating the kernel field keep working. Node defaults that
-	// disagree are caught by the partial merge's kernel-label check.
+	// while the empty default defers to it. Node defaults that disagree
+	// are caught by the partial merge's kernel-label check.
 	req := serve.SweepRequest{TopK: topk, Chunk: chunk, Workers: workers, Kernel: kernel}
 	switch len(args) {
 	case 0: // the nodes' sole registered model

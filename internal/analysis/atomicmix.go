@@ -10,7 +10,7 @@ import (
 // always atomic or never atomic; mixing the two is a data race the
 // race detector only catches when both sides happen to run. (Fields of
 // the typed atomic.Int64 family cannot be mixed and are the preferred
-// fix — the /v1/stats counters pattern.)
+// fix — the serve tier's request counters pattern.)
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "flag fields passed to sync/atomic functions in one place but accessed by " +

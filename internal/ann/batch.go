@@ -64,13 +64,11 @@ func (s *Scratch) ensure(n *Network, rows int, backward bool) {
 // the flat rows × Outputs activation matrix, owned by s and overwritten
 // by its next use. Passing a nil scratch allocates a private one.
 //
-// In the default KernelExact mode, outputs are bit-identical to calling
-// Forward on each row; the batched kernel only reorders independent
-// examples, never the floating-point operations within one example. A
-// network configured with a fast kernel tier routes through
-// ForwardBatchKernel instead (training always stays exact).
+// Outputs are bit-identical to calling Forward on each row; the batched
+// kernel only reorders independent examples, never the floating-point
+// operations within one example.
 func (n *Network) ForwardBatch(xs []float64, rows int, s *Scratch) []float64 {
-	return n.ForwardBatchKernel(xs, rows, s, n.cfg.Kernel)
+	return n.ForwardBatchKernel(xs, rows, s, KernelExact)
 }
 
 func (n *Network) forwardBatchExact(xs []float64, rows int, s *Scratch) []float64 {
@@ -156,8 +154,6 @@ func (n *Network) TrainBatch(xs, targets []float64, rows int, lr float64, s *Scr
 	}
 	// Forward, keeping every layer's activations for the backward pass
 	// (ensure with backward=true also zeroes the gradient accumulator).
-	// Training always runs the exact kernel regardless of cfg.Kernel:
-	// checkpoints and training curves stay bit-identical.
 	s.ensure(n, rows, true)
 	n.forwardBatchExact(xs, rows, s)
 

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -82,5 +83,32 @@ func TestLoadRejectsWeightSizeMismatch(t *testing.T) {
 	s = strings.Replace(s, "[", "[9999,", 1) // corrupt structure subtly enough to parse
 	if _, err := Load(strings.NewReader(s)); err == nil {
 		t.Skip("corruption happened to stay consistent; acceptable")
+	}
+}
+
+// TestLoadIgnoresRetiredKernelField pins compatibility with files that
+// still carry the retired per-network "Kernel" config field (every
+// network saved before its removal wrote "Kernel":"exact"): such a
+// file loads and predicts the same bits as the network that wrote it.
+func TestLoadIgnoresRetiredKernelField(t *testing.T) {
+	n, xs, rows := kernelTestNet(t, Sigmoid)
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(buf.String(), `"config":{`, `"config":{"Kernel":"exact",`, 1)
+	if legacy == buf.String() {
+		t.Fatal("saved network has no config object to inject into")
+	}
+	loaded, err := Load(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := n.ForwardBatch(xs, rows, NewScratch())
+	got := loaded.ForwardBatch(xs, rows, NewScratch())
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("output %d: loaded %x, original %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
 	}
 }

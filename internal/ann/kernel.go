@@ -15,27 +15,22 @@ import (
 // checkpoints, and every pre-existing parity gate run exclusively on
 // this tier.
 //
-// KernelFast keeps the exact tier's float64 accumulation — the same
-// blocked multiply-add loops producing the same pre-activation bits —
-// and swaps only the transcendentals for the bounded-error batch
-// activations of internal/mathx (plus, downstream, the fused
-// denormalization in internal/core), so its error comes entirely from
-// the documented activation contracts. KernelFast32 additionally runs
-// the inner loops in float32 over a float32 copy of the flat weight
-// layout, halving the data the MAC loops move and unlocking the AVX2
-// layer/activation kernels on amd64. Both are query-time opt-ins:
-// within a mode, outputs are a pure function of the input bits —
-// identical across batch sizes, workers, chunking, and architectures
-// (every step is explicitly single-rounded, so no platform may
-// contract a multiply-add, and the amd64 vector kernels reproduce the
-// portable Go op sequence bit for bit) — but they are NOT
-// bit-identical to the exact tier; they are within the documented
-// mathx error bounds of it.
+// KernelFast32 runs the inner loops in float32 over a float32 copy of
+// the flat weight layout, halving the data the MAC loops move and
+// unlocking the AVX2 layer/activation kernels on amd64, and swaps the
+// transcendentals for the bounded-error batch activations of
+// internal/mathx (plus, downstream, the fused denormalization in
+// internal/core). It is a query-time opt-in: outputs are a pure
+// function of the input bits — identical across batch sizes, workers,
+// chunking, and architectures (every step is explicitly
+// single-rounded, so no platform may contract a multiply-add, and the
+// amd64 vector kernels reproduce the portable Go op sequence bit for
+// bit) — but they are NOT bit-identical to the exact tier; they are
+// within FastErrorBound of it.
 type KernelMode uint8
 
 const (
 	KernelExact KernelMode = iota
-	KernelFast
 	KernelFast32
 )
 
@@ -44,8 +39,6 @@ func (m KernelMode) String() string {
 	switch m {
 	case KernelExact:
 		return "exact"
-	case KernelFast:
-		return "fast"
 	case KernelFast32:
 		return "fast32"
 	}
@@ -59,12 +52,10 @@ func ParseKernelMode(s string) (KernelMode, error) {
 	switch s {
 	case "", "exact":
 		return KernelExact, nil
-	case "fast":
-		return KernelFast, nil
 	case "fast32":
 		return KernelFast32, nil
 	}
-	return KernelExact, fmt.Errorf("ann: unknown kernel mode %q (want exact, fast or fast32)", s)
+	return KernelExact, fmt.Errorf("ann: unknown kernel mode %q (want exact or fast32)", s)
 }
 
 // MarshalText encodes the mode as its name.
@@ -80,32 +71,31 @@ func (m *KernelMode) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// FastErrorBounds derives absolute per-output error bounds for the
-// fast kernel tiers relative to KernelExact, from the documented
-// internal/mathx activation contracts and a standard float32 rounding
-// model. The bounds assume every network input lies in [-1, 1], which
+// FastErrorBound derives an absolute per-output error bound for the
+// fast32 kernel tier relative to KernelExact, from the documented
+// internal/mathx activation contract and a standard float32 rounding
+// model. The bound assumes every network input lies in [-1, 1], which
 // holds for encoded design points (they live in [0, 1]).
 //
 // The derivation propagates an interval layer by layer: a magnitude
-// bound on the layer's activations and, per tier, an absolute error
-// bound versus the exact tier. Each layer amplifies the incoming
-// error by its max-unit L1 weight norm, adds the tier's own rounding
-// (fast32: one float32 rounding per product and accumulation step,
-// plus the rounding of weights and inputs themselves), and passes the
-// sum through the activation's Lipschitz constant plus the mathx
-// approximation contract. The returned values carry a ×2 safety
-// margin on the rounding model; tests assert measured error stays
-// under them, and callers may use them to propagate bounds through
-// downstream denormalization.
-func (n *Network) FastErrorBounds() (fast, fast32 float64) {
+// bound on the layer's activations and an absolute error bound versus
+// the exact tier. Each layer amplifies the incoming error by its
+// max-unit L1 weight norm, adds the tier's own rounding (one float32
+// rounding per product and accumulation step, plus the rounding of
+// weights and inputs themselves), and passes the sum through the
+// activation's Lipschitz constant plus the mathx approximation
+// contract. The returned value carries a ×2 safety margin on the
+// rounding model; tests assert measured error stays under it, and
+// callers may use it to propagate bounds through downstream
+// denormalization.
+func (n *Network) FastErrorBound() float64 {
 	const (
-		actErr64 = 1e-6   // mathx Sigmoid/Tanh float64 contract
 		actErr32 = 2e-6   // mathx Sigmoid32/Tanh32 contract
 		eps32    = 6.0e-8 // float32 unit roundoff, with slack
 	)
-	// mag bounds |activation| entering the next layer; dFast/dFast32
-	// bound |fast tier − exact| on the current layer's outputs.
-	mag, dFast, dFast32 := 1.0, 0.0, 0.0
+	// mag bounds |activation| entering the next layer; d bounds
+	// |fast32 − exact| on the current layer's outputs.
+	mag, d := 1.0, 0.0
 	for _, l := range n.layers {
 		stride := l.in + 1
 		l1, pre := 0.0, 0.0 // max over units: Σ|w|, and Σ|w|·mag+|b|
@@ -119,24 +109,20 @@ func (n *Network) FastErrorBounds() (fast, fast32 float64) {
 			pre = math.Max(pre, sum*mag+math.Abs(row[l.in]))
 		}
 		// Pre-activation error: incoming error through the L1 norm,
-		// plus (fast32 only) the float32 rounding of the weights, the
-		// inputs, and every product/add in the accumulation chain.
-		preFast := l1 * dFast
-		preFast32 := l1*dFast32 + float64(2*l.in+4)*eps32*pre
-		lip, aerr64, aerr32, outMag := 1.0, 0.0, 0.0, pre
+		// plus the float32 rounding of the weights, the inputs, and
+		// every product/add in the accumulation chain.
+		preErr := l1*d + float64(2*l.in+4)*eps32*pre
+		lip, aerr, outMag := 1.0, 0.0, pre
 		switch l.act {
 		case Sigmoid:
-			lip, aerr64, aerr32, outMag = 0.25, actErr64, actErr32, 1
+			lip, aerr, outMag = 0.25, actErr32, 1
 		case Tanh:
-			lip, aerr64, aerr32, outMag = 1, actErr64, actErr32, 1
+			lip, aerr, outMag = 1, actErr32, 1
 		}
-		// fast keeps exact float64 accumulation: only the activation
-		// approximation (and sub-1e-9 FMA-level noise) contributes.
-		dFast = lip*preFast + aerr64
-		dFast32 = lip*preFast32 + aerr32
+		d = lip*preErr + aerr
 		mag = outMag
 	}
-	return dFast + 1e-9, 2 * (dFast32 + eps32*mag)
+	return 2 * (d + eps32*mag)
 }
 
 // ForwardBatchKernel is ForwardBatch with an explicit kernel tier. The
@@ -150,87 +136,14 @@ func (n *Network) ForwardBatchKernel(xs []float64, rows int, s *Scratch, mode Ke
 	if s == nil {
 		s = NewScratch()
 	}
-	switch mode {
-	case KernelFast32:
+	if mode == KernelFast32 {
 		return n.forwardBatch32(xs, rows, s)
-	case KernelFast:
-		s.ensure(n, rows, false)
-		in := xs
-		for li, l := range n.layers {
-			l.forwardBatchFast(in, rows, s.acts[li])
-			in = s.acts[li]
-		}
-		return s.acts[len(n.layers)-1]
-	default:
-		return n.forwardBatchExact(xs, rows, s)
 	}
+	return n.forwardBatchExact(xs, rows, s)
 }
 
-// forwardBatchFast is the KernelFast layer kernel: the same four-row
-// register blocking and multiply-add sequence as the exact forwardBatch
-// — each product explicitly rounded to float64 so no platform may
-// contract it into an FMA and drift from the amd64 bits — followed by
-// the bounded-error batch activations. The pre-activation sums are
-// bit-identical to the exact tier; only the nonlinearity differs.
-func (l *layer) forwardBatchFast(in []float64, rows int, out []float64) {
-	stride := l.in + 1
-	inW := l.in
-	outW := l.out
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		x0 := in[(r+0)*inW : (r+0)*inW+inW]
-		x1 := in[(r+1)*inW : (r+1)*inW+inW]
-		x2 := in[(r+2)*inW : (r+2)*inW+inW]
-		x3 := in[(r+3)*inW : (r+3)*inW+inW]
-		o0 := out[(r+0)*outW : (r+0)*outW+outW]
-		o1 := out[(r+1)*outW : (r+1)*outW+outW]
-		o2 := out[(r+2)*outW : (r+2)*outW+outW]
-		o3 := out[(r+3)*outW : (r+3)*outW+outW]
-		for j := 0; j < outW; j++ {
-			row := l.w[j*stride : j*stride+inW]
-			b := l.w[j*stride+inW]
-			s0, s1, s2, s3 := b, b, b, b
-			for i, w := range row {
-				s0 += float64(w * x0[i])
-				s1 += float64(w * x1[i])
-				s2 += float64(w * x2[i])
-				s3 += float64(w * x3[i])
-			}
-			o0[j], o1[j], o2[j], o3[j] = s0, s1, s2, s3
-		}
-	}
-	for ; r < rows; r++ {
-		x := in[r*inW : r*inW+inW]
-		o := out[r*outW : r*outW+outW]
-		for j := 0; j < outW; j++ {
-			row := l.w[j*stride : j*stride+inW]
-			sum := l.w[j*stride+inW]
-			for i, w := range row {
-				sum += float64(w * x[i])
-			}
-			o[j] = sum
-		}
-	}
-	l.act.applyBatchFast(out[:rows*outW])
-}
-
-// applyBatchFast applies the bounded-error activation tier in place.
-func (a Activation) applyBatchFast(ys []float64) {
-	switch a {
-	case Sigmoid:
-		mathx.SigmoidSlice(ys)
-	case Tanh:
-		mathx.TanhSlice(ys)
-	case ReLU:
-		for i, y := range ys {
-			if y < 0 {
-				ys[i] = 0
-			}
-		}
-	}
-}
-
-// applyBatchFast32 is applyBatchFast for the float32 tier.
+// applyBatchFast32 applies the bounded-error float32 activation tier
+// in place.
 func (a Activation) applyBatchFast32(ys []float32) {
 	switch a {
 	case Sigmoid:

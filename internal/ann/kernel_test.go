@@ -25,7 +25,7 @@ func kernelTestNet(t testing.TB, hiddenAct Activation) (*Network, []float64, int
 }
 
 func TestKernelModeRoundTrip(t *testing.T) {
-	for _, m := range []KernelMode{KernelExact, KernelFast, KernelFast32} {
+	for _, m := range []KernelMode{KernelExact, KernelFast32} {
 		got, err := ParseKernelMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseKernelMode(%q) = %v, %v", m.String(), got, err)
@@ -34,8 +34,10 @@ func TestKernelModeRoundTrip(t *testing.T) {
 	if got, err := ParseKernelMode(""); err != nil || got != KernelExact {
 		t.Errorf("ParseKernelMode(\"\") = %v, %v; want exact", got, err)
 	}
-	if _, err := ParseKernelMode("turbo"); err == nil {
-		t.Error("ParseKernelMode(turbo) should fail")
+	for _, bad := range []string{"turbo", "fast"} {
+		if _, err := ParseKernelMode(bad); err == nil {
+			t.Errorf("ParseKernelMode(%s) should fail", bad)
+		}
 	}
 	var m KernelMode
 	if err := m.UnmarshalText([]byte("fast32")); err != nil || m != KernelFast32 {
@@ -56,32 +58,27 @@ func TestKernelExactDelegation(t *testing.T) {
 	}
 }
 
-// TestFastKernelsWithinBound asserts every fast-tier output is within
-// the derived FastErrorBounds of the exact kernel, for both
+// TestFastKernelsWithinBound asserts every fast32 output is within
+// the derived FastErrorBound of the exact kernel, for both
 // activations.
 func TestFastKernelsWithinBound(t *testing.T) {
 	for _, act := range []Activation{Sigmoid, Tanh} {
 		n, xs, rows := kernelTestNet(t, act)
-		boundFast, boundFast32 := n.FastErrorBounds()
+		bound := n.FastErrorBound()
 		exact := append([]float64(nil), n.ForwardBatchKernel(xs, rows, NewScratch(), KernelExact)...)
-		for _, tc := range []struct {
-			mode  KernelMode
-			bound float64
-		}{{KernelFast, boundFast}, {KernelFast32, boundFast32}} {
-			got := n.ForwardBatchKernel(xs, rows, NewScratch(), tc.mode)
-			worst := 0.0
-			for i := range exact {
-				d := math.Abs(got[i] - exact[i])
-				if d > worst {
-					worst = d
-				}
-				if d > tc.bound {
-					t.Fatalf("%s/%s output %d: |%g - %g| = %.3g exceeds bound %.3g",
-						act, tc.mode, i, got[i], exact[i], d, tc.bound)
-				}
+		got := n.ForwardBatchKernel(xs, rows, NewScratch(), KernelFast32)
+		worst := 0.0
+		for i := range exact {
+			d := math.Abs(got[i] - exact[i])
+			if d > worst {
+				worst = d
 			}
-			t.Logf("%s/%s worst abs error %.3g (bound %.3g)", act, tc.mode, worst, tc.bound)
+			if d > bound {
+				t.Fatalf("%s output %d: |%g - %g| = %.3g exceeds bound %.3g",
+					act, i, got[i], exact[i], d, bound)
+			}
 		}
+		t.Logf("%s worst abs error %.3g (bound %.3g)", act, worst, bound)
 	}
 }
 
@@ -91,7 +88,7 @@ func TestFastKernelsWithinBound(t *testing.T) {
 func TestKernelBatchSplitBitIdentity(t *testing.T) {
 	n, xs, rows := kernelTestNet(t, Sigmoid)
 	outW := n.cfg.Outputs
-	for _, mode := range []KernelMode{KernelExact, KernelFast, KernelFast32} {
+	for _, mode := range []KernelMode{KernelExact, KernelFast32} {
 		whole := append([]float64(nil), n.ForwardBatchKernel(xs, rows, NewScratch(), mode)...)
 		for _, chunk := range []int{1, 3, 4, 17, 64, 1000} {
 			s := NewScratch()
@@ -147,42 +144,6 @@ func TestKernelVectorScalarParity(t *testing.T) {
 				t.Fatalf("%s: fast32 output %d: vector path %x, portable path %x",
 					act, i, math.Float64bits(got[i]), math.Float64bits(float64(v)))
 			}
-		}
-	}
-}
-
-// TestTrainingIgnoresKernelConfig pins that a fast Config.Kernel never
-// leaks into training: weights after training are bit-identical to the
-// exact-configured network's.
-func TestTrainingIgnoresKernelConfig(t *testing.T) {
-	build := func(mode KernelMode) *Network {
-		cfg := Config{
-			Inputs: 4, Hidden: []int{8}, Outputs: 1,
-			HiddenAct: Sigmoid, OutputAct: Linear,
-			LearningRate: 0.01, Momentum: 0.5, InitRange: 0.1, Seed: 7,
-			Kernel: mode,
-		}
-		n := New(cfg)
-		rng := stats.NewRNG(1)
-		const rows = 32
-		xs := make([]float64, rows*4)
-		ys := make([]float64, rows)
-		for i := range xs {
-			xs[i] = rng.Float64()
-		}
-		for i := range ys {
-			ys[i] = xs[i*4] + 0.5*xs[i*4+1]
-		}
-		s := NewScratch()
-		for epoch := 0; epoch < 20; epoch++ {
-			n.TrainBatch(xs, ys, rows, 0.01, s)
-		}
-		return n
-	}
-	a, b := build(KernelExact), build(KernelFast32)
-	for i := range a.w {
-		if math.Float64bits(a.w[i]) != math.Float64bits(b.w[i]) {
-			t.Fatalf("training diverged under fast32 config at weight %d: %g vs %g", i, a.w[i], b.w[i])
 		}
 	}
 }

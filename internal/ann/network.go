@@ -127,12 +127,6 @@ type Config struct {
 	Momentum     float64 // α in Equation 3.2
 	InitRange    float64 // weights start uniform on [-InitRange, +InitRange]
 	Seed         uint64
-
-	// Kernel selects the default ForwardBatch tier (see KernelMode).
-	// The zero value is KernelExact, so existing configs, checkpoints
-	// and parity gates are untouched. Training ignores this and always
-	// runs exact.
-	Kernel KernelMode
 }
 
 // PaperConfig returns the exact hyperparameters of §3.1: one hidden

@@ -68,7 +68,7 @@ func benchBundle(b *testing.B) *bundle.Bundle {
 
 // BenchmarkClusterSweep measures coordinated full-space throughput
 // over in-process serve nodes. nodes=1 is the coordinator-overhead
-// gate in BENCH_cluster.json: shard planning, HTTP round trips, JSON
+// gate in BENCH_cluster.json: shard planning, HTTP round trips, wire
 // (de)serialization and the ordered merge must stay within benchdiff
 // tolerance of the local engine's BenchmarkSweep/workers=1.
 func BenchmarkClusterSweep(b *testing.B) {

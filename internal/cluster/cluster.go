@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
@@ -120,11 +119,6 @@ type Coordinator struct {
 	nodes  []string // normalized base URLs
 	client *http.Client
 	logf   func(format string, args ...any)
-	// binaryOK[i] flips once node i has answered with the binary shard
-	// format; later requests to it are sent binary-encoded (wire
-	// negotiation, see internal/serve/wire.go). The first request to
-	// every node is always JSON, so old nodes never see binary bytes.
-	binaryOK []atomic.Bool
 }
 
 // New validates the node list and builds a coordinator.
@@ -159,7 +153,6 @@ func New(cfg Config) (*Coordinator, error) {
 		seen[node] = true
 		c.nodes = append(c.nodes, node)
 	}
-	c.binaryOK = make([]atomic.Bool, len(c.nodes))
 	return c, nil
 }
 
@@ -429,23 +422,13 @@ func (c *Coordinator) nodeWorker(ctx context.Context, sc *sched, node int, space
 }
 
 // runShard executes one POST /v1/sweep/shard against a node and
-// validates the returned partial's identity. The wire format is
-// negotiated per node: every request offers the binary response
-// format, and once a node has answered binary its later requests are
-// sent binary-encoded too; the first request is always JSON, so nodes
-// that predate the binary format are never asked to parse it.
+// validates the returned partial's identity. Shard traffic always
+// rides the binary wire format (see internal/serve/wire.go); only
+// error bodies are JSON.
 func (c *Coordinator) runShard(ctx context.Context, node int, start, end int, spaceName string) (*sweep.Partial, float64, error) {
 	nodeURL := c.nodes[node]
 	req := serve.ShardRequest{SweepRequest: c.cfg.Request, Start: start, End: end}
-	var body []byte
-	var err error
-	contentType := "application/json"
-	if c.binaryOK[node].Load() {
-		body, err = req.MarshalBinary()
-		contentType = serve.ShardRequestMediaType
-	} else {
-		body, err = json.Marshal(req)
-	}
+	body, err := req.MarshalBinary()
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: encode shard request: %w", err)
 	}
@@ -455,8 +438,7 @@ func (c *Coordinator) runShard(ctx context.Context, node int, start, end int, sp
 	if err != nil {
 		return nil, 0, err
 	}
-	httpReq.Header.Set("Content-Type", contentType)
-	httpReq.Header.Set("Accept", serve.ShardResponseMediaType+", application/json")
+	httpReq.Header.Set("Content-Type", serve.ShardRequestMediaType)
 	resp, err := c.client.Do(httpReq)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: node %s: %w", nodeURL, err)
@@ -482,16 +464,11 @@ func (c *Coordinator) runShard(ctx context.Context, node int, start, end int, sp
 		return nil, 0, err
 	}
 	var doc serve.ShardResponse
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), serve.ShardResponseMediaType) {
-		raw, readErr := io.ReadAll(resp.Body)
-		if readErr == nil {
-			readErr = doc.UnmarshalBinary(raw)
-		}
-		if readErr != nil {
-			return nil, 0, fmt.Errorf("cluster: node %s: undecodable binary shard response: %w", nodeURL, readErr)
-		}
-		c.binaryOK[node].Store(true) // proven capable: upgrade request bodies
-	} else if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err == nil {
+		err = doc.UnmarshalBinary(raw)
+	}
+	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: node %s: undecodable shard response: %w", nodeURL, err)
 	}
 	p := doc.Partial

@@ -166,16 +166,6 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// legacyNode simulates a node that predates the binary shard format:
-// it strips the Accept header, so the embedded server never answers
-// binary and the coordinator must stay on the JSON path for it.
-func legacyNode(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept")
-		h.ServeHTTP(w, r)
-	})
-}
-
 // localKernelRun is localRun with an explicit kernel tier.
 func localKernelRun(t *testing.T, topk, chunk int, mode ann.KernelMode) *sweep.Result {
 	t.Helper()
@@ -192,18 +182,15 @@ func localKernelRun(t *testing.T, topk, chunk int, mode ann.KernelMode) *sweep.R
 	return res
 }
 
-// TestClusterMixedModeKernelSweep is the mixed-deployment smoke test:
-// a fast32 sweep over one binary-capable node and one legacy
-// JSON-only node must (a) negotiate per node — binary flips on for
-// the capable node only — and (b) still merge byte-identically to the
+// TestClusterFast32Sweep is the kernel-tier cluster smoke test: a
+// fast32 sweep over two nodes must merge byte-identically to the
 // single-process fast32 run, because the kernel tier and the wire
 // format are orthogonal to the reduction's bits.
-func TestClusterMixedModeKernelSweep(t *testing.T) {
+func TestClusterFast32Sweep(t *testing.T) {
 	want := canonJSON(t, localKernelRun(t, 5, 8, ann.KernelFast32))
-	modern := newNode(t, nil)
-	legacy := newNode(t, legacyNode)
+	a, b := newNode(t, nil), newNode(t, nil)
 	coord, err := New(Config{
-		Nodes:       []string{modern.URL, legacy.URL},
+		Nodes:       []string{a.URL, b.URL},
 		Request:     serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8, Kernel: "fast32"},
 		ShardPoints: 16,
 		Logf:        t.Logf,
@@ -216,16 +203,10 @@ func TestClusterMixedModeKernelSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := canonJSON(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("mixed-mode fast32 cluster diverged from local run\ngot  %s\ngot  %s", got, want)
+		t.Fatalf("fast32 cluster diverged from local run\ngot  %s\nwant %s", got, want)
 	}
 	if res.Kernel != ann.KernelFast32.String() {
 		t.Fatalf("result kernel %q, want fast32", res.Kernel)
-	}
-	if !coord.binaryOK[0].Load() {
-		t.Error("binary-capable node never upgraded to the binary wire format")
-	}
-	if coord.binaryOK[1].Load() {
-		t.Error("legacy node must stay on the JSON path")
 	}
 }
 

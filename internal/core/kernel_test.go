@@ -55,11 +55,11 @@ func memberExact(e *Ensemble, xs []float64, rows int) []float64 {
 	return preds
 }
 
-// TestEvalKernelFullGridBounds is the acceptance gate for the fast
-// kernel tiers at the metric level: over the ENTIRE benchmark-space
-// grid, every fast-tier mean and variance column must lie within an
+// TestEvalKernelFullGridBounds is the acceptance gate for the fast32
+// kernel tier at the metric level: over the ENTIRE benchmark-space
+// grid, every fast32 mean and variance column must lie within an
 // error bound of the exact column derived purely from the documented
-// contracts — ann.FastErrorBounds for the network outputs, the affine
+// contracts — ann.FastErrorBound for the network outputs, the affine
 // unscale span, the mathx.Exp relative contract for log-transformed
 // targets, and a spread-based perturbation bound for the variance
 // column. Nothing here is tuned to observed errors; if a kernel
@@ -83,16 +83,13 @@ func TestEvalKernelFullGridBounds(t *testing.T) {
 			// pushed through the affine unscale (span is exact; the FMA
 			// fusion in the fast path differs from the exact path only
 			// at the float64 rounding level — the 1e-12 slack).
-			var netFast, netFast32 float64
+			var net float64
 			for _, n := range ens.nets {
-				f, f32 := n.FastErrorBounds()
-				netFast = math.Max(netFast, f)
-				netFast32 = math.Max(netFast32, f32)
+				net = math.Max(net, n.FastErrorBound())
 			}
 			sc := ens.scalers[0]
 			span := math.Abs(sc.Hi - sc.Lo)
-			uFast := netFast*span + 1e-12
-			uFast32 := netFast32*span + 1e-12
+			uerr := net*span + 1e-12 // unscaled model-space bound per member output
 
 			preds := memberExact(ens, xs, rows)
 			members := len(ens.nets)
@@ -100,55 +97,50 @@ func TestEvalKernelFullGridBounds(t *testing.T) {
 			exact := [][]float64{make([]float64, rows), make([]float64, rows)}
 			set.Eval(xs, rows, exact)
 
-			for _, mode := range []struct {
-				mode ann.KernelMode
-				uerr float64 // unscaled model-space bound per member output
-			}{{ann.KernelFast, uFast}, {ann.KernelFast32, uFast32}} {
-				got := [][]float64{make([]float64, rows), make([]float64, rows)}
-				set.EvalKernel(xs, rows, got, mode.mode)
-				worstMean, worstVar := 0.0, 0.0 // worst error/bound ratios
-				for r := 0; r < rows; r++ {
-					// Per-member raw-space bound for this row: linear
-					// targets inherit the unscaled bound directly; log
-					// targets pass through exp, so the bound scales with
-					// the prediction (argument perturbation via expm1,
-					// plus the mathx.Exp 2e-8 relative contract).
-					bp := mode.uerr
-					if tc.logT {
-						bp = 0
-						for m := 0; m < members; m++ {
-							p := preds[m*rows+r]
-							bp = math.Max(bp, p*(math.Expm1(mode.uerr)+3e-8)*1.02)
-						}
-					}
-					dMean := math.Abs(got[0][r] - exact[0][r])
-					if dMean > bp {
-						t.Fatalf("%s row %d mean: |%g - %g| = %.3g exceeds bound %.3g",
-							mode.mode, r, got[0][r], exact[0][r], dMean, bp)
-					}
-					worstMean = math.Max(worstMean, dMean/bp)
-					// Variance: each member moves ≤ bp and the mean moves
-					// with it, so each deviation d_m (|d_m| ≤ spread S)
-					// shifts by ≤ 2·bp and each square by ≤ 4·S·bp+4·bp².
-					mu, s := 0.0, 0.0
+			got := [][]float64{make([]float64, rows), make([]float64, rows)}
+			set.EvalKernel(xs, rows, got, ann.KernelFast32)
+			worstMean, worstVar := 0.0, 0.0 // worst error/bound ratios
+			for r := 0; r < rows; r++ {
+				// Per-member raw-space bound for this row: linear
+				// targets inherit the unscaled bound directly; log
+				// targets pass through exp, so the bound scales with
+				// the prediction (argument perturbation via expm1,
+				// plus the mathx.Exp 2e-8 relative contract).
+				bp := uerr
+				if tc.logT {
+					bp = 0
 					for m := 0; m < members; m++ {
-						mu += preds[m*rows+r]
+						p := preds[m*rows+r]
+						bp = math.Max(bp, p*(math.Expm1(uerr)+3e-8)*1.02)
 					}
-					mu /= float64(members)
-					for m := 0; m < members; m++ {
-						s = math.Max(s, math.Abs(preds[m*rows+r]-mu))
-					}
-					bv := 4*s*bp + 4*bp*bp + 1e-15
-					dVar := math.Abs(got[1][r] - exact[1][r])
-					if dVar > bv {
-						t.Fatalf("%s row %d variance: |%g - %g| = %.3g exceeds bound %.3g",
-							mode.mode, r, got[1][r], exact[1][r], dVar, bv)
-					}
-					worstVar = math.Max(worstVar, dVar/bv)
 				}
-				t.Logf("%s: worst mean error %.2f%% of bound, worst variance error %.2f%% of bound",
-					mode.mode, 100*worstMean, 100*worstVar)
+				dMean := math.Abs(got[0][r] - exact[0][r])
+				if dMean > bp {
+					t.Fatalf("row %d mean: |%g - %g| = %.3g exceeds bound %.3g",
+						r, got[0][r], exact[0][r], dMean, bp)
+				}
+				worstMean = math.Max(worstMean, dMean/bp)
+				// Variance: each member moves ≤ bp and the mean moves
+				// with it, so each deviation d_m (|d_m| ≤ spread S)
+				// shifts by ≤ 2·bp and each square by ≤ 4·S·bp+4·bp².
+				mu, s := 0.0, 0.0
+				for m := 0; m < members; m++ {
+					mu += preds[m*rows+r]
+				}
+				mu /= float64(members)
+				for m := 0; m < members; m++ {
+					s = math.Max(s, math.Abs(preds[m*rows+r]-mu))
+				}
+				bv := 4*s*bp + 4*bp*bp + 1e-15
+				dVar := math.Abs(got[1][r] - exact[1][r])
+				if dVar > bv {
+					t.Fatalf("row %d variance: |%g - %g| = %.3g exceeds bound %.3g",
+						r, got[1][r], exact[1][r], dVar, bv)
+				}
+				worstVar = math.Max(worstVar, dVar/bv)
 			}
+			t.Logf("worst mean error %.2f%% of bound, worst variance error %.2f%% of bound",
+				100*worstMean, 100*worstVar)
 		})
 	}
 }

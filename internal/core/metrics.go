@@ -158,7 +158,7 @@ func (s *MetricSet) Eval(xs []float64, rows int, cols [][]float64) {
 }
 
 // EvalKernel is Eval with an explicit kernel tier (see ann.KernelMode):
-// ann.KernelExact is Eval bit for bit, while the fast tiers run the
+// ann.KernelExact is Eval bit for bit, while ann.KernelFast32 runs the
 // bounded-error kernels — still bit-identical within a mode for any
 // chunking or worker count, so sweep shards agree across a cluster.
 func (s *MetricSet) EvalKernel(xs []float64, rows int, cols [][]float64, mode ann.KernelMode) {

@@ -65,9 +65,10 @@ func (e *Ensemble) PredictOutputBatch(output int, xs []float64, rows int, out []
 // PredictOutputBatchKernel is PredictOutputBatch with an explicit
 // kernel tier (see ann.KernelMode). The mode is a per-call argument so
 // one shared ensemble can serve exact and fast queries concurrently;
-// ann.KernelExact reproduces PredictOutputBatch bit for bit, while the
-// fast tiers trade the documented mathx error bounds for throughput
-// and stay bit-identical within a mode across chunking and workers.
+// ann.KernelExact reproduces PredictOutputBatch bit for bit, while
+// ann.KernelFast32 trades the documented mathx error bounds for
+// throughput and stays bit-identical within a mode across chunking and
+// workers.
 func (e *Ensemble) PredictOutputBatchKernel(output int, xs []float64, rows int, out []float64, mode ann.KernelMode) []float64 {
 	e.checkOutput(output)
 	if rows < 0 || len(xs) != rows*e.Inputs() {
@@ -113,7 +114,7 @@ func (e *Ensemble) PredictOutputVarianceBatch(output int, xs []float64, rows int
 // an explicit kernel tier; see PredictOutputBatchKernel for the mode
 // semantics. The member mean/deviation accumulation is float64 and
 // identical across modes — only the forward kernels and the
-// denormalization transcendental differ on the fast tiers.
+// denormalization transcendental differ on the fast32 tier.
 func (e *Ensemble) PredictOutputVarianceBatchKernel(output int, xs []float64, rows int, mean, variance []float64, mode ann.KernelMode) ([]float64, []float64) {
 	e.checkOutput(output)
 	if rows < 0 || len(xs) != rows*e.Inputs() {
@@ -167,7 +168,7 @@ func (e *Ensemble) PredictOutputVarianceBatchKernel(output int, xs []float64, ro
 }
 
 // denormalizeFast maps one member's model-space output column back to
-// the raw target range for the fast kernel tiers: the affine unscale is
+// the raw target range for the fast32 kernel tier: the affine unscale is
 // fused (math.FMA, correctly rounded everywhere) and a log-transformed
 // target uses the bounded-error mathx exponential in one batch pass
 // instead of a library call per element.
@@ -230,7 +231,7 @@ func (e *Ensemble) TrueError(enc *encoding.Encoder, idxs []int, truth []float64)
 }
 
 // predictRange scores rows [start, end) on one output column into out,
-// reusing s; tmp is a ≥cnt scratch column for the fast tiers'
+// reusing s; tmp is a ≥cnt scratch column for the fast32 tier's
 // batched denormalization.
 func (e *Ensemble) predictRange(output int, xs []float64, start, end int, out []float64, s *ann.Scratch, tmp []float64, mode ann.KernelMode) {
 	cnt := end - start

@@ -83,10 +83,6 @@ func stubTarget(t testing.TB, points int, failEvery int64) (string, *atomic.Int6
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"models":[{"name":"stub","points":` + strconv.Itoa(points) + `}]}`))
 	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"models":{"stub":{"requests":0,"flushes":0}}}`))
-	})
 	answer := func(w http.ResponseWriter, r *http.Request) {
 		n := served.Add(1)
 		if failEvery > 0 && n%failEvery == 0 {

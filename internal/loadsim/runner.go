@@ -25,8 +25,7 @@ type Config struct {
 
 	Clock      Clock        // default: simulated
 	HTTPClient *http.Client // default: 30s-timeout client
-	// SkipStats disables server counter polling — GET /metrics, with a
-	// permanent fallback to /v1/stats on targets that predate it.
+	// SkipStats disables server counter polling (GET /metrics).
 	SkipStats bool
 }
 
@@ -146,22 +145,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return ps
 	}
 
-	// Server counters come from GET /metrics; the first poll that finds
-	// no target exposing it downgrades permanently to /v1/stats, which
-	// carries the coalescer pair only.
-	useMetrics := true
 	pollStats := func() ServerTotals {
 		if cfg.SkipStats {
 			return ServerTotals{}
 		}
-		if useMetrics {
-			if t, ok := client.MetricsTotals(context.Background()); ok {
-				return t
-			}
-			useMetrics = false
-		}
-		reqs, flushes := client.CoalesceTotals(context.Background())
-		return ServerTotals{CoalReqs: reqs, CoalFlushes: flushes}
+		return client.MetricsTotals(context.Background())
 	}
 	stats0 := pollStats()
 	last := stats0

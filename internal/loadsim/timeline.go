@@ -52,9 +52,8 @@ type Bucket struct {
 	LatMS    []float64 // wall latency of each completed request, ms
 
 	// Server-side counter deltas over the bucket, scraped from
-	// GET /metrics (or /v1/stats on older servers, coalescer pair only):
-	// coalescing efficiency and prediction-cache traffic. Zero when
-	// stats polling is off.
+	// GET /metrics: coalescing efficiency and prediction-cache traffic.
+	// Zero when stats polling is off.
 	CoalReqs     int64
 	CoalFlushes  int64
 	CacheHits    int64

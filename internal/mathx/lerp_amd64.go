@@ -21,6 +21,6 @@ func sliceLerp32(t *table, xs []float32) int {
 		return 0
 	}
 	m := len(xs) &^ 7
-	lerpGatherAVX2(&xs[0], m, &t.v32[0], t.invH32, t.bias32, t.maxU32)
+	lerpGatherAVX2(&xs[0], m, &t.v[0], t.invH, t.bias, t.maxU)
 	return m
 }

@@ -1,23 +1,21 @@
 // Package mathx provides bounded-error approximations of the
-// transcendental functions on the sweep hot path (exp, the logistic
-// sigmoid, tanh), in float64 and float32, as scalars and as in-place
-// batch kernels. They back the opt-in fast/fast32 kernel modes in
-// internal/ann; the exact mode never touches this package.
+// transcendental functions on the sweep hot path: exp in float64, and
+// the logistic sigmoid and tanh in float32, as scalars and as in-place
+// batch kernels. They back the opt-in fast32 kernel mode in
+// internal/ann and its denormalization in internal/core; the exact
+// mode never touches this package.
 //
 // # Error contract
 //
 // Each function documents a maximum error versus the true mathematical
 // function, asserted by exhaustive-grid tests in this package:
 //
-//	Exp     relative error ≤ 2e-8   on [-708, 709]
-//	Exp32   relative error ≤ 1e-5   on [-87, 88]
-//	Sigmoid absolute error ≤ 1e-6   everywhere
-//	Sigmoid32 absolute error ≤ 2e-6 everywhere
-//	Tanh    absolute error ≤ 1e-6   everywhere
-//	Tanh32  absolute error ≤ 2e-6   everywhere
+//	Exp       relative error ≤ 2e-8   on [-708, 709]
+//	Sigmoid32 absolute error ≤ 2e-6   everywhere
+//	Tanh32    absolute error ≤ 2e-6   everywhere
 //
-// Outside the stated Exp domains the functions saturate (0 below,
-// +Inf above) instead of drifting; Sigmoid and Tanh saturate to their
+// Outside the stated Exp domain it saturates (0 below, +Inf above)
+// instead of drifting; Sigmoid32 and Tanh32 saturate to their
 // asymptotes, so the absolute bound holds on the whole real line.
 //
 // # Determinism
@@ -91,94 +89,50 @@ func ExpSlice(xs []float64) {
 	}
 }
 
-// Exp32 approximates e**x in float32 with relative error ≤ 1e-5 on
-// [-87, 88] (the useful float32 exp domain); it saturates to 0 below
-// and +Inf above, with NaN mapping to 0. The reduction and polynomial
-// run in float64 (one conversion each way) so the bound is dominated
-// by the final float32 rounding.
-func Exp32(x float32) float32 {
-	if !(x >= -87) {
-		return 0
-	}
-	if x > 88 {
-		return float32(math.Inf(1))
-	}
-	return float32(Exp(float64(x)))
-}
-
-// ExpSlice32 replaces each xs[i] with Exp32(xs[i]).
-func ExpSlice32(xs []float32) {
-	for i, x := range xs {
-		xs[i] = Exp32(x)
-	}
-}
-
-// table is a uniform-grid linear interpolator on [min, min+n*h]. at()
-// clamps out-of-range and NaN inputs to the table edges, whose entries
-// hold the function's saturation values.
+// table is a uniform-grid linear interpolator on [min, min+n*h] in
+// float32. at32 clamps out-of-range and NaN inputs to the table edges,
+// whose entries hold the function's saturation values.
 type table struct {
-	invH float64 // 1/h
-	bias float64 // -min/h, so u = x*invH + bias is the real-valued index
-	maxU float64 // largest representable index strictly below n
-	// float32 mirrors for at32: maxU32 is the largest float32 strictly
-	// below n, so int(u) ≤ n-1 without a second bounds branch (which
-	// also keeps at32 within the compiler's inlining budget).
-	invH32 float32
-	bias32 float32
-	maxU32 float32
-	v      []float64
-	v32    []float32
+	invH float32 // 1/h
+	bias float32 // -min/h, so u = x*invH + bias is the real-valued index
+	// maxU is the largest float32 strictly below n, so int(u) ≤ n-1
+	// without a second bounds branch (which also keeps at32 within the
+	// compiler's inlining budget).
+	maxU float32
+	v    []float32
 }
 
 func buildTable(min, max float64, n int, f func(float64) float64) *table {
 	h := (max - min) / float64(n)
 	t := &table{
-		invH:   1 / h,
-		bias:   -min / h,
-		maxU:   math.Nextafter(float64(n), 0),
-		invH32: float32(1 / h),
-		bias32: float32(-min / h),
-		maxU32: math.Nextafter32(float32(n), 0),
-		v:      make([]float64, n+1),
-		v32:    make([]float32, n+1),
+		invH: float32(1 / h),
+		bias: float32(-min / h),
+		maxU: math.Nextafter32(float32(n), 0),
+		v:    make([]float32, n+1),
 	}
 	for i := 0; i <= n; i++ {
-		t.v[i] = f(min + float64(i)*h)
-		t.v32[i] = float32(t.v[i])
+		t.v[i] = float32(f(min + float64(i)*h))
 	}
 	return t
 }
 
-func (t *table) at(x float64) float64 {
-	u := math.FMA(x, t.invH, t.bias)
+// at32 interpolates the table at x. The index math uses explicitly
+// rounded float32 steps (no contraction), so the chosen cell — and
+// therefore the result bits — are identical on every architecture. The
+// vector kernel behind the Slice32 functions reproduces exactly this op
+// sequence (each step single-rounded), so scalar and batch results
+// match bit for bit.
+func (t *table) at32(x float32) float32 {
+	u := float32(x*t.invH) + t.bias
 	if !(u >= 0) { // NaN and below-range clamp to the lower edge
 		u = 0
 	} else if u > t.maxU {
 		u = t.maxU
 	}
 	i := int(u)
-	f := u - float64(i)
-	lo := t.v[i]
-	return math.FMA(f, t.v[i+1]-lo, lo)
-}
-
-// at32 mirrors at in float32. The index math uses explicitly rounded
-// float32 steps (no contraction), so the chosen cell — and therefore
-// the result bits — are identical on every architecture. The vector
-// kernel behind the Slice32 functions reproduces exactly this op
-// sequence (each step single-rounded), so scalar and batch results
-// match bit for bit.
-func (t *table) at32(x float32) float32 {
-	u := float32(x*t.invH32) + t.bias32
-	if !(u >= 0) { // NaN and below-range clamp to the lower edge
-		u = 0
-	} else if u > t.maxU32 {
-		u = t.maxU32
-	}
-	i := int(u)
 	f := u - float32(i)
-	lo := t.v32[i]
-	return lo + float32(f*(t.v32[i+1]-lo))
+	lo := t.v[i]
+	return lo + float32(f*(t.v[i+1]-lo))
 }
 
 // Interpolation error of a uniform linear table is h²/8·max|f″|; the
@@ -198,19 +152,6 @@ var (
 	})
 )
 
-// Sigmoid approximates the logistic function 1/(1+e**-x) with absolute
-// error ≤ 1e-6 on the whole real line; NaN maps to the lower
-// saturation, ~0.
-func Sigmoid(x float64) float64 { return sigmoidTab.at(x) }
-
-// SigmoidSlice replaces each xs[i] with Sigmoid(xs[i]).
-func SigmoidSlice(xs []float64) {
-	t := sigmoidTab
-	for i, x := range xs {
-		xs[i] = t.at(x)
-	}
-}
-
 // Sigmoid32 approximates the logistic function in float32 with
 // absolute error ≤ 2e-6; NaN maps to the lower saturation, ~0.
 func Sigmoid32(x float32) float32 { return sigmoidTab.at32(x) }
@@ -224,18 +165,6 @@ func SigmoidSlice32(xs []float32) { sigmoidTab.slice32(xs) }
 func (t *table) slice32(xs []float32) {
 	for i := sliceLerp32(t, xs); i < len(xs); i++ {
 		xs[i] = t.at32(xs[i])
-	}
-}
-
-// Tanh approximates the hyperbolic tangent with absolute error ≤ 1e-6
-// on the whole real line; NaN maps to the lower saturation, ~-1.
-func Tanh(x float64) float64 { return tanhTab.at(x) }
-
-// TanhSlice replaces each xs[i] with Tanh(xs[i]).
-func TanhSlice(xs []float64) {
-	t := tanhTab
-	for i, x := range xs {
-		xs[i] = t.at(x)
 	}
 }
 

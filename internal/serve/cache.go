@@ -175,7 +175,7 @@ func (c *predCache) put(k cacheKey, v cacheVal) {
 }
 
 // CacheStats is the cache's observable state, exported through
-// /v1/stats and /metrics.
+// /metrics.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

@@ -44,7 +44,6 @@ func TestCacheBitIdentityAllTiers(t *testing.T) {
 		mode ann.KernelMode
 	}{
 		{"exact", ann.KernelExact},
-		{"fast", ann.KernelFast},
 		{"fast32", ann.KernelFast32},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
@@ -226,7 +225,7 @@ func TestCoalescerMixedTierBatch(t *testing.T) {
 	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{Linger: 20 * time.Millisecond, MaxBatch: 64}, nil)
 	defer c.close()
 
-	modes := []ann.KernelMode{ann.KernelExact, ann.KernelFast, ann.KernelFast32}
+	modes := []ann.KernelMode{ann.KernelExact, ann.KernelFast32}
 	const perMode = 5
 	var wg sync.WaitGroup
 	errs := make(chan error, len(modes)*perMode)
@@ -258,17 +257,18 @@ func TestCoalescerMixedTierBatch(t *testing.T) {
 	}
 }
 
-// TestPredictRejectsUnknownKernel: a bad tier name is a 400, not a
-// silent fallback.
+// TestPredictRejectsUnknownKernel: a bad tier name — including the
+// retired "fast" tier — is a 400 naming the valid tiers, not a silent
+// fallback.
 func TestPredictRejectsUnknownKernel(t *testing.T) {
 	ts, _, _ := newTestServer(t, CoalesceOpts{})
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-		strings.NewReader(`{"model":"synth","point":1,"kernel":"warp"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown kernel answered %d, want 400", resp.StatusCode)
+	for _, kernel := range []string{"warp", "fast"} {
+		resp, out := postJSON(t, ts.URL+"/v1/predict", fmt.Sprintf(`{"model":"synth","point":1,"kernel":%q}`, kernel))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("kernel %q answered %d, want 400", kernel, resp.StatusCode)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "exact or fast32") {
+			t.Fatalf("kernel %q: error %q does not name the valid tiers", kernel, msg)
+		}
 	}
 }

@@ -63,7 +63,7 @@ type pointResp struct {
 
 // kernelFlushOrder fixes the per-flush partition order, so a mixed
 // batch always computes tiers in the same sequence.
-var kernelFlushOrder = [...]ann.KernelMode{ann.KernelExact, ann.KernelFast, ann.KernelFast32}
+var kernelFlushOrder = [...]ann.KernelMode{ann.KernelExact, ann.KernelFast32}
 
 // coalescer funnels concurrent single-point predictions into batched
 // ensemble calls. Per-point HTTP traffic would otherwise pay one full

@@ -132,8 +132,8 @@ func (s *Server) SetAdmission(rate float64, burst, maxInflight int) {
 }
 
 // gatedPath reports whether admission control applies to path: the
-// model-work endpoints. Observability (/healthz, /v1/stats, /metrics,
-// /v1/models, /v1/jobs) and reload stay exempt, so a saturated server
+// model-work endpoints. Observability (/healthz, /metrics, /v1/models,
+// /v1/jobs) and reload stay exempt, so a saturated server
 // can still be watched, diagnosed, and rolled.
 func gatedPath(path string) bool {
 	switch {

@@ -107,7 +107,7 @@ func TestAdmissionRejectsWith429(t *testing.T) {
 	}
 	// Observability stays exempt: a rate-limited client can still watch
 	// the server.
-	for _, path := range []string{"/healthz", "/metrics", "/v1/stats", "/v1/models"} {
+	for _, path := range []string{"/healthz", "/metrics", "/v1/models"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +176,6 @@ func TestGatedPaths(t *testing.T) {
 		"/v1/explore":         true,
 		"/healthz":            false,
 		"/metrics":            false,
-		"/v1/stats":           false,
 		"/v1/models":          false,
 		"/v1/models/m/reload": false,
 		"/v1/jobs":            false,

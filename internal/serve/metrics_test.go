@@ -46,17 +46,25 @@ func scrape(t *testing.T, url string) (string, map[string]float64) {
 	return string(raw), samples
 }
 
+// TestMetricsEndpoint drives a few requests through a cached server
+// and checks the counters a load harness scrapes: cache and coalescer
+// tallies, and per-class request deltas (each scrape counts itself as
+// an ok request while it runs).
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _, _ := newCachedServer(t, 128, CoalesceOpts{Linger: time.Millisecond})
-	// Traffic: two identical predicts (miss then hit) and one bad
-	// request for the 4xx class.
+	_, before := scrape(t, ts.URL)
+	// Traffic: two identical predicts (miss then hit), one bad request
+	// and one unknown model for the 4xx class.
 	postJSON(t, ts.URL+"/v1/predict", `{"model":"synth","point":5}`)
 	postJSON(t, ts.URL+"/v1/predict", `{"model":"synth","point":5}`)
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(`{"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
+	for body, status := range map[string]int{
+		`{"bogus":1}`:                http.StatusBadRequest,
+		`{"model":"nope","point":0}`: http.StatusNotFound,
+	} {
+		if resp, _ := postJSON(t, ts.URL+"/v1/predict", body); resp.StatusCode != status {
+			t.Fatalf("predict %s: status %d, want %d", body, resp.StatusCode, status)
+		}
 	}
-	resp.Body.Close()
 
 	body, samples := scrape(t, ts.URL)
 	for line, want := range map[string]float64{
@@ -64,13 +72,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		`repro_cache_misses_total`:                        1,
 		`repro_cache_entries`:                             1,
 		`repro_cache_capacity`:                            128,
-		`repro_http_requests_total{class="4xx"}`:          1,
+		`repro_http_requests_total{class="4xx"}`:          2,
+		`repro_http_requests_total{class="5xx"}`:          0,
 		`repro_model_requests_total{model="synth"}`:       1, // the hit never reached the coalescer
 		`repro_ratelimit_rejections_total{reason="rate"}`: 0,
 	} {
 		if got, ok := samples[line]; !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %v", line, got, ok, want)
 		}
+	}
+	// Two predicts plus this scrape since the first one.
+	const ok = `repro_http_requests_total{class="ok"}`
+	if got := samples[ok] - before[ok]; got != 3 {
+		t.Errorf("%s delta %v, want 3", ok, got)
+	}
+	if f := samples[`repro_model_flushes_total{model="synth"}`]; f < 1 || f > samples[`repro_model_requests_total{model="synth"}`] {
+		t.Errorf("repro_model_flushes_total = %v, want between 1 and the coalesced request count", f)
 	}
 	// Histograms expose cumulative buckets, sum and count.
 	for _, family := range []string{

@@ -36,14 +36,13 @@ type ShardResponse struct {
 // request), whatever node answers; a disconnect cancels the engine via
 // the request context.
 //
-// Requests and responses speak JSON by default and the compact binary
-// format by negotiation (see wire.go): a binary Content-Type selects
-// the binary request decoder, and an Accept header offering
-// ShardResponseMediaType gets the binary response body. Errors are
-// JSON on every path.
+// The response format follows the request's (see wire.go): a binary
+// request body gets a binary response, a JSON one a JSON response.
+// Errors are JSON on every path.
 func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ShardRequestMediaType) {
+	binary := strings.HasPrefix(r.Header.Get("Content-Type"), ShardRequestMediaType)
+	if binary {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 		if err == nil {
 			err = req.UnmarshalBinary(body)
@@ -83,7 +82,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		resp.PointsPerSec = float64(p.End-p.Start) / secs
 	}
-	if acceptsShardBinary(r.Header.Get("Accept")) {
+	if binary {
 		data, err := resp.MarshalBinary()
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)

@@ -47,7 +47,7 @@ type SweepRequest struct {
 	Chunk   int `json:"chunk,omitempty"`
 	Workers int `json:"workers,omitempty"`
 	// Kernel names the forward-pass tier (see ann.KernelMode): "exact"
-	// keeps the bit-identical default; "fast"/"fast32" trade the
+	// keeps the bit-identical default; "fast32" trades the
 	// documented mathx error bounds for throughput. Empty defers to the
 	// serving node's -kernel default (itself exact unless configured) —
 	// cluster deployments must configure that default identically on

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/sweep"
@@ -10,22 +9,13 @@ import (
 
 // Binary wire format for shard traffic. Coordination overhead on a
 // sweep cluster is dominated by serializing the shard partials —
-// textual float64s are ~24 bytes each versus 8 raw bits — so both
-// sides of /v1/sweep/shard can negotiate the compact encoding:
-//
-//   - The coordinator always sends its FIRST request to a node as
-//     JSON, with an Accept header offering ShardResponseMediaType.
-//   - A binary-capable node answers with the binary response body
-//     (Content-Type: ShardResponseMediaType); an old node ignores the
-//     Accept header and answers JSON as before.
-//   - Once the coordinator has seen one binary response from a node it
-//     upgrades subsequent requests to binary bodies
-//     (Content-Type: ShardRequestMediaType) — by construction the node
-//     has already proven it speaks the format.
-//
-// Old coordinators never send the Accept header, old nodes never see a
-// binary request, and error responses stay JSON on every path, so the
-// formats interoperate freely during rolling upgrades.
+// textual float64s are ~24 bytes each versus 8 raw bits — so cluster
+// coordinators send every shard request as a binary body
+// (Content-Type: ShardRequestMediaType) and nodes answer it with a
+// binary body (Content-Type: ShardResponseMediaType). A JSON request,
+// such as a human's curl, gets a JSON answer. Error responses are JSON
+// on every path. Coordinator and nodes ship from one module, so the
+// frames carry a version tag but no fallback for mixed-version fleets.
 const (
 	// ShardRequestMediaType is the Content-Type of a binary
 	// ShardRequest body.
@@ -135,16 +125,4 @@ func (r *ShardResponse) UnmarshalBinary(data []byte) error {
 	}
 	r.Partial = &sweep.Partial{}
 	return r.Partial.UnmarshalBinary(rest)
-}
-
-// acceptsShardBinary reports whether the request's Accept header
-// offers the binary shard response format.
-func acceptsShardBinary(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(mt) == ShardResponseMediaType {
-			return true
-		}
-	}
-	return false
 }

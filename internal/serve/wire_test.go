@@ -3,34 +3,39 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ann"
 	"repro/internal/sweep"
 )
 
+// wireRequests cover every field of the request frame, metric specs
+// and their bool slots included.
+var wireRequests = []ShardRequest{
+	{SweepRequest: SweepRequest{Model: "synth"}},
+	{SweepRequest: SweepRequest{Model: "synth", TopK: 7, Chunk: 64, Workers: 3, Kernel: "fast32"}, Start: 40, End: 104},
+	{SweepRequest: SweepRequest{
+		Models: []string{"perf", "energy"},
+		Metrics: []sweep.MetricSpec{
+			{Name: "ipc", Model: "perf"},
+			{Name: "conf", Model: "perf", Output: 2, Variance: true, Minimize: true},
+		},
+		TopK:   -1,
+		Kernel: "exact",
+	}},
+}
+
 // TestShardRequestBinaryRoundTrip pins the request frame: every field
 // — including the kernel tier and metric specs — survives
 // Marshal∘Unmarshal exactly.
 func TestShardRequestBinaryRoundTrip(t *testing.T) {
-	cases := []ShardRequest{
-		{SweepRequest: SweepRequest{Model: "synth"}},
-		{SweepRequest: SweepRequest{Model: "synth", TopK: 7, Chunk: 64, Workers: 3, Kernel: "fast32"}, Start: 40, End: 104},
-		{SweepRequest: SweepRequest{
-			Models: []string{"perf", "energy"},
-			Metrics: []sweep.MetricSpec{
-				{Name: "ipc", Model: "perf"},
-				{Name: "conf", Model: "perf", Output: 2, Variance: true, Minimize: true},
-			},
-			TopK:   -1,
-			Kernel: "fast",
-		}},
-	}
-	for i, req := range cases {
+	for i, req := range wireRequests {
 		data, err := req.MarshalBinary()
 		if err != nil {
 			t.Fatalf("case %d: marshal: %v", i, err)
@@ -51,22 +56,55 @@ func TestShardRequestBinaryRoundTrip(t *testing.T) {
 		if err := got.UnmarshalBinary(append(append([]byte(nil), data...), 0)); err == nil {
 			t.Fatalf("case %d: trailing byte decoded", i)
 		}
+		if len(req.Metrics) == 0 {
+			continue
+		}
+		// A bool byte other than 0 or 1 — here the last metric's
+		// Minimize flag, just before the fixed-width tail — has no
+		// canonical re-encoding and must be rejected by offset.
+		off := len(data) - (5*8 + 4 + len(req.Kernel)) - 1
+		if data[off] != 1 {
+			t.Fatalf("case %d: byte %d is %d, not the Minimize flag", i, off, data[off])
+		}
+		bad := append([]byte(nil), data...)
+		bad[off] = 0x30
+		if err := got.UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("offset %d", off)) {
+			t.Fatalf("case %d: Minimize byte 0x30 decoded or error names no offset: %v", i, err)
+		}
 	}
 }
 
-// postShardRaw sends one shard request with explicit wire options and
-// returns the response Content-Type and body.
-func postShardRaw(t *testing.T, url string, body []byte, contentType, accept string) (string, []byte) {
+// FuzzShardRequestBinary hardens the request decoder against arbitrary
+// bytes: it must never panic, and anything it accepts must re-encode to
+// exactly the bytes it was decoded from.
+func FuzzShardRequestBinary(f *testing.F) {
+	for _, req := range wireRequests {
+		seed, err := req.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req ShardRequest
+		if err := req.UnmarshalBinary(data); err != nil {
+			return
+		}
+		enc, err := req.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-encode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted input re-encodes differently:\nin  %x\nout %x", data, enc)
+		}
+	})
+}
+
+// postShardRaw sends one shard request with an explicit Content-Type
+// and returns the response Content-Type and body.
+func postShardRaw(t *testing.T, url string, body []byte, contentType string) (string, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/sweep/shard", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(url+"/v1/sweep/shard", contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +131,7 @@ func TestServerDefaultKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(reg)
-	srv.SetDefaultKernel(ann.KernelFast)
+	srv.SetDefaultKernel(ann.KernelFast32)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -102,11 +140,10 @@ func TestServerDefaultKernel(t *testing.T) {
 	for _, tc := range []struct {
 		body, want string
 	}{
-		{`{"model":"synth","topk":3,"chunk":16}`, ann.KernelFast.String()},
+		{`{"model":"synth","topk":3,"chunk":16}`, ann.KernelFast32.String()},
 		{`{"model":"synth","topk":3,"chunk":16,"kernel":"exact"}`, ""},
-		{`{"model":"synth","topk":3,"chunk":16,"kernel":"fast32"}`, ann.KernelFast32.String()},
 	} {
-		_, raw := postShardRaw(t, ts.URL, []byte(tc.body), "application/json", "")
+		_, raw := postShardRaw(t, ts.URL, []byte(tc.body), "application/json")
 		var resp ShardResponse
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
@@ -117,10 +154,10 @@ func TestServerDefaultKernel(t *testing.T) {
 	}
 }
 
-// TestShardBinaryNegotiation drives the wire negotiation end to end
-// against a live server: the JSON path, the binary-response upgrade,
-// and the fully binary exchange must all carry the identical partial —
-// and a fast32 request's partial must be labelled fast32.
+// TestShardBinaryNegotiation drives both wire formats end to end
+// against a live server: the response format follows the request's —
+// JSON in gives JSON out, binary in gives binary out — and both carry
+// the identical partial, labelled fast32 for a fast32 request.
 func TestShardBinaryNegotiation(t *testing.T) {
 	ts, _, _ := newTestServer(t, CoalesceOpts{})
 	req := ShardRequest{SweepRequest: SweepRequest{Model: "synth", TopK: 5, Chunk: 16, Kernel: "fast32"}}
@@ -133,8 +170,7 @@ func TestShardBinaryNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Plain JSON exchange (an old coordinator).
-	ct, raw := postShardRaw(t, ts.URL, jsonBody, "application/json", "")
+	ct, raw := postShardRaw(t, ts.URL, jsonBody, "application/json")
 	if ct != "application/json" {
 		t.Fatalf("JSON request answered Content-Type %q", ct)
 	}
@@ -146,35 +182,24 @@ func TestShardBinaryNegotiation(t *testing.T) {
 		t.Fatalf("partial kernel %q, want fast32", viaJSON.Partial.Kernel)
 	}
 
-	// JSON request offering the binary response (a coordinator's first
-	// contact with a node), then the fully binary exchange.
-	for _, tc := range []struct {
-		name string
-		body []byte
-		ct   string
-	}{
-		{"upgrade", jsonBody, "application/json"},
-		{"binary", binBody, ShardRequestMediaType},
-	} {
-		ct, raw := postShardRaw(t, ts.URL, tc.body, tc.ct, ShardResponseMediaType+", application/json")
-		if ct != ShardResponseMediaType {
-			t.Fatalf("%s: response Content-Type %q, want binary", tc.name, ct)
-		}
-		var got ShardResponse
-		if err := got.UnmarshalBinary(raw); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want, _ := json.Marshal(viaJSON.Partial)
-		have, _ := json.Marshal(got.Partial)
-		if !bytes.Equal(want, have) {
-			t.Fatalf("%s: binary partial diverged from JSON path:\nwant %s\ngot  %s", tc.name, want, have)
-		}
-		// Truncations of the response frame must error cleanly.
-		var scratch ShardResponse
-		for n := 0; n < len(raw); n += 7 {
-			if err := scratch.UnmarshalBinary(raw[:n]); err == nil {
-				t.Fatalf("%s: truncation to %d of %d bytes decoded", tc.name, n, len(raw))
-			}
+	ct, raw = postShardRaw(t, ts.URL, binBody, ShardRequestMediaType)
+	if ct != ShardResponseMediaType {
+		t.Fatalf("binary request answered Content-Type %q, want binary", ct)
+	}
+	var viaBinary ShardResponse
+	if err := viaBinary.UnmarshalBinary(raw); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(viaJSON.Partial)
+	have, _ := json.Marshal(viaBinary.Partial)
+	if !bytes.Equal(want, have) {
+		t.Fatalf("binary partial diverged from JSON path:\nwant %s\ngot  %s", want, have)
+	}
+	// Truncations of the response frame must error cleanly.
+	var scratch ShardResponse
+	for n := 0; n < len(raw); n += 7 {
+		if err := scratch.UnmarshalBinary(raw[:n]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes decoded", n, len(raw))
 		}
 	}
 }

@@ -91,7 +91,7 @@ func BenchmarkSweepKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast, ann.KernelFast32} {
+	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
 		b.Run(fmt.Sprintf("kernel=%s", mode), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -33,7 +33,7 @@ type Partial struct {
 	// only); partials must agree on it to merge.
 	K int `json:"k"`
 	// Kernel names the kernel tier the shard ran under ("" = exact,
-	// matching partials from nodes that predate kernel tiers). The fast
+	// matching partials from nodes that predate kernel tiers). The
 	// tiers are only bit-identical within a mode, so Merge refuses to
 	// combine partials computed under different kernels.
 	Kernel string `json:"kernel,omitempty"`

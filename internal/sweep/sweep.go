@@ -82,7 +82,7 @@ type Config struct {
 	// order, on the Run goroutine — as chunks complete.
 	OnProgress func(done, total int)
 	// Kernel selects the forward-kernel tier (see ann.KernelMode). The
-	// zero value is the bit-identical exact kernel; the fast tiers are
+	// zero value is the bit-identical exact kernel; fast32 is
 	// bounded-error and bit-identical within a mode, so every shard of
 	// a distributed sweep must run the same kernel (Partial records it
 	// and Merge enforces agreement).

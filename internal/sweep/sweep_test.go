@@ -152,15 +152,14 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunKernelBitIdentity extends the sharding guarantee to the fast
-// kernel tiers: within a mode, the sweep reduction is byte-identical
+// TestRunKernelBitIdentity extends the sharding guarantee to every
+// kernel tier: within a mode, the sweep reduction is byte-identical
 // for every worker count and chunk size (the distributed-sweep
-// invariant the ISSUE's kernel work must preserve). Modes are free to
-// differ from each other — each one is its own deterministic function
-// of the inputs.
+// invariant). Modes are free to differ from each other — each one is
+// its own deterministic function of the inputs.
 func TestRunKernelBitIdentity(t *testing.T) {
 	set, sp := testSet(t)
-	for _, mode := range []ann.KernelMode{ann.KernelFast, ann.KernelFast32} {
+	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
 		var base *Result
 		for _, workers := range []int{1, 4, 16} {
 			for _, chunk := range []int{9, 64, 512} {
@@ -177,8 +176,8 @@ func TestRunKernelBitIdentity(t *testing.T) {
 				sameReduction(t, mode.String(), base, got)
 			}
 		}
-		if base.Kernel != mode.String() {
-			t.Fatalf("result kernel label %q, want %q", base.Kernel, mode)
+		if base.Kernel != kernelLabel(mode) {
+			t.Fatalf("result kernel label %q, want %q", base.Kernel, kernelLabel(mode))
 		}
 	}
 }

@@ -156,8 +156,17 @@ func (r *WireReader) F64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// Bool reads a one-byte bool.
-func (r *WireReader) Bool() bool { return r.U8() != 0 }
+// Bool reads a one-byte bool. Any byte other than 0 or 1 is a decode
+// error naming its offset, so every accepted frame re-encodes to the
+// bytes it was decoded from.
+func (r *WireReader) Bool() bool {
+	off := r.off
+	b := r.U8()
+	if b > 1 {
+		r.Fail("sweep: wire bool at offset %d is %d, want 0 or 1", off, b)
+	}
+	return b == 1
+}
 
 func (r *WireReader) Str() string {
 	n := r.U32()
@@ -255,7 +264,7 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		p.Metrics = append(p.Metrics, MetricInfo{Name: r.Str(), Minimize: r.Bool()})
 	}
 	p.TopK = nil
-	if r.U8() != 0 {
+	if r.Bool() {
 		p.TopK = make([][]Point, 0, nm)
 		for i := 0; i < nm && r.Err() == nil; i++ {
 			lead := readPoints(r, nm)

@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ann"
@@ -96,12 +98,26 @@ func TestPartialBinaryRejectsCorrupt(t *testing.T) {
 	if err := out.UnmarshalBinary(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing byte decoded")
 	}
+	// A bool byte other than 0 or 1 — here the top-k presence flag —
+	// has no canonical re-encoding and must be rejected by offset.
+	flag := 4 + 4 + len(p.Space) + 3*8 + 4 + len(p.Kernel) + 4
+	for _, m := range p.Metrics {
+		flag += 4 + len(m.Name) + 1
+	}
+	if data[flag] != 1 {
+		t.Fatalf("byte %d is %d, not the top-k presence flag", flag, data[flag])
+	}
+	bad = append([]byte(nil), data...)
+	bad[flag] = 2
+	if err := out.UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("offset %d", flag)) {
+		t.Errorf("presence flag 2 decoded or error names no offset: %v", err)
+	}
 }
 
 // FuzzPartialBinary hardens the decoder against arbitrary bytes: it
 // must never panic or over-allocate, and anything it accepts must
-// re-encode and re-decode to the same document (the codec is stable on
-// its own image).
+// re-encode to exactly the bytes it was decoded from (the encoding is
+// canonical, so no two frames decode to the same partial).
 func FuzzPartialBinary(f *testing.F) {
 	set, sp := testSet(f)
 	for _, cfg := range []Config{{TopK: 3, ChunkSize: 32}, {TopK: -1, ChunkSize: 64}} {
@@ -125,9 +141,8 @@ func FuzzPartialBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted input failed: %v", err)
 		}
-		var q Partial
-		if err := q.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted input re-encodes differently:\nin  %x\nout %x", data, enc)
 		}
 	})
 }
