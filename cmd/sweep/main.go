@@ -38,7 +38,7 @@
 //
 // The coordinator shards the flat index range on absolute chunk
 // boundaries, dispatches to POST /v1/sweep/shard with bounded
-// in-flight concurrency (-probe weights nodes by measured points/s),
+// in-flight concurrency per node (faster nodes pull more shards),
 // retries failed or timed-out shards on surviving nodes, and merges
 // partials in shard order — bit-identical to the local engine for any
 // node count and failure schedule.
@@ -72,7 +72,6 @@ func main() {
 	kernelFlag := flag.String("kernel", "", "forward-kernel tier: exact (default, bit-identical) or fast32 (bounded-error, faster; bit-identical within a tier)")
 	nodes := flag.String("nodes", "", "comma-separated serve-node URLs to fan the sweep out across (empty = run locally)")
 	shardPts := flag.Int("shard", 0, "with -nodes: design points per dispatched shard (0 = auto, chunk-aligned)")
-	probe := flag.Bool("probe", false, "with -nodes: weight dispatch by each node's probed points/s")
 	var modelFlags []string
 	flag.Func("model", "name=bundle.json model to rank with (repeatable)", func(v string) error {
 		if !strings.Contains(v, "=") {
@@ -93,7 +92,7 @@ func main() {
 	var res *sweep.Result
 	describe := func(int) string { return "" }
 	if *nodes != "" {
-		res = runCluster(ctx, *nodes, flag.Args(), modelFlags, *metricsFlag, *topk, *chunk, *workers, *shardPts, *probe, *quiet, *kernelFlag)
+		res = runCluster(ctx, *nodes, flag.Args(), modelFlags, *metricsFlag, *topk, *chunk, *workers, *shardPts, *quiet, *kernelFlag)
 	} else {
 		var describeSpace func(int) string
 		res, describeSpace = runLocal(ctx, modelFlags, *metricsFlag, *topk, *chunk, *workers, *quiet, kernel)
@@ -178,7 +177,7 @@ func runLocal(ctx context.Context, modelFlags []string, metricsFlag string, topk
 
 // runCluster fans the sweep out across serve nodes; model arguments
 // name the nodes' registered bundles.
-func runCluster(ctx context.Context, nodeList string, args, modelFlags []string, metricsFlag string, topk, chunk, workers, shardPts int, probe, quiet bool, kernel string) *sweep.Result {
+func runCluster(ctx context.Context, nodeList string, args, modelFlags []string, metricsFlag string, topk, chunk, workers, shardPts int, quiet bool, kernel string) *sweep.Result {
 	if len(modelFlags) > 0 {
 		fatal(fmt.Errorf("-model name=path loads local bundle files; with -nodes, name the nodes' registered models as plain arguments"))
 	}
@@ -203,7 +202,6 @@ func runCluster(ctx context.Context, nodeList string, args, modelFlags []string,
 		Nodes:       strings.Split(nodeList, ","),
 		Request:     req,
 		ShardPoints: shardPts,
-		Probe:       probe,
 	}
 	if !quiet {
 		cfg.OnProgress = progressLine()

@@ -107,6 +107,7 @@ func TestGradientCheck(t *testing.T) {
 	}
 
 	const eps = 1e-6
+	var snap []float64
 	for li, l := range n.layers {
 		for wi := range l.w {
 			orig := l.w[wi]
@@ -119,10 +120,10 @@ func TestGradientCheck(t *testing.T) {
 
 			// Analytic gradient: run Train with tiny lr and recover
 			// dw = -lr*grad from the applied update.
-			snap := n.Snapshot()
+			snap = n.SnapshotInto(snap)
 			n.Train(x, target, 1e-6)
-			analytic := -(n.layers[li].w[wi] - snap[li][wi]) / 1e-6
-			n.Restore(snap)
+			analytic := -(l.w[wi] - snap[l.off+wi]) / 1e-6
+			n.RestoreFlat(snap)
 
 			if math.Abs(numeric-analytic) > 1e-3*(1+math.Abs(numeric)) {
 				t.Fatalf("layer %d weight %d: numeric %.6f vs backprop %.6f",
@@ -202,18 +203,20 @@ func TestMomentumAcceleratesConvergence(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestore: training after a snapshot changes the network,
+// and restoring the snapshot brings back its exact predictions.
 func TestSnapshotRestore(t *testing.T) {
 	n := New(smallConfig(2, 1))
 	x := []float64{0.2, 0.7}
 	before := n.Predict(x)[0]
-	snap := n.Snapshot()
+	snap := n.SnapshotInto(nil)
 	for i := 0; i < 100; i++ {
 		n.Train(x, []float64{1}, 0.5)
 	}
 	if n.Predict(x)[0] == before {
 		t.Fatal("training had no effect")
 	}
-	n.Restore(snap)
+	n.RestoreFlat(snap)
 	if got := n.Predict(x)[0]; got != before {
 		t.Fatalf("restore did not recover weights: %v vs %v", got, before)
 	}

@@ -1,21 +1,16 @@
 package ann
 
-import "fmt"
-
-// Scratch holds the reusable buffers the batched forward/backward
-// kernels write into: per-layer activation matrices, per-layer delta
-// matrices, and a flat gradient accumulator. A Scratch grows to the
-// largest (network, batch) shape it has seen and is then allocation-free
-// across calls.
+// Scratch holds the reusable buffers the batched forward kernels write
+// into: per-layer activation matrices, plus the float32 tier's copies.
+// A Scratch grows to the largest (network, batch) shape it has seen and
+// is then allocation-free across calls.
 //
 // A Scratch is not safe for concurrent use; give each worker goroutine
-// its own (ForwardBatch and TrainBatch never write to shared network
-// state through it, so many goroutines may score the same network
-// concurrently with separate Scratches).
+// its own (ForwardBatch never writes to shared network state through
+// it, so many goroutines may score the same network concurrently with
+// separate Scratches).
 type Scratch struct {
-	acts   [][]float64 // per layer: rows × layer.out activations
-	deltas [][]float64 // per layer: rows × layer.out backprop deltas
-	grad   []float64   // flat gradient accumulator, aligned with Network.w
+	acts [][]float64 // per layer: rows × layer.out activations
 
 	// Float32 tier (KernelFast32): per-call rounded copies of the flat
 	// weight layout and the input batch, plus float32 activations.
@@ -37,25 +32,12 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // ensure sizes the scratch for one batched pass over rows examples.
-func (s *Scratch) ensure(n *Network, rows int, backward bool) {
+func (s *Scratch) ensure(n *Network, rows int) {
 	if len(s.acts) < len(n.layers) {
 		s.acts = make([][]float64, len(n.layers))
 	}
 	for li, l := range n.layers {
 		s.acts[li] = grow(s.acts[li], rows*l.out)
-	}
-	if !backward {
-		return
-	}
-	if len(s.deltas) < len(n.layers) {
-		s.deltas = make([][]float64, len(n.layers))
-	}
-	for li, l := range n.layers {
-		s.deltas[li] = grow(s.deltas[li], rows*l.out)
-	}
-	s.grad = grow(s.grad, len(n.w))
-	for i := range s.grad {
-		s.grad[i] = 0
 	}
 }
 
@@ -75,7 +57,7 @@ func (n *Network) forwardBatchExact(xs []float64, rows int, s *Scratch) []float6
 	if s == nil {
 		s = NewScratch()
 	}
-	s.ensure(n, rows, false)
+	s.ensure(n, rows)
 	in := xs
 	for li, l := range n.layers {
 		l.forwardBatch(in, rows, s.acts[li])
@@ -129,98 +111,4 @@ func (l *layer) forwardBatch(in []float64, rows int, out []float64) {
 		}
 	}
 	l.act.applyBatch(out[:rows*outW])
-}
-
-// TrainBatch performs one mini-batch gradient step: it forward-passes
-// rows examples, backpropagates all of them, and applies a single
-// momentum update with the gradient averaged over the batch
-// (Equations 3.1/3.2 with the sum over the batch in ∂E/∂w). xs and
-// targets are flat row-major matrices (rows × Inputs, rows × Outputs).
-// It returns the mean per-example squared error (Σ(o−t)²/2, averaged
-// over rows) measured before the update.
-//
-// With rows == 1 this is the same update as Train up to floating-point
-// association; larger batches trade the paper's per-example stochastic
-// updates for fewer, cheaper steps.
-func (n *Network) TrainBatch(xs, targets []float64, rows int, lr float64, s *Scratch) float64 {
-	if rows <= 0 {
-		panic("ann: TrainBatch needs at least one row")
-	}
-	if len(targets) != rows*n.cfg.Outputs {
-		panic(fmt.Sprintf("ann: batch of %d targets is not %d rows × %d outputs", len(targets), rows, n.cfg.Outputs))
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	// Forward, keeping every layer's activations for the backward pass
-	// (ensure with backward=true also zeroes the gradient accumulator).
-	s.ensure(n, rows, true)
-	n.forwardBatchExact(xs, rows, s)
-
-	// Output-layer deltas: δ = (o - t) · f'(o).
-	lastIdx := len(n.layers) - 1
-	last := n.layers[lastIdx]
-	outAct := s.acts[lastIdx]
-	outDelta := s.deltas[lastIdx]
-	var se float64
-	for k, o := range outAct[:rows*last.out] {
-		e := o - targets[k]
-		se += e * e
-		outDelta[k] = e * last.act.derivFromOutput(o)
-	}
-
-	// Hidden-layer deltas, back to front.
-	for li := lastIdx - 1; li >= 0; li-- {
-		l, next := n.layers[li], n.layers[li+1]
-		stride := next.in + 1
-		acts := s.acts[li]
-		deltas := s.deltas[li]
-		nextDeltas := s.deltas[li+1]
-		for r := 0; r < rows; r++ {
-			nd := nextDeltas[r*next.out : r*next.out+next.out]
-			base := r * l.out
-			for j := 0; j < l.out; j++ {
-				var sum float64
-				for k, dk := range nd {
-					sum += next.w[k*stride+j] * dk
-				}
-				deltas[base+j] = sum * l.act.derivFromOutput(acts[base+j])
-			}
-		}
-	}
-
-	// Gradient accumulation: ∂E/∂w[j][i] = Σ_rows δ[j]·input[i].
-	input := xs
-	inW := n.cfg.Inputs
-	for li, l := range n.layers {
-		stride := l.in + 1
-		deltas := s.deltas[li]
-		for r := 0; r < rows; r++ {
-			x := input[r*inW : r*inW+inW]
-			for j := 0; j < l.out; j++ {
-				d := deltas[r*l.out+j]
-				if d == 0 {
-					continue
-				}
-				g := s.grad[l.off+j*stride : l.off+j*stride+stride]
-				for i, xi := range x {
-					g[i] += d * xi
-				}
-				g[inW] += d // bias input is 1
-			}
-		}
-		input = s.acts[li]
-		inW = l.out
-	}
-
-	// One momentum update with the batch-averaged gradient:
-	// Δw = -η/rows · Σ ∂E/∂w + α Δw_prev.
-	scale := lr / float64(rows)
-	mom := n.cfg.Momentum
-	for i, g := range s.grad[:len(n.w)] {
-		dw := -scale*g + mom*n.dwPrev[i]
-		n.w[i] += dw
-		n.dwPrev[i] = dw
-	}
-	return se / 2 / float64(rows)
 }

@@ -24,7 +24,10 @@ func (n *Network) Save(w io.Writer) error {
 	s := serialized{
 		Version: serialVersion,
 		Config:  n.cfg,
-		Weights: n.Snapshot(),
+		Weights: make([][]float64, len(n.layers)),
+	}
+	for i, l := range n.layers {
+		s.Weights[i] = l.w
 	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(&s); err != nil {
@@ -55,7 +58,7 @@ func Load(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("ann: load: layer %d has %d weights, network expects %d",
 				i, len(s.Weights[i]), len(l.w))
 		}
+		copy(l.w, s.Weights[i])
 	}
-	n.Restore(s.Weights)
 	return n, nil
 }

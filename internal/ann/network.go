@@ -7,12 +7,13 @@
 // stopping on a held-aside set.
 //
 // All weights of a network live in one contiguous []float64 (layer
-// after layer, row-major within a layer), and the batched entry points
-// in batch.go — ForwardBatch, TrainBatch and the Scratch buffers they
-// reuse — run many examples through that flat layout at once. This is
-// the compute core the rest of the repository leans on: the ensemble's
-// candidate-pool scoring and full-space sweeps go through ForwardBatch
-// rather than per-point calls.
+// after layer, row-major within a layer). Training presents one
+// example at a time (Train, the paper's per-example backpropagation),
+// while the batched forward pass in batch.go — ForwardBatch and the
+// Scratch buffers it reuses — runs many examples through that flat
+// layout at once. This is the compute core the rest of the repository
+// leans on: the ensemble's candidate-pool scoring and full-space sweeps
+// go through ForwardBatch rather than per-point calls.
 //
 // The package is self-contained and generic over input/output
 // dimensions; the design-space-specific encoding and the
@@ -175,8 +176,9 @@ type layer struct {
 	dwPrev  []float64 // view into Network.dwPrev (momentum term)
 	act     Activation
 
-	// Per-example forward/backward scratch (the batched paths use a
-	// caller-provided Scratch instead, so they can run concurrently).
+	// Per-example forward/backward scratch (the batched forward path
+	// uses a caller-provided Scratch instead, so it can run
+	// concurrently).
 	output []float64
 	delta  []float64
 }
@@ -343,39 +345,9 @@ func (n *Network) Train(x, target []float64, lr float64) float64 {
 	return se / 2
 }
 
-// Snapshot returns a deep copy of all weights, used by early stopping
-// to remember the best model seen.
-func (n *Network) Snapshot() [][]float64 {
-	s := make([][]float64, len(n.layers))
-	for i, l := range n.layers {
-		s[i] = append([]float64(nil), l.w...)
-	}
-	return s
-}
-
-// Restore loads weights previously captured by Snapshot and clears the
-// momentum state (a restored model should not continue a stale update
-// direction).
-func (n *Network) Restore(s [][]float64) {
-	if len(s) != len(n.layers) {
-		panic("ann: snapshot layer count mismatch")
-	}
-	for i, l := range n.layers {
-		if len(s[i]) != len(l.w) {
-			panic("ann: snapshot size mismatch")
-		}
-		copy(l.w, s[i])
-	}
-	for j := range n.dwPrev {
-		n.dwPrev[j] = 0
-	}
-}
-
 // SnapshotInto copies all weights into dst, reusing its capacity when
-// possible, and returns it. It is the allocation-free counterpart of
-// Snapshot for callers that snapshot repeatedly (early stopping keeps
-// one buffer alive across hundreds of improvements instead of
-// allocating per-layer slices each time).
+// possible, and returns it; early stopping uses it to remember the best
+// model seen, keeping one buffer alive across hundreds of improvements.
 func (n *Network) SnapshotInto(dst []float64) []float64 {
 	if cap(dst) < len(n.w) {
 		dst = make([]float64, len(n.w))
@@ -386,7 +358,8 @@ func (n *Network) SnapshotInto(dst []float64) []float64 {
 }
 
 // RestoreFlat loads weights previously captured by SnapshotInto and
-// clears the momentum state, exactly like Restore.
+// clears the momentum state (a restored model should not continue a
+// stale update direction).
 func (n *Network) RestoreFlat(src []float64) {
 	if len(src) != len(n.w) {
 		panic("ann: flat snapshot size mismatch")

@@ -106,10 +106,6 @@ type TrainOpts struct {
 	// MinImprove is the relative ES-error improvement that resets
 	// patience (guards against drifting forever on noise).
 	MinImprove float64
-	// BatchSize > 1 accumulates gradients over mini-batches through
-	// TrainBatch (one momentum step per batch) instead of the paper's
-	// per-example stochastic updates. 0 or 1 keeps per-example SGD.
-	BatchSize int
 	// Seed drives presentation order.
 	Seed uint64
 }
@@ -186,23 +182,13 @@ func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainO
 	esSet := packDataset(es, n.cfg.Inputs, n.cfg.Outputs)
 	scratch := NewScratch()
 
-	batch := opts.BatchSize
-	if batch < 1 {
-		batch = 1
-	}
-	var batchX, batchY []float64
-	if batch > 1 {
-		batchX = make([]float64, batch*tr.inW)
-		batchY = make([]float64, batch*tr.outW)
-	}
-
 	var permBuf []int
 	if alias == nil {
 		permBuf = make([]int, tr.n)
 	}
 
-	// presentEpoch runs one epoch of gradient updates over the training
-	// set in the configured presentation order and batch size.
+	// presentEpoch runs one epoch of per-example gradient updates over
+	// the training set in the configured presentation order.
 	presentEpoch := func(lr float64) {
 		order := func(k int) int {
 			return alias.Draw(rng)
@@ -211,32 +197,16 @@ func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainO
 			rng.PermInto(permBuf)
 			order = func(k int) int { return permBuf[k] }
 		}
-		if batch == 1 {
-			for k := 0; k < tr.n; k++ {
-				i := order(k)
-				n.Train(tr.xRow(i), tr.yRow(i), lr)
-			}
-			return
-		}
-		for k := 0; k < tr.n; k += batch {
-			rows := batch
-			if rem := tr.n - k; rows > rem {
-				rows = rem
-			}
-			for r := 0; r < rows; r++ {
-				i := order(k + r)
-				copy(batchX[r*tr.inW:(r+1)*tr.inW], tr.xRow(i))
-				copy(batchY[r*tr.outW:(r+1)*tr.outW], tr.yRow(i))
-			}
-			n.TrainBatch(batchX[:rows*tr.inW], batchY[:rows*tr.outW], rows, lr, scratch)
+		for k := 0; k < tr.n; k++ {
+			i := order(k)
+			n.Train(tr.xRow(i), tr.yRow(i), lr)
 		}
 	}
 
 	lr := n.cfg.LearningRate
 	best := TrainResult{BestESErr: math.Inf(1)}
 	// Flat snapshot buffer, reused across improvements: early stopping
-	// can snapshot hundreds of times per fold, and the per-layer
-	// Snapshot would allocate fresh slices on every one.
+	// can snapshot hundreds of times per fold.
 	var bestW []float64
 	haveBest := false
 	sincebest := 0

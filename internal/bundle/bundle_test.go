@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/space"
@@ -99,8 +101,9 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 	if loaded.Ensemble.Estimate() != b.Ensemble.Estimate() {
 		t.Fatal("CV estimate not preserved")
 	}
-	want := b.Ensemble.PredictBatch(xs, rows, nil)
-	got := loaded.Ensemble.PredictBatch(xs, rows, nil)
+	want, got := make([]float64, rows), make([]float64, rows)
+	b.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, want, nil)
+	loaded.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, got, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: reloaded model predicts %v, original %v", i, got[i], want[i])
@@ -112,6 +115,39 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 		x := xs[i*w : (i+1)*w]
 		if loaded.Ensemble.Predict(x) != b.Ensemble.Predict(x) {
 			t.Fatalf("per-point prediction diverged on row %d", i)
+		}
+	}
+}
+
+// TestLoadIgnoresRetiredBatchSizeField pins compatibility with bundles
+// that still carry the retired mini-batch training option (every bundle
+// saved before its removal wrote "BatchSize":0 into its model config):
+// such a file loads with the same provenance and predicts the same bits
+// as the bundle that wrote it.
+func TestLoadIgnoresRetiredBatchSizeField(t *testing.T) {
+	b, xs, rows := trainedBundle(t)
+	var buf bytes.Buffer
+	if err := b.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(buf.String(), `"Train":{`, `"Train":{"BatchSize":0,`, 1)
+	if legacy == buf.String() {
+		t.Fatal("saved bundle has no Train object to inject into")
+	}
+	loaded, err := Load(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Meta, b.Meta) {
+		t.Fatalf("metadata changed: %+v, want %+v", loaded.Meta, b.Meta)
+	}
+	want, got := make([]float64, rows), make([]float64, rows)
+	wantVar, gotVar := make([]float64, rows), make([]float64, rows)
+	b.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, want, wantVar)
+	loaded.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, got, gotVar)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(gotVar[i]) != math.Float64bits(wantVar[i]) {
+			t.Fatalf("row %d: loaded (%v, %v), original (%v, %v)", i, got[i], gotVar[i], want[i], wantVar[i])
 		}
 	}
 }

@@ -3,9 +3,9 @@
 // multi-node scale. A coordinator splits the flat index range of a
 // design space into shards aligned to absolute chunk boundaries,
 // dispatches them to the nodes' POST /v1/sweep/shard endpoints with
-// bounded in-flight concurrency (optionally weighted by a probed
-// per-node points/s), requeues shards whose node fails or times out
-// onto the surviving nodes, and merges the returned partial
+// bounded in-flight concurrency per node (a pull queue, so faster
+// nodes take more shards), requeues shards whose node fails or times
+// out onto the surviving nodes, and merges the returned partial
 // reductions strictly in shard order. A node answering 429 under
 // admission control is back-pressure, not failure: the dispatch slot
 // honors the Retry-After hint and re-sends the shard without charging
@@ -38,9 +38,7 @@ import (
 
 // Coordinator defaults.
 const (
-	// DefaultInFlight is the in-flight shard bound per node (the
-	// fastest node under probing; slower nodes get proportionally
-	// fewer slots, minimum one).
+	// DefaultInFlight is the in-flight shard bound per node.
 	DefaultInFlight = 2
 	// DefaultRetries is how many times one shard may fail — across
 	// all nodes — before the sweep gives up.
@@ -85,8 +83,6 @@ type Config struct {
 	// run.
 	ShardPoints int
 	// InFlight bounds in-flight shards per node (0 = DefaultInFlight).
-	// With probing, the fastest node keeps InFlight shards in flight
-	// and slower nodes proportionally fewer (minimum one).
 	InFlight int
 	// Retries is the per-shard failure budget across all nodes before
 	// the sweep fails (0 = DefaultRetries).
@@ -98,18 +94,14 @@ type Config struct {
 	// Timeout bounds one shard request (0 = DefaultTimeout); a
 	// timed-out shard is requeued like any other node failure.
 	Timeout time.Duration
-	// Probe measures each node's points/s on one warm-up chunk before
-	// planning, weighting dispatch slots by relative throughput and
-	// dropping nodes that cannot serve the request at all.
-	Probe bool
 	// Client is the HTTP client shards ride on (nil = a default
 	// client; per-request deadlines come from Timeout).
 	Client *http.Client
 	// OnProgress, when non-nil, is called from the merge loop — in
 	// shard order, on the Run goroutine — with design points covered.
 	OnProgress func(done, total int)
-	// Logf, when non-nil, receives scheduling events: probe results,
-	// shard failures, requeues, node retirements.
+	// Logf, when non-nil, receives scheduling events: shard failures,
+	// requeues, node retirements.
 	Logf func(format string, args ...any)
 }
 
@@ -262,10 +254,10 @@ func parseRetryAfterAt(h string, now time.Time) time.Duration {
 	return d
 }
 
-// Run executes the coordinated sweep: discovery, optional probing,
-// shard planning, weighted dispatch with failure requeue, and the
-// ordered merge. The result is bit-identical to a single-process
-// sweep.Run over the same bundles and request (timing fields aside).
+// Run executes the coordinated sweep: discovery, shard planning,
+// dispatch with failure requeue, and the ordered merge. The result is
+// bit-identical to a single-process sweep.Run over the same bundles and
+// request (timing fields aside).
 func (c *Coordinator) Run(ctx context.Context) (*sweep.Result, error) {
 	wall := time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
@@ -280,33 +272,19 @@ func (c *Coordinator) Run(ctx context.Context) (*sweep.Result, error) {
 		chunk = sweep.DefaultChunkSize
 	}
 
-	weights := make([]float64, len(c.nodes))
-	for i := range weights {
-		weights[i] = 1
-	}
-	if c.cfg.Probe {
-		if weights, err = c.probe(runCtx, size, chunk, spaceName); err != nil {
-			return nil, err
-		}
-	}
-	slots := slotPlan(weights, c.inFlight())
-	shards := planShards(size, chunk, c.cfg.ShardPoints, sumInts(slots))
+	slots := c.inFlight()
+	shards := planShards(size, chunk, c.cfg.ShardPoints, slots*len(c.nodes))
 	c.logf("cluster: %d nodes, %d shards of ≤%d points, %d dispatch slots",
-		len(c.nodes), len(shards), shards[0].end-shards[0].start, sumInts(slots))
+		len(c.nodes), len(shards), shards[0].end-shards[0].start, slots*len(c.nodes))
 
 	sc := newSched(c.nodes, shards, c.retries(), c.nodeFailures(), cancel, c.logf)
-	for i, w := range weights {
-		if w < 0 {
-			sc.retire(i, fmt.Errorf("probe failed"))
-		}
-	}
 	stopWatch := context.AfterFunc(runCtx, sc.stop)
 	defer stopWatch()
 
 	results := make(chan shardResult, len(shards))
 	var wg sync.WaitGroup
 	for n := range c.nodes {
-		for s := 0; s < slots[n]; s++ {
+		for s := 0; s < slots; s++ {
 			wg.Add(1)
 			go func(n int) {
 				defer wg.Done()
@@ -389,7 +367,7 @@ func (c *Coordinator) nodeWorker(ctx context.Context, sc *sched, node int, space
 		var p *sweep.Partial
 		var err error
 		for attempt := 0; ; attempt++ {
-			p, _, err = c.runShard(ctx, node, sh.start, sh.end, spaceName)
+			p, err = c.runShard(ctx, node, sh.start, sh.end, spaceName)
 			var throttled *throttledError
 			if err == nil || ctx.Err() != nil || !errors.As(err, &throttled) || attempt >= maxThrottleRetries {
 				break
@@ -425,23 +403,23 @@ func (c *Coordinator) nodeWorker(ctx context.Context, sc *sched, node int, space
 // validates the returned partial's identity. Shard traffic always
 // rides the binary wire format (see internal/serve/wire.go); only
 // error bodies are JSON.
-func (c *Coordinator) runShard(ctx context.Context, node int, start, end int, spaceName string) (*sweep.Partial, float64, error) {
+func (c *Coordinator) runShard(ctx context.Context, node int, start, end int, spaceName string) (*sweep.Partial, error) {
 	nodeURL := c.nodes[node]
 	req := serve.ShardRequest{SweepRequest: c.cfg.Request, Start: start, End: end}
 	body, err := req.MarshalBinary()
 	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: encode shard request: %w", err)
+		return nil, fmt.Errorf("cluster: encode shard request: %w", err)
 	}
 	reqCtx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(reqCtx, http.MethodPost, nodeURL+"/v1/sweep/shard", bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	httpReq.Header.Set("Content-Type", serve.ShardRequestMediaType)
 	resp, err := c.client.Do(httpReq)
 	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: node %s: %w", nodeURL, err)
+		return nil, fmt.Errorf("cluster: node %s: %w", nodeURL, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -461,7 +439,7 @@ func (c *Coordinator) runShard(ctx context.Context, node int, start, end int, sp
 		case http.StatusTooManyRequests:
 			err = &throttledError{after: parseRetryAfter(resp.Header.Get("Retry-After")), err: err}
 		}
-		return nil, 0, err
+		return nil, err
 	}
 	var doc serve.ShardResponse
 	raw, err := io.ReadAll(resp.Body)
@@ -469,13 +447,13 @@ func (c *Coordinator) runShard(ctx context.Context, node int, start, end int, sp
 		err = doc.UnmarshalBinary(raw)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: node %s: undecodable shard response: %w", nodeURL, err)
+		return nil, fmt.Errorf("cluster: node %s: undecodable shard response: %w", nodeURL, err)
 	}
 	p := doc.Partial
 	if p == nil || p.Start != start || p.End != end || (spaceName != "" && p.Space != spaceName) {
-		return nil, 0, fmt.Errorf("cluster: node %s answered the wrong shard (want %s[%d,%d))", nodeURL, spaceName, start, end)
+		return nil, fmt.Errorf("cluster: node %s answered the wrong shard (want %s[%d,%d))", nodeURL, spaceName, start, end)
 	}
-	return p, doc.PointsPerSec, nil
+	return p, nil
 }
 
 // nodeModels is the slice of GET /v1/models this coordinator reads.
@@ -554,78 +532,6 @@ func (c *Coordinator) discover(ctx context.Context) (size int, spaceName string,
 	return 0, "", fmt.Errorf("cluster: no node answered discovery; last error: %v", lastErr)
 }
 
-// probe measures each node's shard throughput on the first chunk of
-// the space. Nodes that fail get weight -1 (excluded); at least one
-// must survive.
-func (c *Coordinator) probe(ctx context.Context, size, chunk int, spaceName string) ([]float64, error) {
-	weights := make([]float64, len(c.nodes))
-	errs := make([]error, len(c.nodes))
-	end := min(size, chunk)
-	var wg sync.WaitGroup
-	for i := range c.nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, pps, err := c.runShard(ctx, i, 0, end, spaceName)
-			if err != nil {
-				weights[i], errs[i] = -1, err
-				return
-			}
-			if pps <= 0 {
-				pps = 1
-			}
-			weights[i] = pps
-		}(i)
-	}
-	wg.Wait()
-	ok := false
-	var lastErr error
-	for i, w := range weights {
-		if w < 0 {
-			var rejected *rejectedError
-			if errors.As(errs[i], &rejected) {
-				// Deterministic request rejection: every node gets the
-				// same bytes, so dropping nodes one probe at a time
-				// would only obscure the real problem.
-				return nil, errs[i]
-			}
-			c.logf("cluster: probe: dropping node %s: %v", c.nodes[i], errs[i])
-			lastErr = errs[i]
-			continue
-		}
-		ok = true
-		c.logf("cluster: probe: node %s at %.0f points/s", c.nodes[i], w)
-	}
-	if !ok {
-		return nil, fmt.Errorf("cluster: every node failed the probe; last error: %w", lastErr)
-	}
-	return weights, nil
-}
-
-// slotPlan converts per-node throughput weights into dispatch slots:
-// the fastest node gets inFlight slots, slower nodes proportionally
-// fewer, never below one; probe-failed nodes (weight < 0) get none.
-func slotPlan(weights []float64, inFlight int) []int {
-	maxW := 0.0
-	for _, w := range weights {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	slots := make([]int, len(weights))
-	for i, w := range weights {
-		if w < 0 {
-			continue
-		}
-		s := int(w/maxW*float64(inFlight) + 0.5)
-		if s < 1 {
-			s = 1
-		}
-		slots[i] = s
-	}
-	return slots
-}
-
 // planShards cuts [0, size) into contiguous shards whose boundaries
 // are multiples of the chunk size, so each shard's per-chunk reduction
 // sequence is a sub-sequence of the full run's.
@@ -648,12 +554,4 @@ func planShards(size, chunk, shardPoints, totalSlots int) []shardRange {
 		out = append(out, shardRange{id: len(out), start: lo, end: min(size, lo+shardPoints)})
 	}
 	return out
-}
-
-func sumInts(v []int) int {
-	s := 0
-	for _, x := range v {
-		s += x
-	}
-	return s
 }

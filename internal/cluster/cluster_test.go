@@ -288,18 +288,21 @@ func TestClusterSurvivesNodeFailure(t *testing.T) {
 	}
 }
 
-// TestClusterProbeDropsBrokenNode: with probing on, a node that
-// cannot run shards is excluded up front and the sweep proceeds on
-// the healthy ones.
+// TestClusterProbeDropsBrokenNode: a node that cannot run any shard is
+// retired by the strike path on its first failure, with no startup
+// probe, and the sweep proceeds on the healthy node. The healthy node
+// holds its shards until the broken one has failed, so the failure
+// path always runs.
 func TestClusterProbeDropsBrokenNode(t *testing.T) {
 	want := canonJSON(t, localRun(t, 5, 8))
-	mw, _, _ := failingNode(0, "500") // fails every shard, including the probe
+	mw, calls, failed := failingNode(0, "500") // fails every shard
 	coord, err := New(Config{
-		Nodes:       []string{newNode(t, mw).URL, newNode(t, nil).URL},
-		Request:     serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8},
-		ShardPoints: 16,
-		Probe:       true,
-		Logf:        t.Logf,
+		Nodes:        []string{newNode(t, mw).URL, newNode(t, heldNode(failed)).URL},
+		Request:      serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8},
+		ShardPoints:  16,
+		InFlight:     1,
+		NodeFailures: 1,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +312,10 @@ func TestClusterProbeDropsBrokenNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := canonJSON(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("probed result diverged\ngot  %s\nwant %s", got, want)
+		t.Fatalf("result diverged after dropping the broken node\ngot  %s\nwant %s", got, want)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("broken node saw %d shard calls, want exactly 1 before it was dropped", calls.Load())
 	}
 }
 
@@ -439,18 +445,6 @@ func TestPlanShards(t *testing.T) {
 	for _, sh := range planShards(1<<30, sweep.DefaultChunkSize, 0, 2) {
 		if n := sh.end - sh.start; n > DefaultMaxShardPoints+sweep.DefaultChunkSize {
 			t.Fatalf("auto shard [%d,%d) has %d points, cap is %d", sh.start, sh.end, n, DefaultMaxShardPoints)
-		}
-	}
-}
-
-// TestSlotPlan: probe weights translate into proportional slots with
-// a floor of one, and probe-failed nodes get none.
-func TestSlotPlan(t *testing.T) {
-	got := slotPlan([]float64{100, 50, 10, -1}, 4)
-	want := []int{4, 2, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("slotPlan = %v, want %v", got, want)
 		}
 	}
 }

@@ -130,18 +130,6 @@ func (s *sched) fail(node int, sh *shardState, err error) {
 	s.cond.Broadcast()
 }
 
-// retire drops a node before dispatch starts (probe failure).
-func (s *sched) retire(node int, err error) {
-	s.mu.Lock()
-	if !s.dead[node] {
-		s.dead[node] = true
-		s.logf("cluster: node %s excluded: %v", s.nodes[node], err)
-	}
-	s.rebalanceLocked()
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
 // rebalanceLocked keeps every pending shard runnable somewhere: if all
 // nodes are gone the sweep fails, and a shard excluded from every
 // surviving node gets its exclusions cleared so it may retry anywhere

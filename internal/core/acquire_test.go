@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -172,7 +173,8 @@ func TestAcquireVarianceMatchesNaive(t *testing.T) {
 		a := NewBatchSelector(sp, enc, stats.NewRNG(seed))
 		b := NewBatchSelector(sp, enc, stats.NewRNG(seed))
 		idxs, xs := a.drawPool(8, 40)
-		_, vs := ens.PredictVarianceBatch(xs, len(idxs), nil, nil)
+		vs := make([]float64, len(idxs))
+		ens.PredictBatch(0, xs, len(idxs), ann.KernelExact, nil, vs)
 		want := naiveTopVariance(idxs, vs, 8)
 		got, err := acq.Select(b, ens, nil, 8, 40)
 		if err != nil {
@@ -247,7 +249,8 @@ func TestAcquireConstraintsPreferFeasible(t *testing.T) {
 		for i, idx := range idxs {
 			enc.EncodeIndex(idx, xs[i*width:(i+1)*width])
 		}
-		mean, _ := ens.PredictOutputVarianceBatch(0, xs, len(idxs), nil, nil)
+		mean := make([]float64, len(idxs))
+		ens.PredictBatch(0, xs, len(idxs), ann.KernelExact, mean, nil)
 		return mean
 	}
 	all := make([]int, sp.Size())

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -69,7 +70,8 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 	cfg.Train.Patience = 15
 	ens, probes := trainSynthEnsemble(t, cfg, 9)
 	xs, rows := flatten(probes)
-	want := ens.PredictBatch(xs, rows, nil)
+	want := make([]float64, rows)
+	ens.PredictBatch(0, xs, rows, ann.KernelExact, want, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 4)
@@ -77,7 +79,8 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got := ens.PredictBatch(xs, rows, nil)
+			got := make([]float64, rows)
+			ens.PredictBatch(0, xs, rows, ann.KernelExact, got, nil)
 			for i := range got {
 				if got[i] != want[i] {
 					errs <- "PredictBatch diverged under concurrency"

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/explore"
@@ -199,7 +200,8 @@ func TestVarianceSelectionPrefersUncertainPoints(t *testing.T) {
 	for idx := 0; idx < sp.Size(); idx++ {
 		xs = append(xs, enc.EncodeIndex(idx, nil)...)
 	}
-	_, vs := first.PredictVarianceBatch(xs, sp.Size(), nil, nil)
+	vs := make([]float64, sp.Size())
+	first.PredictBatch(0, xs, sp.Size(), ann.KernelExact, nil, vs)
 	simulated := map[int]bool{}
 	for _, idx := range d.Samples()[:20] {
 		simulated[idx] = true

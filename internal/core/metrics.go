@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/ann"
 )
@@ -98,18 +97,6 @@ func NewMetricSet(metrics []Metric) (*MetricSet, error) {
 	return s, nil
 }
 
-// meanScratchPool holds throwaway mean buffers for variance-only
-// metric groups.
-var meanScratchPool = sync.Pool{New: func() any { return new([]float64) }}
-
-func getMeanScratch(rows int) []float64 {
-	buf := meanScratchPool.Get().(*[]float64)
-	if cap(*buf) < rows {
-		*buf = make([]float64, rows)
-	}
-	return (*buf)[:rows]
-}
-
 // group finds or adds the evaluation group for (ens, output).
 func (s *MetricSet) group(ens *Ensemble, output int) *metricGroup {
 	for i := range s.groups {
@@ -150,9 +137,8 @@ func (s *MetricSet) Minimize() []bool {
 
 // Eval scores rows encoded points (xs is row-major, rows×Inputs()) and
 // fills cols[m][r] with metric m's value for row r. Every column is
-// bit-identical to the corresponding single-metric batch call
-// (PredictOutputBatch / PredictOutputVarianceBatch), so sweep results
-// do not depend on which metrics ride along.
+// bit-identical to the corresponding single-column PredictBatch call,
+// so sweep results do not depend on which metrics ride along.
 func (s *MetricSet) Eval(xs []float64, rows int, cols [][]float64) {
 	s.EvalKernel(xs, rows, cols, ann.KernelExact)
 }
@@ -171,35 +157,23 @@ func (s *MetricSet) EvalKernel(xs []float64, rows int, cols [][]float64, mode an
 		}
 	}
 	for _, g := range s.groups {
-		switch {
-		case len(g.variance) > 0:
-			// One fused sweep yields both columns, written straight into
-			// the first metric asking for each and mirrored to the rest.
-			// A variance-only group still needs a mean buffer; pool it so
-			// streaming sweeps do not churn one allocation per chunk.
-			mean, pooled := []float64(nil), false
-			if len(g.mean) > 0 {
-				mean = cols[g.mean[0]]
-			} else {
-				mean, pooled = getMeanScratch(rows), true
-			}
-			mean, variance := g.ens.PredictOutputVarianceBatchKernel(g.output, xs, rows, mean, cols[g.variance[0]], mode)
-			for _, m := range g.mean[1:] {
-				copy(cols[m], mean)
-			}
-			for _, m := range g.variance[1:] {
-				copy(cols[m], variance)
-			}
-			if pooled {
-				meanScratchPool.Put(&mean)
-			}
-		case len(g.mean) == 1:
-			g.ens.PredictOutputBatchKernel(g.output, xs, rows, cols[g.mean[0]], mode)
-		default:
-			g.ens.PredictOutputBatchKernel(g.output, xs, rows, cols[g.mean[0]], mode)
-			for _, m := range g.mean[1:] {
-				copy(cols[m], cols[g.mean[0]])
+		// One fused sweep per group, written straight into the first
+		// metric asking for each column (nil skips it) and mirrored to
+		// the rest.
+		g.ens.PredictBatch(g.output, xs, rows, mode, firstCol(cols, g.mean), firstCol(cols, g.variance))
+		for _, ms := range [][]int{g.mean, g.variance} {
+			for i := 1; i < len(ms); i++ {
+				copy(cols[ms[i]], cols[ms[0]])
 			}
 		}
 	}
+}
+
+// firstCol returns the column of the first metric in ms, or nil when
+// ms is empty.
+func firstCol(cols [][]float64, ms []int) []float64 {
+	if len(ms) == 0 {
+		return nil
+	}
+	return cols[ms[0]]
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -47,69 +47,9 @@ func trainMultiTask(t *testing.T, seed uint64) *Ensemble {
 	return ens
 }
 
-// TestPredictOutputBatchMatchesPredictAll pins the generalized batch
-// kernel to the per-point multi-output path on every column.
-func TestPredictOutputBatchMatchesPredictAll(t *testing.T) {
-	ens := trainMultiTask(t, 11)
-	sp := synthSpace()
-	enc := newTestEncoder(sp)
-	var probes [][]float64
-	for idx := 0; idx < sp.Size(); idx += 5 {
-		probes = append(probes, enc.EncodeIndex(idx, nil))
-	}
-	xs, rows := flatten(probes)
-	for o := 0; o < ens.Outputs(); o++ {
-		got := ens.PredictOutputBatch(o, xs, rows, nil)
-		for i, p := range probes {
-			want := ens.PredictAll(p)[o]
-			if math.Abs(got[i]-want) > 1e-12*(1+math.Abs(want)) {
-				t.Fatalf("output %d point %d: batch %v vs per-point %v", o, i, got[i], want)
-			}
-		}
-	}
-	// Column 0 must be the identical computation to PredictBatch.
-	a := ens.PredictBatch(xs, rows, nil)
-	b := ens.PredictOutputBatch(0, xs, rows, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("point %d: PredictOutputBatch(0) %v != PredictBatch %v", i, b[i], a[i])
-		}
-	}
-}
-
-// TestPredictOutputVarianceBatchColumns checks the generalized
-// variance kernel: column 0 equals PredictVarianceBatch bit for bit,
-// and every column's variance is non-negative and paired with the
-// column's own mean.
-func TestPredictOutputVarianceBatchColumns(t *testing.T) {
-	ens := trainMultiTask(t, 12)
-	sp := synthSpace()
-	enc := newTestEncoder(sp)
-	var probes [][]float64
-	for idx := 0; idx < sp.Size(); idx += 7 {
-		probes = append(probes, enc.EncodeIndex(idx, nil))
-	}
-	xs, rows := flatten(probes)
-	m0, v0 := ens.PredictVarianceBatch(xs, rows, nil, nil)
-	for o := 0; o < ens.Outputs(); o++ {
-		mean, variance := ens.PredictOutputVarianceBatch(o, xs, rows, nil, nil)
-		wantMean := ens.PredictOutputBatch(o, xs, rows, nil)
-		for i := range mean {
-			if mean[i] != wantMean[i] {
-				t.Fatalf("output %d point %d: variance-path mean %v != batch mean %v", o, i, mean[i], wantMean[i])
-			}
-			if variance[i] < 0 {
-				t.Fatalf("output %d point %d: negative variance %v", o, i, variance[i])
-			}
-			if o == 0 && (mean[i] != m0[i] || variance[i] != v0[i]) {
-				t.Fatalf("point %d: output-0 path diverged from PredictVarianceBatch", i)
-			}
-		}
-	}
-}
-
-// TestPredictOutputBatchRejectsBadColumn panics on out-of-range output
-// columns rather than silently reading a wrong scaler.
+// TestPredictOutputBatchRejectsBadColumn: PredictBatch panics on
+// out-of-range output columns rather than silently reading a wrong
+// scaler.
 func TestPredictOutputBatchRejectsBadColumn(t *testing.T) {
 	ens := trainMultiTask(t, 13)
 	for _, bad := range []int{-1, ens.Outputs()} {
@@ -119,50 +59,65 @@ func TestPredictOutputBatchRejectsBadColumn(t *testing.T) {
 					t.Errorf("output %d accepted", bad)
 				}
 			}()
-			ens.PredictOutputBatch(bad, nil, 0, nil)
+			ens.PredictBatch(bad, nil, 0, ann.KernelExact, nil, nil)
 		}()
 	}
 }
 
-// TestMetricSetEvalMatchesDirectCalls pins the adapter's columns to
-// the underlying batch kernels, bit for bit, across two models and a
-// shared-sweep (mean + variance of one output) group.
+// TestMetricSetEvalMatchesDirectCalls pins every adapter column to a
+// PredictBatch call that asks for that column alone, bit for bit:
+// across two models, a shared-sweep (mean + variance of one output)
+// group, a mirrored duplicate column, and variance-only groups.
 func TestMetricSetEvalMatchesDirectCalls(t *testing.T) {
 	perf := trainMultiTask(t, 21)
 	energy := trainMultiTask(t, 22)
-	set, err := NewMetricSet([]Metric{
-		{Name: "perf", Ens: perf},
-		{Name: "conf", Ens: perf, Kind: MetricVariance, Minimize: true},
-		{Name: "energy", Ens: energy, Output: 1, Minimize: true},
-		{Name: "perf2", Ens: perf}, // duplicate column: shares perf's sweep
-	})
-	if err != nil {
-		t.Fatal(err)
+	sets := [][]Metric{
+		{
+			{Name: "perf", Ens: perf},
+			{Name: "conf", Ens: perf, Kind: MetricVariance, Minimize: true},
+			{Name: "energy", Ens: energy, Output: 1, Minimize: true},
+			{Name: "perf2", Ens: perf}, // duplicate column: shares perf's sweep
+		},
+		{{Name: "conf", Ens: perf, Kind: MetricVariance}},
+		{
+			{Name: "conf", Ens: perf, Kind: MetricVariance},
+			{Name: "conf-min", Ens: perf, Kind: MetricVariance, Minimize: true},
+			{Name: "energy-conf", Ens: energy, Output: 1, Kind: MetricVariance},
+		},
 	}
 	sp := synthSpace()
 	enc := newTestEncoder(sp)
 	rows := 50
 	xs := enc.EncodeRange(0, rows, nil)
-	cols := make([][]float64, set.Len())
-	for m := range cols {
-		cols[m] = make([]float64, rows)
+	for i, metrics := range sets {
+		set, err := NewMetricSet(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([][]float64, set.Len())
+		for m := range cols {
+			cols[m] = make([]float64, rows)
+		}
+		set.Eval(xs, rows, cols)
+		for m, metric := range metrics {
+			want := make([]float64, rows)
+			if metric.Kind == MetricVariance {
+				metric.Ens.PredictBatch(metric.Output, xs, rows, ann.KernelExact, nil, want)
+			} else {
+				metric.Ens.PredictBatch(metric.Output, xs, rows, ann.KernelExact, want, nil)
+			}
+			for r := 0; r < rows; r++ {
+				if cols[m][r] != want[r] {
+					t.Fatalf("set %d row %d: %s column %v != %v", i, r, metric.Name, cols[m][r], want[r])
+				}
+			}
+		}
 	}
-	set.Eval(xs, rows, cols)
 
-	wantPerf, wantConf := perf.PredictVarianceBatch(xs, rows, nil, nil)
-	wantEnergy := energy.PredictOutputBatch(1, xs, rows, nil)
-	for r := 0; r < rows; r++ {
-		if cols[0][r] != wantPerf[r] || cols[3][r] != wantPerf[r] {
-			t.Fatalf("row %d: perf columns %v/%v != %v", r, cols[0][r], cols[3][r], wantPerf[r])
-		}
-		if cols[1][r] != wantConf[r] {
-			t.Fatalf("row %d: conf column %v != %v", r, cols[1][r], wantConf[r])
-		}
-		if cols[2][r] != wantEnergy[r] {
-			t.Fatalf("row %d: energy column %v != %v", r, cols[2][r], wantEnergy[r])
-		}
+	set, err := NewMetricSet(sets[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	if got := set.Names(); len(got) != 4 || got[0] != "perf" || got[2] != "energy" {
 		t.Fatalf("names = %v", got)
 	}

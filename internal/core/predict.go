@@ -40,131 +40,69 @@ func getPredictScratch(members int) *predictScratch {
 // Inputs returns the encoded input width the ensemble's members expect.
 func (e *Ensemble) Inputs() int { return e.nets[0].Config().Inputs }
 
-// PredictBatch scores many encoded design points in one call: xs is a
-// flat row-major matrix of rows points (each Inputs() wide) and the
-// primary-target predictions land in out (allocated when nil), which is
-// also returned. This is the hot path for candidate-pool scoring and
-// full-space sweeps — it runs each member's batched forward kernel over
-// the whole chunk and shards chunks across the ensemble's worker bound.
+// PredictBatch is the ensemble's batched prediction kernel. It scores
+// rows encoded design points (xs is row-major, rows × Inputs()) on
+// output column output with the given kernel tier, and fills mean with
+// the ensemble mean and variance with the variance of the member
+// predictions, the active-learning disagreement signal of Chapter 7.
+// Either buffer may be nil to skip that column; a non-nil one must hold
+// exactly rows values. Chunks fan out across the ensemble's worker
+// bound, and the mode is per call, so one shared ensemble serves exact
+// and fast32 queries concurrently.
 //
-// Each output is bit-identical to Predict on the same point: rows are
-// independent, and the per-row member accumulation order is unchanged.
-func (e *Ensemble) PredictBatch(xs []float64, rows int, out []float64) []float64 {
-	return e.PredictOutputBatch(0, xs, rows, out)
-}
-
-// PredictOutputBatch is PredictBatch for an arbitrary target metric:
-// it scores the batch on ensemble output column output (0 is the
-// primary target; multi-task ensembles carry auxiliary metrics in the
-// further columns). For output 0 it is the identical computation to
-// PredictBatch — same kernels, same accumulation order, same bits.
-func (e *Ensemble) PredictOutputBatch(output int, xs []float64, rows int, out []float64) []float64 {
-	return e.PredictOutputBatchKernel(output, xs, rows, out, ann.KernelExact)
-}
-
-// PredictOutputBatchKernel is PredictOutputBatch with an explicit
-// kernel tier (see ann.KernelMode). The mode is a per-call argument so
-// one shared ensemble can serve exact and fast queries concurrently;
-// ann.KernelExact reproduces PredictOutputBatch bit for bit, while
-// ann.KernelFast32 trades the documented mathx error bounds for
-// throughput and stays bit-identical within a mode across chunking and
-// workers.
-func (e *Ensemble) PredictOutputBatchKernel(output int, xs []float64, rows int, out []float64, mode ann.KernelMode) []float64 {
-	e.checkOutput(output)
-	if rows < 0 || len(xs) != rows*e.Inputs() {
-		panic(fmt.Sprintf("core: batch of %d values is not %d rows × %d inputs", len(xs), rows, e.Inputs()))
-	}
-	if out == nil {
-		out = make([]float64, rows)
-	}
-	if len(out) != rows {
-		panic(fmt.Sprintf("core: output buffer has %d slots for %d rows", len(out), rows))
-	}
-	e.forEachChunk(rows, func(start, end int, s *ann.Scratch, preds []float64) {
-		e.predictRange(output, xs, start, end, out[start:end], s, preds, mode)
-	})
-	return out
-}
-
-// checkOutput panics when output does not name a trained target metric.
-func (e *Ensemble) checkOutput(output int) {
+// On ann.KernelExact each value is bit-identical to Predict, PredictAll
+// or PredictVariance on the same point: rows are independent and the
+// member-order accumulation is the same. ann.KernelFast32 swaps in the
+// bounded-error forward kernels and denormalization, and stays
+// bit-identical within the tier for any chunking or worker count.
+func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mode ann.KernelMode, mean, variance []float64) {
 	if output < 0 || output >= e.outputs {
 		panic(fmt.Sprintf("core: output %d out of range [0,%d)", output, e.outputs))
 	}
-}
-
-// PredictVarianceBatch is the batched PredictVariance: for each of rows
-// encoded points it computes the ensemble mean and the variance of the
-// member predictions (the active-learning disagreement signal of
-// Chapter 7). mean and variance are filled when non-nil and allocated
-// otherwise; both are returned.
-func (e *Ensemble) PredictVarianceBatch(xs []float64, rows int, mean, variance []float64) ([]float64, []float64) {
-	return e.PredictOutputVarianceBatch(0, xs, rows, mean, variance)
-}
-
-// PredictOutputVarianceBatch is PredictVarianceBatch for an arbitrary
-// target metric: mean and member disagreement on ensemble output
-// column output. For output 0 it is the identical computation to
-// PredictVarianceBatch, bit for bit.
-func (e *Ensemble) PredictOutputVarianceBatch(output int, xs []float64, rows int, mean, variance []float64) ([]float64, []float64) {
-	return e.PredictOutputVarianceBatchKernel(output, xs, rows, mean, variance, ann.KernelExact)
-}
-
-// PredictOutputVarianceBatchKernel is PredictOutputVarianceBatch with
-// an explicit kernel tier; see PredictOutputBatchKernel for the mode
-// semantics. The member mean/deviation accumulation is float64 and
-// identical across modes — only the forward kernels and the
-// denormalization transcendental differ on the fast32 tier.
-func (e *Ensemble) PredictOutputVarianceBatchKernel(output int, xs []float64, rows int, mean, variance []float64, mode ann.KernelMode) ([]float64, []float64) {
-	e.checkOutput(output)
 	if rows < 0 || len(xs) != rows*e.Inputs() {
 		panic(fmt.Sprintf("core: batch of %d values is not %d rows × %d inputs", len(xs), rows, e.Inputs()))
 	}
-	if mean == nil {
-		mean = make([]float64, rows)
-	}
-	if variance == nil {
-		variance = make([]float64, rows)
-	}
-	if len(mean) != rows || len(variance) != rows {
+	if (mean != nil && len(mean) != rows) || (variance != nil && len(variance) != rows) {
 		panic(fmt.Sprintf("core: mean/variance buffers have %d/%d slots for %d rows", len(mean), len(variance), rows))
 	}
 	members := len(e.nets)
 	e.forEachChunk(rows, func(start, end int, s *ann.Scratch, preds []float64) {
 		cnt := end - start
 		// preds[m*cnt+r] is member m's prediction for row start+r.
-		if mode == ann.KernelExact {
-			for m, n := range e.nets {
-				outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, ann.KernelExact)
-				for r := 0; r < cnt; r++ {
-					preds[m*cnt+r] = e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
+		for m, n := range e.nets {
+			outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, mode)
+			dst := preds[m*cnt : (m+1)*cnt]
+			if mode == ann.KernelExact {
+				for r := range dst {
+					dst[r] = e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
 				}
-			}
-		} else {
-			for m, n := range e.nets {
-				outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, mode)
-				e.denormalizeFast(output, outM, cnt, preds[m*cnt:(m+1)*cnt])
+			} else {
+				e.denormalizeFast(output, outM, cnt, dst)
 			}
 		}
 		// Same accumulation order as the per-point PredictVariance:
-		// member-order sum for the mean, then member-order squared
-		// deviations.
+		// member-order sum and one division for the mean, then
+		// member-order squared deviations.
 		for r := 0; r < cnt; r++ {
 			var sum float64
 			for m := 0; m < members; m++ {
 				sum += preds[m*cnt+r]
 			}
 			mu := sum / float64(members)
+			if mean != nil {
+				mean[start+r] = mu
+			}
+			if variance == nil {
+				continue
+			}
 			var ss float64
 			for m := 0; m < members; m++ {
 				d := preds[m*cnt+r] - mu
 				ss += d * d
 			}
-			mean[start+r] = mu
 			variance[start+r] = ss / float64(members)
 		}
 	})
-	return mean, variance
 }
 
 // denormalizeFast maps one member's model-space output column back to
@@ -199,7 +137,7 @@ func (e *Ensemble) PredictIndices(enc *encoding.Encoder, idxs []int) []float64 {
 		for i, idx := range idxs[lo:hi] {
 			enc.EncodeIndex(idx, xs[i*width:(i+1)*width])
 		}
-		e.PredictBatch(xs[:(hi-lo)*width], hi-lo, out[lo:hi])
+		e.PredictBatch(0, xs[:(hi-lo)*width], hi-lo, ann.KernelExact, out[lo:hi], nil)
 	}
 	return out
 }
@@ -228,36 +166,6 @@ func (e *Ensemble) TrueError(enc *encoding.Encoder, idxs []int, truth []float64)
 	}
 	mean, sd = stats.MeanStd(errs)
 	return mean, sd, len(errs)
-}
-
-// predictRange scores rows [start, end) on one output column into out,
-// reusing s; tmp is a ≥cnt scratch column for the fast32 tier's
-// batched denormalization.
-func (e *Ensemble) predictRange(output int, xs []float64, start, end int, out []float64, s *ann.Scratch, tmp []float64, mode ann.KernelMode) {
-	cnt := end - start
-	for i := range out {
-		out[i] = 0
-	}
-	if mode == ann.KernelExact {
-		for _, n := range e.nets {
-			outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, ann.KernelExact)
-			for r := 0; r < cnt; r++ {
-				out[r] += e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
-			}
-		}
-	} else {
-		for _, n := range e.nets {
-			outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, mode)
-			e.denormalizeFast(output, outM, cnt, tmp[:cnt])
-			for r := 0; r < cnt; r++ {
-				out[r] += tmp[r]
-			}
-		}
-	}
-	members := float64(len(e.nets))
-	for r := range out {
-		out[r] /= members
-	}
 }
 
 // forEachChunk splits [0, rows) into predictChunk-sized ranges and runs

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -45,39 +46,151 @@ func flatten(points [][]float64) ([]float64, int) {
 	return out, len(points)
 }
 
-// TestPredictBatchMatchesPredict is the ensemble-level parity property
-// from the paper's perspective: scoring a batch must be a pure
-// performance change, with every prediction within 1e-12 of the
-// per-point path (the implementation is in fact bit-identical).
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	cfg := fastModel()
-	cfg.Seed = 31
-	ens, probes := trainSynthEnsemble(t, cfg, 7)
-	xs, rows := flatten(probes)
-	got := ens.PredictBatch(xs, rows, nil)
-	for i, p := range probes {
-		want := ens.Predict(p)
-		if math.Abs(got[i]-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("point %d: batch %v vs per-point %v", i, got[i], want)
+// perPointVariance is PredictVariance's member loop on any output
+// column: the per-point reference for batched variance on auxiliary
+// outputs, which have no per-point method of their own.
+func perPointVariance(e *Ensemble, x []float64, output int) (mean, variance float64) {
+	s := ann.NewScratch()
+	preds := make([]float64, len(e.nets))
+	var sum float64
+	for i, n := range e.nets {
+		preds[i] = e.untransform(e.scalers[output].Unscale(n.ForwardBatch(x, 1, s)[output]))
+		sum += preds[i]
+	}
+	mean = sum / float64(len(preds))
+	var ss float64
+	for _, p := range preds {
+		d := p - mean
+		ss += d * d
+	}
+	return mean, ss / float64(len(preds))
+}
+
+// predictBatchTable is the batch/per-point parity table behind the
+// PredictBatch tests. For every output column of a two-output
+// ensemble, several worker counts and batch sizes up to three
+// predictChunk chunks, a call with the given buffers ("mean", "variance"
+// or "both") must write exact-tier values bit-identical to the
+// per-point methods — means to PredictAll, output-0 variances to
+// PredictVariance, and the rest to PredictVariance's loop on their
+// column. On the fast32 tier every setting must reproduce one
+// sequential mean+variance call.
+func predictBatchTable(t *testing.T, cols string) {
+	t.Helper()
+	ens := trainMultiTask(t, 11)
+	sp := synthSpace()
+	enc := newTestEncoder(sp)
+	width := enc.Width()
+	// The synthetic space has 120 points; tiling it to 1100 rows runs
+	// the kernel over two full chunks and a partial one.
+	const rows = 1100
+	xs := make([]float64, rows*width)
+	for r := 0; r < rows; r++ {
+		enc.EncodeIndex(r%sp.Size(), xs[r*width:(r+1)*width])
+	}
+
+	type ref struct{ mean, variance float64 }
+	want := make([][]ref, ens.Outputs()) // want[o][idx]
+	for idx := 0; idx < sp.Size(); idx++ {
+		x := xs[idx*width : (idx+1)*width]
+		all := ens.PredictAll(x)
+		for o := range want {
+			m, v := perPointVariance(ens, x, o)
+			if m != all[o] {
+				t.Fatalf("point %d output %d: reference mean %v != PredictAll %v", idx, o, m, all[o])
+			}
+			want[o] = append(want[o], ref{m, v})
+		}
+		if m, v := ens.PredictVariance(x); m != want[0][idx].mean || v != want[0][idx].variance {
+			t.Fatalf("point %d: reference (%v, %v) != PredictVariance (%v, %v)", idx, want[0][idx].mean, want[0][idx].variance, m, v)
+		}
+	}
+	fast := make([][]ref, ens.Outputs()) // fast[o][r], one sequential call per column
+	ens.SetWorkers(1)
+	for o := range fast {
+		mean, variance := make([]float64, rows), make([]float64, rows)
+		ens.PredictBatch(o, xs, rows, ann.KernelFast32, mean, variance)
+		for r := range mean {
+			fast[o] = append(fast[o], ref{mean[r], variance[r]})
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		ens.SetWorkers(workers)
+		for _, n := range []int{0, 1, 7, sp.Size(), rows} {
+			for o := 0; o < ens.Outputs(); o++ {
+				for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
+					var mean, variance []float64
+					if cols != "variance" {
+						mean = make([]float64, n)
+					}
+					if cols != "mean" {
+						variance = make([]float64, n)
+					}
+					ens.PredictBatch(o, xs[:n*width], n, mode, mean, variance)
+					for r := 0; r < n; r++ {
+						w := want[o][r%sp.Size()]
+						if mode == ann.KernelFast32 {
+							w = fast[o][r]
+						}
+						if mean != nil && mean[r] != w.mean {
+							t.Fatalf("workers=%d rows=%d output %d %v %s: row %d mean %v, want %v", workers, n, o, mode, cols, r, mean[r], w.mean)
+						}
+						if variance != nil && variance[r] != w.variance {
+							t.Fatalf("workers=%d rows=%d output %d %v %s: row %d variance %v, want %v", workers, n, o, mode, cols, r, variance[r], w.variance)
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestPredictVarianceBatchMatchesPerPoint checks the active-learning
-// disagreement signal survives batching unchanged.
-func TestPredictVarianceBatchMatchesPerPoint(t *testing.T) {
-	cfg := fastModel()
-	cfg.Seed = 32
-	ens, probes := trainSynthEnsemble(t, cfg, 8)
+// TestPredictBatchMatchesPredict: scoring a batch is a pure
+// performance change — a call that fills both buffers matches the
+// per-point methods bit for bit.
+func TestPredictBatchMatchesPredict(t *testing.T) { predictBatchTable(t, "both") }
+
+// TestPredictOutputBatchMatchesPredictAll: a mean-only call matches
+// PredictAll on every output column.
+func TestPredictOutputBatchMatchesPredictAll(t *testing.T) { predictBatchTable(t, "mean") }
+
+// TestPredictVarianceBatchMatchesPerPoint: the active-learning
+// disagreement signal survives batching unchanged, also when the
+// caller passes no mean buffer.
+func TestPredictVarianceBatchMatchesPerPoint(t *testing.T) { predictBatchTable(t, "variance") }
+
+// TestPredictOutputVarianceBatchColumns: on every output column and
+// both tiers the two buffers are independent — a call that fills both
+// writes the bits a mean-only and a variance-only call write — and
+// every variance is non-negative.
+func TestPredictOutputVarianceBatchColumns(t *testing.T) {
+	ens := trainMultiTask(t, 12)
+	sp := synthSpace()
+	enc := newTestEncoder(sp)
+	var probes [][]float64
+	for idx := 0; idx < sp.Size(); idx += 7 {
+		probes = append(probes, enc.EncodeIndex(idx, nil))
+	}
 	xs, rows := flatten(probes)
-	mean, variance := ens.PredictVarianceBatch(xs, rows, nil, nil)
-	for i, p := range probes {
-		m, v := ens.PredictVariance(p)
-		if math.Abs(mean[i]-m) > 1e-12*(1+math.Abs(m)) {
-			t.Fatalf("point %d: batch mean %v vs per-point %v", i, mean[i], m)
-		}
-		if math.Abs(variance[i]-v) > 1e-12*(1+math.Abs(v)) {
-			t.Fatalf("point %d: batch variance %v vs per-point %v", i, variance[i], v)
+	for o := 0; o < ens.Outputs(); o++ {
+		for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
+			mean, variance := make([]float64, rows), make([]float64, rows)
+			ens.PredictBatch(o, xs, rows, mode, mean, variance)
+			meanOnly, varianceOnly := make([]float64, rows), make([]float64, rows)
+			ens.PredictBatch(o, xs, rows, mode, meanOnly, nil)
+			ens.PredictBatch(o, xs, rows, mode, nil, varianceOnly)
+			for i := range mean {
+				if mean[i] != meanOnly[i] {
+					t.Fatalf("output %d %v point %d: mean %v, mean-only call %v", o, mode, i, mean[i], meanOnly[i])
+				}
+				if variance[i] != varianceOnly[i] {
+					t.Fatalf("output %d %v point %d: variance %v, variance-only call %v", o, mode, i, variance[i], varianceOnly[i])
+				}
+				if variance[i] < 0 {
+					t.Fatalf("output %d %v point %d: negative variance %v", o, mode, i, variance[i])
+				}
+			}
 		}
 	}
 }
@@ -91,10 +204,12 @@ func TestPredictBatchWorkersInvariant(t *testing.T) {
 	xs, rows := flatten(probes)
 
 	ens.SetWorkers(1)
-	serial := append([]float64(nil), ens.PredictBatch(xs, rows, nil)...)
+	serial := make([]float64, rows)
+	ens.PredictBatch(0, xs, rows, ann.KernelExact, serial, nil)
 	for _, w := range []int{2, 4, 8} {
 		ens.SetWorkers(w)
-		got := ens.PredictBatch(xs, rows, nil)
+		got := make([]float64, rows)
+		ens.PredictBatch(0, xs, rows, ann.KernelExact, got, nil)
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: point %d differs: %v vs %v", w, i, got[i], serial[i])
@@ -147,20 +262,37 @@ func TestParallelFoldTrainingMatchesSequential(t *testing.T) {
 }
 
 // TestPredictBatchEmptyAndValidation covers the degenerate and error
-// paths of the batched API.
+// paths of the batched API: zero rows score nothing, and a batch or
+// buffer of the wrong size panics.
 func TestPredictBatchEmptyAndValidation(t *testing.T) {
 	cfg := fastModel()
 	cfg.Seed = 35
-	ens, _ := trainSynthEnsemble(t, cfg, 11)
-	if out := ens.PredictBatch(nil, 0, nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d predictions", len(out))
+	ens, probes := trainSynthEnsemble(t, cfg, 11)
+	ens.PredictBatch(0, nil, 0, ann.KernelExact, nil, nil)
+	ens.PredictBatch(0, nil, 0, ann.KernelExact, []float64{}, []float64{})
+	xs, _ := flatten(probes[:2])
+	for _, c := range []struct {
+		name           string
+		xs             []float64
+		rows           int
+		mean, variance []float64
+	}{
+		{"mis-sized batch", make([]float64, 3), 2, make([]float64, 2), nil},
+		{"negative rows", nil, -1, nil, nil},
+		{"short mean", xs, 2, make([]float64, 1), nil},
+		{"empty mean", xs, 2, []float64{}, make([]float64, 2)},
+		{"long variance", xs, 2, make([]float64, 2), make([]float64, 3)},
+		{"short variance only", xs, 2, nil, make([]float64, 1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			ens.PredictBatch(0, c.xs, c.rows, ann.KernelExact, c.mean, c.variance)
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mis-sized batch did not panic")
-		}
-	}()
-	ens.PredictBatch(make([]float64, 3), 2, nil)
 }
 
 // TestTrueErrorSkipsZeroTruth pins the held-out evaluation helper the

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/ann"
 	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
@@ -63,7 +64,8 @@ func Sensitivity(ens *Ensemble, sp *space.Space, bases int, seed uint64) []AxisS
 		if cap(preds) < rows {
 			preds = make([]float64, rows)
 		}
-		preds = ens.PredictBatch(xs, rows, preds[:rows])
+		preds = preds[:rows]
+		ens.PredictBatch(0, xs, rows, ann.KernelExact, preds, nil)
 
 		var swings []float64
 		var worst float64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/stats"
@@ -98,7 +99,8 @@ func CrossApp(study *studies.Study, apps []string, perApp, evalN, traceLen int, 
 			row[enc.Width()+a] = 1
 		}
 		soloPred := solo.PredictIndices(enc, data[a].evalIdx)
-		crossPred := pooled.PredictBatch(crossX, nEval, nil)
+		crossPred := make([]float64, nEval)
+		pooled.PredictBatch(0, crossX, nEval, ann.KernelExact, crossPred, nil)
 		var soloErrs, crossErrs []float64
 		for i := range data[a].evalIdx {
 			truth := data[a].evalIPC[i]

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bundle"
@@ -77,6 +79,54 @@ func TestKillBetweenRoundsResumeBitIdentical(t *testing.T) {
 	}
 	if len(final.Samples()) != len(want.samples) {
 		t.Fatalf("final checkpoint has %d samples, want %d", len(final.Samples()), len(want.samples))
+	}
+}
+
+// TestResumeIgnoresRetiredBatchSizeField pins compatibility with
+// checkpoints that still carry the retired mini-batch training option
+// (every checkpoint written before its removal has "BatchSize":0 in its
+// model config): such a file resumes to the same final state as the
+// same checkpoint without the key, and as the uninterrupted run.
+func TestResumeIgnoresRetiredBatchSizeField(t *testing.T) {
+	cfg := exploreCfg()
+	cfg.MaxSamples = 45
+	want := uninterrupted(t, cfg, Pipeline{Workers: 2})
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.checkpoint")
+	sp := synthSpace()
+	ctx, cancel := context.WithCancel(context.Background())
+	pipe := Pipeline{Workers: 2, CheckpointPath: path}
+	pipe.OnStep = func(core.Step) { cancel() } // "kill" after the first round
+	d, err := New(sp, &synthOracle{sp: sp}, Config{ExploreConfig: cfg, Pipeline: pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run returned %v, want context.Canceled", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(raw), `"Train":{`, `"Train":{"BatchSize":0,`, 1)
+	if legacy == string(raw) {
+		t.Fatal("checkpoint has no Train object to inject into")
+	}
+	legacyPath := filepath.Join(dir, "legacy.checkpoint")
+	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, legacyPath} {
+		resumed, err := ResumeFile(p, &synthOracle{sp: synthSpace()}, Pipeline{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := resumed.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		got := runState{samples: resumed.Samples(), steps: stripTimes(resumed.Steps()), ens: ensembleBytes(t, resumed.Ensemble())}
+		requireSameRun(t, "resume "+filepath.Base(p), got, want)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestCacheBitIdentityAllTiers(t *testing.T) {
 				x := b.Encoder.EncodeIndex(point, nil)
 				wantMean := make([]float64, 1)
 				wantVar := make([]float64, 1)
-				b.Ensemble.PredictOutputVarianceBatchKernel(0, x, 1, wantMean, wantVar, tier.mode)
+				b.Ensemble.PredictBatch(0, x, 1, tier.mode, wantMean, wantVar)
 
 				body := fmt.Sprintf(`{"model":"synth","point":%d,"kernel":%q}`, point, tier.name)
 				for _, label := range []string{"computed", "cached"} {
@@ -237,7 +237,7 @@ func TestCoalescerMixedTierBatch(t *testing.T) {
 				x := b.Encoder.EncodeIndex(i, nil)
 				wantMean := make([]float64, 1)
 				wantVar := make([]float64, 1)
-				b.Ensemble.PredictOutputVarianceBatchKernel(0, x, 1, wantMean, wantVar, mode)
+				b.Ensemble.PredictBatch(0, x, 1, mode, wantMean, wantVar)
 				mean, vr, err := c.predict(x, mode, cacheKey{})
 				if err != nil {
 					errs <- err

@@ -211,7 +211,9 @@ func (c *coalescer) flush() {
 	if len(c.batch) == 0 {
 		return
 	}
-	answered := int64(0)
+	// Count before answering, so a client holding its answer already
+	// sees its request in the model's counters.
+	c.requests.Add(int64(len(c.batch)))
 
 	// Recheck the cache at flush time: a point admitted as a miss may
 	// have been filled by an earlier flush in the same linger storm.
@@ -222,7 +224,6 @@ func (c *coalescer) flush() {
 		for _, r := range c.batch {
 			if v, ok := c.cache.peek(r.key); ok {
 				r.resp <- pointResp{mean: v.mean, variance: v.variance}
-				answered++
 			} else {
 				miss = append(miss, r)
 			}
@@ -255,7 +256,7 @@ func (c *coalescer) flush() {
 			for i, r := range seg {
 				copy(xs[i*c.width:(i+1)*c.width], r.x)
 			}
-			c.ens.PredictOutputVarianceBatchKernel(0, xs, n, mean, variance, mode)
+			c.ens.PredictBatch(0, xs, n, mode, mean, variance)
 			c.flushes.Add(1)
 			c.recordBatch(n)
 			for i, r := range seg {
@@ -265,10 +266,8 @@ func (c *coalescer) flush() {
 				r.resp <- pointResp{mean: mean[i], variance: variance[i]}
 			}
 		}
-		answered += int64(rows)
 	}
 
-	c.requests.Add(answered)
 	c.batch = c.batch[:0]
 	c.part = c.part[:0]
 }

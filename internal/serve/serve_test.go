@@ -121,7 +121,8 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 	for i, p := range points {
 		b.Encoder.EncodeIndex(p, xs[i*width:(i+1)*width])
 	}
-	want := b.Ensemble.PredictBatch(xs, len(points), nil)
+	want := make([]float64, len(points))
+	b.Ensemble.PredictBatch(0, xs, len(points), ann.KernelExact, want, nil)
 
 	body, _ := json.Marshal(map[string]any{"model": "synth", "points": points})
 	resp, out := postJSON(t, ts.URL+"/v1/predict/batch", string(body))
@@ -176,7 +177,8 @@ func TestVarianceEndpointMatchesBatchKernel(t *testing.T) {
 	for i, p := range points {
 		b.Encoder.EncodeIndex(p, xs[i*width:(i+1)*width])
 	}
-	wantMean, wantVar := b.Ensemble.PredictVarianceBatch(xs, len(points), nil, nil)
+	wantMean, wantVar := make([]float64, len(points)), make([]float64, len(points))
+	b.Ensemble.PredictBatch(0, xs, len(points), ann.KernelExact, wantMean, wantVar)
 
 	body, _ := json.Marshal(map[string]any{"points": points})
 	resp, out := postJSON(t, ts.URL+"/v1/variance", string(body))

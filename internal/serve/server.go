@@ -382,7 +382,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	preds := m.Bundle.Ensemble.PredictOutputBatchKernel(0, xs, len(idxs), nil, mode)
+	preds := make([]float64, len(idxs))
+	m.Bundle.Ensemble.PredictBatch(0, xs, len(idxs), mode, preds, nil)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":       m.Name,
 		"points":      idxs,
@@ -405,7 +406,8 @@ func (s *Server) handleVariance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mean, variance := m.Bundle.Ensemble.PredictOutputVarianceBatchKernel(0, xs, len(idxs), nil, nil, mode)
+	mean, variance := make([]float64, len(idxs)), make([]float64, len(idxs))
+	m.Bundle.Ensemble.PredictBatch(0, xs, len(idxs), mode, mean, variance)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":     m.Name,
 		"points":    idxs,

@@ -20,10 +20,9 @@ type ShardRequest struct {
 }
 
 // ShardResponse carries one computed shard back to the coordinator:
-// the deterministic partial reduction, plus this node's measured
-// throughput — the signal coordinators use to weight shard dispatch.
-// Elapsed and PointsPerSec are the only fields that vary between
-// bit-identical runs.
+// the deterministic partial reduction, plus this node's measured time
+// and throughput for the shard. Elapsed and PointsPerSec are the only
+// fields that vary between bit-identical runs.
 type ShardResponse struct {
 	Partial      *sweep.Partial `json:"partial"`
 	Elapsed      time.Duration  `json:"elapsed"`

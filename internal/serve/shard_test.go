@@ -84,6 +84,46 @@ func TestSweepShardsMergeToFullRun(t *testing.T) {
 	}
 }
 
+// TestSweepShardVarianceOnly: a shard whose only metric is the model's
+// variance answers 200 with the variance leaderboard of the default
+// mean+variance sweep, and the node keeps serving afterwards. The
+// engine scores inside its own worker goroutines, where net/http does
+// not recover a panic, so any panic on this path kills the process.
+func TestSweepShardVarianceOnly(t *testing.T) {
+	ts, _, b := newTestServer(t, CoalesceOpts{})
+	req := SweepRequest{Model: "synth", TopK: 5, Chunk: 16,
+		Metrics: []sweep.MetricSpec{{Name: "conf", Model: "synth", Variance: true, Minimize: true}}}
+	status, out, msg := postShard(t, ts.URL, ShardRequest{SweepRequest: req})
+	if status != http.StatusOK {
+		t.Fatalf("variance-only shard: status %d, error %q", status, msg)
+	}
+	set, sp, err := sweep.Resolve(sweep.DefaultSpecs([]string{"synth"}),
+		map[string]*bundle.Bundle{"synth": b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep.Run(context.Background(), sp, set, sweep.Config{TopK: 5, ChunkSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out.Partial.Result()
+	for i, p := range got.TopK[0] {
+		q := want.TopK[1][i]
+		if p.Index != q.Index || p.Values[0] != q.Values[1] {
+			t.Fatalf("variance rank %d: shard has point %d (%v), mean+variance sweep %d (%v)",
+				i, p.Index, p.Values[0], q.Index, q.Values[1])
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the shard: status %d", resp.StatusCode)
+	}
+}
+
 // TestSweepShardValidation: malformed shard requests answer 4xx with
 // errors naming the problem; nothing is computed.
 func TestSweepShardValidation(t *testing.T) {

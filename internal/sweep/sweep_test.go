@@ -208,6 +208,52 @@ func TestRunSingleMetric(t *testing.T) {
 	}
 }
 
+// TestRunVarianceOnly sweeps metric sets that read only a model's
+// member disagreement — one variance axis, and two on the same model —
+// so no metric asks for the mean. The engine must match the reference,
+// and the variance leaderboard must equal the variance column of the
+// same model's mean+variance sweep.
+func TestRunVarianceOnly(t *testing.T) {
+	perf, _ := testBundles(t)
+	models := map[string]*bundle.Bundle{"perf": perf}
+	full, sp, err := Resolve([]MetricSpec{
+		{Name: "perf", Model: "perf"},
+		{Name: "conf", Model: "perf", Variance: true, Minimize: true},
+	}, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullRes, err := Run(context.Background(), sp, full, Config{TopK: 5, ChunkSize: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, specs := range [][]MetricSpec{
+		{{Name: "conf", Model: "perf", Variance: true, Minimize: true}},
+		{{Name: "conf", Model: "perf", Variance: true, Minimize: true}, {Name: "spread", Model: "perf", Variance: true}},
+	} {
+		set, sp, err := Resolve(specs, models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(context.Background(), sp, set, Config{TopK: 5, ChunkSize: 17, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Reference(sp, set, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReduction(t, "variance only", want, got)
+		for i, p := range got.TopK[0] {
+			q := fullRes.TopK[1][i]
+			if p.Index != q.Index || p.Values[0] != q.Values[1] {
+				t.Fatalf("%d metrics: variance rank %d is point %d (%v), mean+variance sweep has %d (%v)",
+					len(specs), i, p.Index, p.Values[0], q.Index, q.Values[1])
+			}
+		}
+	}
+}
+
 // TestRunProgressAndThroughput checks the streaming bookkeeping:
 // progress arrives in order and covers the space exactly once.
 func TestRunProgressAndThroughput(t *testing.T) {
