@@ -9,6 +9,24 @@ import (
 
 var allActivations = []Activation{Sigmoid, Tanh, Linear, ReLU}
 
+// apply is the scalar definition of each activation, the reference
+// applyBatch must match bit for bit.
+func (a Activation) apply(x float64) float64 {
+	switch a {
+	case Sigmoid:
+		return 1 / (1 + math.Exp(-x))
+	case Tanh:
+		return math.Tanh(x)
+	case ReLU:
+		if x < 0 {
+			return 0
+		}
+		return x
+	default:
+		return x
+	}
+}
+
 // edgeInputs are the values most likely to expose a divergence between
 // the scalar and batched exact paths: non-finite, signed zero,
 // denormal, and range-extreme inputs.
@@ -23,7 +41,8 @@ var edgeInputs = []float64{
 
 // TestApplyBatchEdgeParity pins bit-level parity of apply vs applyBatch
 // on every edge input for all four activations — the exact tier's
-// per-point/batched equivalence must hold even off the happy path.
+// activations must match their scalar definitions even off the happy
+// path.
 func TestApplyBatchEdgeParity(t *testing.T) {
 	for _, act := range allActivations {
 		batch := append([]float64(nil), edgeInputs...)

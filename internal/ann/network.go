@@ -57,25 +57,9 @@ func (a Activation) String() string {
 	return fmt.Sprintf("activation(%d)", uint8(a))
 }
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case Sigmoid:
-		return 1 / (1 + math.Exp(-x))
-	case Tanh:
-		return math.Tanh(x)
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	default:
-		return x
-	}
-}
-
-// applyBatch applies the activation to ys in place. Hoisting the
-// activation switch out of the unit loop matters on the batched hot
-// path; the per-element work is otherwise identical to apply.
+// applyBatch applies the activation to ys in place, with the switch
+// hoisted out of the element loop; both the per-example and the
+// batched forward passes go through it.
 func (a Activation) applyBatch(ys []float64) {
 	switch a {
 	case Sigmoid:
@@ -254,14 +238,16 @@ func (n *Network) NumWeights() int { return len(n.w) }
 
 func (l *layer) forward(x []float64) []float64 {
 	stride := l.in + 1
-	for j := 0; j < l.out; j++ {
+	for j := range l.output {
 		row := l.w[j*stride : j*stride+stride]
 		sum := row[l.in] // bias
+		w := row[:len(x)]
 		for i, xi := range x {
-			sum += row[i] * xi
+			sum += w[i] * xi
 		}
-		l.output[j] = l.act.apply(sum)
+		l.output[j] = sum
 	}
+	l.act.applyBatch(l.output)
 	return l.output
 }
 
@@ -324,21 +310,26 @@ func (n *Network) Train(x, target []float64, lr float64) float64 {
 	}
 
 	// Weight updates with momentum: Δw = -η ∂E/∂w + α Δw_prev.
+	// g is -lr*d hoisted out of the row: Go evaluates -lr*d*x as
+	// (-lr*d)*x, so every update keeps its bits. The rows are cut to
+	// the input length so the inner loop runs without bounds checks.
 	mom := n.cfg.Momentum
 	input := x
 	for _, l := range n.layers {
 		stride := l.in + 1
-		for j := 0; j < l.out; j++ {
-			base := j * stride
-			d := l.delta[j]
-			for i := 0; i < l.in; i++ {
-				dw := -lr*d*input[i] + mom*l.dwPrev[base+i]
-				l.w[base+i] += dw
-				l.dwPrev[base+i] = dw
+		for j, d := range l.delta {
+			g := -lr * d
+			w := l.w[j*stride : j*stride+stride]
+			prev := l.dwPrev[j*stride : j*stride+stride]
+			wIn, prevIn := w[:len(input)], prev[:len(input)]
+			for i, xi := range input {
+				dw := g*xi + mom*prevIn[i]
+				wIn[i] += dw
+				prevIn[i] = dw
 			}
-			dw := -lr*d + mom*l.dwPrev[base+l.in] // bias input is 1
-			l.w[base+l.in] += dw
-			l.dwPrev[base+l.in] = dw
+			dw := g + mom*prev[l.in] // bias input is 1
+			w[l.in] += dw
+			prev[l.in] = dw
 		}
 		input = l.output
 	}

@@ -118,6 +118,12 @@ func (c Config) Validate() error {
 	pos("L2BusBytes", float64(c.L2BusBytes))
 	pos("FSBMHz", c.FSBMHz)
 	pos("SDRAMLatNS", c.SDRAMLatNS)
+	if c.IssueWindow < 0 {
+		errs = append(errs, fmt.Errorf("sim: IssueWindow must be non-negative (0 selects the default), got %d", c.IssueWindow))
+	}
+	if c.L1DWrite != WriteBack && c.L1DWrite != WriteThrough {
+		errs = append(errs, fmt.Errorf("sim: L1DWrite must be WriteBack (%d) or WriteThrough (%d), got %d", WriteBack, WriteThrough, c.L1DWrite))
+	}
 	for _, cc := range []struct {
 		name              string
 		size, block, ways int

@@ -40,9 +40,20 @@ const (
 
 const notDone = ^uint64(0)
 
-// robEntry is one in-flight instruction.
+// robEntry is the state of one in-flight instruction. Instruction i of
+// the window occupies ring slot i&mask; live instructions never collide
+// because the ring is the ROB size rounded up to a power of two.
 type robEntry struct {
-	idx int32 // trace index
+	doneAt  uint64 // cycle the result is available; notDone until issued
+	waiters int32  // newest instruction waiting for this result, -1 if none
+	next    int32  // next instruction waiting for the same producer as this one
+}
+
+// wakeup is an instruction whose producers have all issued; it can
+// issue from cycle at on.
+type wakeup struct {
+	at  uint64
+	idx int32
 }
 
 // pendingStore tracks a dispatched, not-yet-committed store for
@@ -59,13 +70,18 @@ type machine struct {
 	bp    tournament
 	btb   btb
 
-	doneAt []uint64 // per trace index: cycle the result is available
+	ring   []robEntry
+	mask   int32
+	head   int32 // oldest in-flight instruction (the count committed)
+	robLen int
 
-	rob     []robEntry
-	robHead int
-	robLen  int
-
-	waitQ []int32 // trace indices dispatched but not yet issued, program order
+	// Issue window. An instruction waits on the consumer list of a
+	// producer that has not issued yet, then in waking until its
+	// operands arrive, then in ready until a functional unit takes it.
+	iqLen    int      // dispatched, not yet issued
+	waking   []wakeup // unordered
+	nextWake uint64   // earliest at in waking; notDone when empty
+	ready    []int32  // operands available, program order
 
 	intFree, fpFree     int
 	lsqLoadFree         int
@@ -85,58 +101,27 @@ type machine struct {
 	robOccupancySum     uint64
 	cycle               uint64
 
-	events     []uint64 // min-heap of future wakeup cycles
-	progressed bool     // any state change in the current cycle
+	progressed bool // any state change in the current cycle
 }
 
-// pushEvent records a future cycle at which machine state can change,
-// enabling exact fast-forward over idle stretches (e.g. a DRAM-bound
-// ROB stall).
-func (m *machine) pushEvent(t uint64) {
-	if t <= m.cycle {
-		return
+// nextEvent returns the first cycle after a cycle without progress at
+// which machine state can change, so run can skip the idle stretch
+// (e.g. a DRAM-bound ROB stall) exactly. Commits and issues free every
+// other resource and both count as progress, so only four clocks can
+// end the stall: an operand arriving for a woken instruction, the ROB
+// head completing, the front end restarting, and the FP divider
+// draining. notDone means none is pending.
+func (m *machine) nextEvent() uint64 {
+	next := m.nextWake
+	if m.robLen > 0 {
+		next = min(next, m.ring[m.head&m.mask].doneAt)
 	}
-	m.events = append(m.events, t)
-	i := len(m.events) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if m.events[p] <= m.events[i] {
-			break
-		}
-		m.events[p], m.events[i] = m.events[i], m.events[p]
-		i = p
-	}
-}
-
-// nextEvent returns the earliest recorded wakeup strictly after the
-// current cycle, discarding stale entries.
-func (m *machine) nextEvent() (uint64, bool) {
-	for len(m.events) > 0 {
-		top := m.events[0]
-		if top > m.cycle {
-			return top, true
-		}
-		last := len(m.events) - 1
-		m.events[0] = m.events[last]
-		m.events = m.events[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(m.events) && m.events[l] < m.events[small] {
-				small = l
-			}
-			if r < len(m.events) && m.events[r] < m.events[small] {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			m.events[i], m.events[small] = m.events[small], m.events[i]
-			i = small
+	for _, t := range [2]uint64{m.fetchStallUntil, m.fpDivFreeAt} {
+		if t > m.cycle {
+			next = min(next, t)
 		}
 	}
-	return 0, false
+	return next
 }
 
 // Run simulates tr on the architecture described by cfg and returns the
@@ -182,15 +167,21 @@ func RunWindow(cfg Config, tr *workload.Trace, lo, hi int) (Result, error) {
 }
 
 func newMachine(d *derived, cfg Config, tr *workload.Trace) *machine {
-	m := &machine{
+	ring := 1
+	for ring < cfg.ROBSize {
+		ring <<= 1
+	}
+	return &machine{
 		d:            d,
 		trace:        tr,
 		mem:          newMemSys(d),
 		bp:           newTournament(cfg.BPredEntries),
 		btb:          newBTB(cfg.BTBSets, cfg.BTBAssoc),
-		doneAt:       make([]uint64, tr.Len()),
-		rob:          make([]robEntry, cfg.ROBSize),
-		waitQ:        make([]int32, 0, d.iqCap),
+		ring:         make([]robEntry, ring),
+		mask:         int32(ring - 1),
+		nextWake:     notDone,
+		waking:       make([]wakeup, 0, d.iqCap),
+		ready:        make([]int32, 0, d.iqCap),
 		intFree:      cfg.IntRegs,
 		fpFree:       cfg.FPRegs,
 		lsqLoadFree:  cfg.LSQLoads,
@@ -198,10 +189,6 @@ func newMachine(d *derived, cfg Config, tr *workload.Trace) *machine {
 		brFree:       cfg.MaxBranches,
 		stores:       make([]pendingStore, 0, cfg.LSQStores),
 	}
-	for i := range m.doneAt {
-		m.doneAt[i] = notDone
-	}
-	return m
 }
 
 func (m *machine) run() error {
@@ -218,8 +205,8 @@ func (m *machine) run() error {
 		m.robOccupancySamples++
 		if !m.progressed {
 			// Nothing changed this cycle, so nothing can change until
-			// the next recorded event; jump straight to it.
-			if next, ok := m.nextEvent(); ok && next > m.cycle+1 {
+			// the next event; jump straight to it.
+			if next := m.nextEvent(); next != notDone && next > m.cycle+1 {
 				skipped := next - m.cycle - 1
 				m.robOccupancySum += skipped * uint64(m.robLen)
 				m.robOccupancySamples += skipped
@@ -297,9 +284,8 @@ func (m *machine) warmRange(tr *workload.Trace, lo, hi int) {
 func (m *machine) commit() {
 	cfg := &m.d.cfg
 	for retired := 0; retired < cfg.Width && m.robLen > 0; retired++ {
-		e := &m.rob[m.robHead]
-		idx := e.idx
-		if m.doneAt[idx] == notDone || m.doneAt[idx] > m.cycle {
+		idx := m.head
+		if m.ring[idx&m.mask].doneAt > m.cycle { // notDone included
 			return
 		}
 		m.progressed = true
@@ -328,10 +314,7 @@ func (m *machine) commit() {
 				m.intFree++
 			}
 		}
-		m.robHead++
-		if m.robHead == len(m.rob) {
-			m.robHead = 0
-		}
+		m.head++
 		m.robLen--
 	}
 }
@@ -340,47 +323,95 @@ func (m *machine) commit() {
 // (oldest first), binds functional units, and schedules completion
 // times. Loads consult the store queue for forwarding and otherwise
 // access the memory hierarchy.
+//
+// Only the ready list is walked. An instruction joins it once every
+// producer has issued and the latest of their results is available;
+// until then it has no claim on a functional unit, which is why
+// skipping it changes nothing. The list is exact for the whole pass:
+// every latency is at least one cycle, so an instruction issued here
+// can never make a consumer ready in this same cycle.
 func (m *machine) issue() {
+	if m.cycle >= m.nextWake {
+		m.wakeDue()
+	}
 	cfg := &m.d.cfg
 	issued := 0
 	aluUsed, fpUsed, loadUsed, storeUsed := 0, 0, 0, 0
-	w := m.waitQ[:0] // compact the survivors in place, preserving order
-	for qi, idx := range m.waitQ {
+	r := m.ready[:0] // compact the survivors in place, preserving order
+	for qi, idx := range m.ready {
 		if issued >= cfg.Width {
-			w = append(w, m.waitQ[qi:]...)
+			r = append(r, m.ready[qi:]...)
 			break
 		}
 		in := &m.trace.Insts[idx]
-		if !m.operandsReady(idx, in) || !m.fuAvailable(in.Class, &aluUsed, &fpUsed, &loadUsed, &storeUsed) {
-			w = append(w, idx)
+		if !m.fuAvailable(in.Class, &aluUsed, &fpUsed, &loadUsed, &storeUsed) {
+			r = append(r, idx)
 			continue
 		}
 		m.schedule(idx, in)
 		m.progressed = true
 		issued++
 	}
-	m.waitQ = w
+	m.ready = r
+	m.iqLen -= issued
 }
 
-// operandsReady reports whether both register sources of instruction
-// idx have produced their values by the current cycle. Producers that
-// precede the start of the trace window (which happens when simulating
-// a SimPoint interval sliced from a longer trace) are treated as
-// already available — their values were computed before the interval.
-func (m *machine) operandsReady(idx int32, in *workload.Inst) bool {
-	if in.Src1 > 0 && idx-in.Src1 >= 0 {
-		p := m.doneAt[idx-in.Src1]
-		if p == notDone || p > m.cycle {
-			return false
+// await parks instruction idx on the consumer list of its first
+// producer that has not issued, or, when all have, in waking until the
+// latest of their results is available. Producers before the trace
+// window (a SimPoint interval sliced from a longer trace) or already
+// committed count as available: their values were computed earlier.
+func (m *machine) await(idx int32) {
+	in := &m.trace.Insts[idx]
+	var at uint64
+	for _, src := range [2]int32{in.Src1, in.Src2} {
+		p := idx - src
+		if src <= 0 || p < m.head {
+			continue
 		}
-	}
-	if in.Src2 > 0 && idx-in.Src2 >= 0 {
-		p := m.doneAt[idx-in.Src2]
-		if p == notDone || p > m.cycle {
-			return false
+		e := &m.ring[p&m.mask]
+		if e.doneAt == notDone {
+			m.ring[idx&m.mask].next = e.waiters
+			e.waiters = idx
+			return
 		}
+		at = max(at, e.doneAt)
 	}
-	return true
+	if at <= m.cycle {
+		// Only at dispatch: a result issued this cycle arrives later.
+		m.markReady(idx)
+		return
+	}
+	m.waking = append(m.waking, wakeup{at: at, idx: idx})
+	m.nextWake = min(m.nextWake, at)
+}
+
+// markReady inserts idx into the ready list in program order.
+func (m *machine) markReady(idx int32) {
+	r := append(m.ready, idx)
+	i := len(r) - 1
+	for ; i > 0 && r[i-1] > idx; i-- {
+		r[i] = r[i-1]
+	}
+	r[i] = idx
+	m.ready = r
+}
+
+// wakeDue moves every woken instruction whose operands have arrived by
+// this cycle onto the ready list, keeping the list in program order.
+func (m *machine) wakeDue() {
+	next := notDone
+	w := m.waking[:0]
+	for _, e := range m.waking {
+		if e.at > m.cycle {
+			w = append(w, e)
+			next = min(next, e.at)
+			continue
+		}
+		m.markReady(e.idx)
+	}
+	m.waking = w
+	m.nextWake = next
 }
 
 // fuAvailable reserves a functional-unit slot for the class if one is
@@ -417,39 +448,46 @@ func (m *machine) fuAvailable(c workload.OpClass, alu, fp, ld, st *int) bool {
 	return true
 }
 
-// schedule computes the completion cycle for instruction idx.
+// schedule computes the completion cycle for instruction idx and wakes
+// the instructions waiting for its result.
 func (m *machine) schedule(idx int32, in *workload.Inst) {
+	var done uint64
 	switch in.Class {
 	case workload.IntALU:
-		m.doneAt[idx] = m.cycle + latIntALU
+		done = m.cycle + latIntALU
 	case workload.IntMul:
-		m.doneAt[idx] = m.cycle + latIntMul
+		done = m.cycle + latIntMul
 	case workload.FPALU:
-		m.doneAt[idx] = m.cycle + latFPALU
+		done = m.cycle + latFPALU
 	case workload.FPMul:
-		m.doneAt[idx] = m.cycle + latFPMul
+		done = m.cycle + latFPMul
 	case workload.FPDiv:
-		m.doneAt[idx] = m.cycle + latFPDiv
+		done = m.cycle + latFPDiv
 		m.fpDivFreeAt = m.cycle + latFPDiv // unpipelined divider
 	case workload.Branch:
-		m.doneAt[idx] = m.cycle + latBranch
+		done = m.cycle + latBranch
 		if m.fetchBlockedOnBr && m.pendingRedirect == idx {
 			// The mispredicted branch resolves; the front end restarts
 			// after the redirect (pipeline refill) penalty.
 			m.fetchBlockedOnBr = false
-			m.fetchStallUntil = m.doneAt[idx] + m.d.redirect
-			m.pushEvent(m.fetchStallUntil)
+			m.fetchStallUntil = done + m.d.redirect
 		}
 	case workload.Store:
-		m.doneAt[idx] = m.cycle + latAGU
+		done = m.cycle + latAGU
 	case workload.Load:
 		if fwd := m.forward(idx, in.Addr); fwd {
-			m.doneAt[idx] = m.cycle + latFwd
+			done = m.cycle + latFwd
 		} else {
-			m.doneAt[idx] = m.mem.load(in.Addr, m.cycle+latAGU)
+			done = m.mem.load(in.Addr, m.cycle+latAGU)
 		}
 	}
-	m.pushEvent(m.doneAt[idx])
+	e := &m.ring[idx&m.mask]
+	e.doneAt = done
+	for c := e.waiters; c >= 0; {
+		next := m.ring[c&m.mask].next
+		m.await(c)
+		c = next
+	}
 }
 
 // forward reports whether an older in-flight store to the same address
@@ -481,7 +519,7 @@ func (m *machine) fetch() {
 		in := &m.trace.Insts[m.fetchIdx]
 
 		// Structural resources.
-		if m.robLen == len(m.rob) || len(m.waitQ) == cap(m.waitQ) {
+		if m.robLen == cfg.ROBSize || m.iqLen == m.d.iqCap {
 			return
 		}
 		switch in.Class {
@@ -516,7 +554,6 @@ func (m *machine) fetch() {
 			m.icPrimed = true
 			if ready > m.cycle+m.d.l1iLat {
 				m.fetchStallUntil = ready
-				m.pushEvent(ready)
 				m.progressed = true
 				return
 			}
@@ -539,13 +576,11 @@ func (m *machine) fetch() {
 				m.intFree--
 			}
 		}
-		tail := m.robHead + m.robLen
-		if tail >= len(m.rob) {
-			tail -= len(m.rob)
-		}
-		m.rob[tail] = robEntry{idx: int32(m.fetchIdx)}
+		idx := int32(m.fetchIdx)
+		m.ring[idx&m.mask] = robEntry{doneAt: notDone, waiters: -1}
 		m.robLen++
-		m.waitQ = append(m.waitQ, int32(m.fetchIdx))
+		m.iqLen++
+		m.await(idx)
 		m.fetchIdx++
 		m.progressed = true
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -192,6 +193,16 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg.L1DBlock = 64
 	if _, err := Run(cfg, workload.Get("gzip", 1000)); err == nil {
 		t.Fatal("L2 block smaller than L1 block accepted")
+	}
+	cfg = testConfig()
+	cfg.IssueWindow = -1
+	if _, err := Run(cfg, workload.Get("gzip", 1000)); err == nil || !strings.Contains(err.Error(), "IssueWindow") {
+		t.Fatalf("negative issue window: got error %v, want one naming IssueWindow", err)
+	}
+	cfg = testConfig()
+	cfg.L1DWrite = 7
+	if _, err := Run(cfg, workload.Get("gzip", 1000)); err == nil || !strings.Contains(err.Error(), "L1DWrite") {
+		t.Fatalf("unknown write policy: got error %v, want one naming L1DWrite", err)
 	}
 }
 
