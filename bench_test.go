@@ -1,6 +1,7 @@
 // Package repro's root benchmarks regenerate, at benchmark scale, the
 // computational kernel behind every table and figure of the paper's
-// evaluation (see DESIGN.md's experiment index). Each benchmark prints
+// evaluation (docs/ARCHITECTURE.md's package map lists them under
+// internal/experiments, figure by figure). Each benchmark prints
 // the paper-style rows/series it produced on its first iteration via
 // b.Log, so `go test -bench . -benchmem` doubles as a miniature
 // reproduction run; `cmd/repro` produces the full-scale versions.
@@ -70,17 +71,23 @@ func BenchmarkTable41_42_SpaceEnumeration(b *testing.B) {
 }
 
 // BenchmarkSimulatorIPC measures the cycle-level simulator itself — the
-// unit of cost every experiment multiplies.
+// unit of cost every experiment multiplies — on one memory-study point
+// for two applications. At that point mcf holds 57 of 128 ROB entries
+// on average, most waiting on memory, so it exercises the wakeup path;
+// crafty holds 22.
 func BenchmarkSimulatorIPC(b *testing.B) {
-	st := studies.MemorySystem()
-	tr := workload.Get("crafty", benchTrace)
-	cfg := st.Config(12345)
-	b.ReportAllocs()
-	b.SetBytes(int64(tr.Len()))
-	for i := 0; i < b.N; i++ {
-		if _, err := simRun(cfg, tr); err != nil {
-			b.Fatal(err)
-		}
+	cfg := studies.MemorySystem().Config(12345)
+	for _, app := range []string{"mcf", "crafty"} {
+		b.Run("app="+app, func(b *testing.B) {
+			tr := workload.Get(app, benchTrace)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := simRun(cfg, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+		})
 	}
 }
 
@@ -425,16 +432,4 @@ func BenchmarkPredictBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})
-}
-
-// BenchmarkWorkloadGeneration measures synthetic-trace construction.
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// Unique length defeats the cache so generation cost is real.
-		tr := workload.Get("equake", 10000+i%7)
-		if tr.Len() == 0 {
-			b.Fatal("empty trace")
-		}
-	}
 }

@@ -43,8 +43,9 @@ type CurveConfig struct {
 	// EvalPoints is the size of the held-out evaluation sample used to
 	// measure true error. The paper evaluates on the entire remaining
 	// space; a large random sample estimates the same quantity
-	// unbiasedly (see DESIGN.md). Zero selects the full remaining
-	// space, the paper-faithful (and very expensive) setting.
+	// unbiasedly (the Quick and Standard presets in scale.go do this).
+	// Zero selects the full remaining space, the paper-faithful (and
+	// very expensive) setting of the Full preset.
 	EvalPoints int
 	// Model configures the ensemble; zero value selects
 	// core.DefaultModelConfig.

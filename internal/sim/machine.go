@@ -116,10 +116,11 @@ func (m *machine) nextEvent() uint64 {
 	if m.robLen > 0 {
 		next = min(next, m.ring[m.head&m.mask].doneAt)
 	}
-	for _, t := range [2]uint64{m.fetchStallUntil, m.fpDivFreeAt} {
-		if t > m.cycle {
-			next = min(next, t)
-		}
+	if m.fetchStallUntil > m.cycle {
+		next = min(next, m.fetchStallUntil)
+	}
+	if m.fpDivFreeAt > m.cycle {
+		next = min(next, m.fpDivFreeAt)
 	}
 	return next
 }
@@ -237,7 +238,7 @@ func (m *machine) run() error {
 // capacity misses vanish and only the CACTI latency penalty of the
 // larger array remains. Smaller L2 settings — which include the entire
 // L2 axis of the processor study — retain genuine capacity behaviour.
-// See DESIGN.md, substitutions.
+// See docs/ARCHITECTURE.md, "Simulator core".
 func (m *machine) warmRange(tr *workload.Trace, lo, hi int) {
 	var lastLine uint64
 	primed := false
@@ -378,7 +379,9 @@ func (m *machine) await(idx int32) {
 		at = max(at, e.doneAt)
 	}
 	if at <= m.cycle {
-		// Only at dispatch: a result issued this cycle arrives later.
+		// Only dispatch gets here: a consumer woken by an issue has
+		// at > cycle, so issue's walk of the ready list is never
+		// disturbed.
 		m.markReady(idx)
 		return
 	}
