@@ -172,6 +172,7 @@ func newMachine(d *derived, cfg Config, tr *workload.Trace) *machine {
 	for ring < cfg.ROBSize {
 		ring <<= 1
 	}
+	window := min(d.iqCap, cfg.ROBSize) // every waiting instruction is in the ROB
 	return &machine{
 		d:            d,
 		trace:        tr,
@@ -181,8 +182,8 @@ func newMachine(d *derived, cfg Config, tr *workload.Trace) *machine {
 		ring:         make([]robEntry, ring),
 		mask:         int32(ring - 1),
 		nextWake:     notDone,
-		waking:       make([]wakeup, 0, d.iqCap),
-		ready:        make([]int32, 0, d.iqCap),
+		waking:       make([]wakeup, 0, window),
+		ready:        make([]int32, 0, window),
 		intFree:      cfg.IntRegs,
 		fpFree:       cfg.FPRegs,
 		lsqLoadFree:  cfg.LSQLoads,
