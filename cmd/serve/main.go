@@ -29,12 +29,6 @@
 //	curl -s localhost:8080/v1/sweep -d '{"model":"mcf","topk":10}'
 //	curl -s localhost:8080/v1/jobs/job-2                # progress, then "result"
 //
-// Every server also answers POST /v1/sweep/shard — one range of a
-// sweep, computed synchronously — which is how cmd/sweep -nodes fans a
-// full-space ranking out across several serve processes (see
-// internal/cluster). Identical registries on every node keep the
-// merged result bit-identical to a single-process sweep.
-//
 // SIGINT/SIGTERM shut the server down gracefully: the listener stops,
 // in-flight requests get -drain to finish, and queued or running jobs
 // are cancelled with a recorded final state instead of vanishing
@@ -139,8 +133,7 @@ func main() {
 	kernel, err := ann.ParseKernelMode(*kernelFlag)
 	fatal(err)
 	if *kernelFlag != "" {
-		// Requests naming their own tier still win; a cluster must set
-		// the same default on every node (the merge rejects drift).
+		// Requests naming their own tier still win.
 		handler.SetDefaultKernel(kernel)
 		fmt.Printf("default kernel: %s\n", kernel)
 	}

@@ -10,7 +10,7 @@ import (
 
 // ErrField enforces the repo's validation-error convention: a
 // config/spec Validate method returns errors that name the offending
-// field ("sweep: Config.End %d is negative"), so a misconfiguration
+// field ("sweep: Config.ChunkSize %d is not positive"), so a misconfiguration
 // points at the knob to fix rather than making the operator bisect the
 // spec. Every package since PR 4 follows this by hand; the analyzer
 // makes it structural.
@@ -128,7 +128,7 @@ func errorMessageLit(pass *Pass, call *ast.CallExpr) (*ast.BasicLit, bool) {
 }
 
 // mentionsAny reports whether msg names one of names, either verbatim
-// ("Config.End") or as prose tokens ("chunk size" for ChunkSize): a
+// ("Config.ChunkSize") or as prose tokens ("chunk size" for ChunkSize): a
 // name matches when its lowercase form equals one message token or the
 // concatenation of up to three adjacent tokens.
 func mentionsAny(msg string, names []string) bool {

@@ -146,7 +146,7 @@ func (s *MetricSet) Eval(xs []float64, rows int, cols [][]float64) {
 // EvalKernel is Eval with an explicit kernel tier (see ann.KernelMode):
 // ann.KernelExact is Eval bit for bit, while ann.KernelFast32 runs the
 // bounded-error kernels — still bit-identical within a mode for any
-// chunking or worker count, so sweep shards agree across a cluster.
+// chunking or worker count.
 func (s *MetricSet) EvalKernel(xs []float64, rows int, cols [][]float64, mode ann.KernelMode) {
 	if len(cols) != len(s.metrics) {
 		panic(fmt.Sprintf("core: %d metric columns for %d metrics", len(cols), len(s.metrics)))

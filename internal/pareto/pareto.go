@@ -19,7 +19,7 @@ import (
 
 // Point is one scored design point: its flat index in the design space
 // and its value on every metric, in metric-column order. The JSON tags
-// are the sweep wire format — do not change them.
+// are the sweep result document's format — do not change them.
 type Point struct {
 	Index  int       `json:"point"`
 	Values []float64 `json:"values"`
@@ -94,15 +94,6 @@ type Frontier struct {
 // directions.
 func NewFrontier(minimize []bool) *Frontier {
 	return &Frontier{minimize: minimize}
-}
-
-// Resume rebuilds a frontier from an already-canonical point set —
-// mutually non-dominated, duplicates collapsed — so an accumulated
-// frontier (a sweep Partial's, say) can keep reducing at O(|new|·F)
-// instead of rebuilding at O(F²) per merge. The slice is adopted, not
-// copied.
-func Resume(minimize []bool, canonical []Point) *Frontier {
-	return &Frontier{minimize: minimize, pts: canonical}
 }
 
 // Len returns the current frontier size.

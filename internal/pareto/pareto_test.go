@@ -57,47 +57,11 @@ func TestCheckValuesNamesMetric(t *testing.T) {
 	}
 }
 
-// TestResumeContinuesReduction: a frontier rebuilt from a canonical
-// point set reduces new offers exactly like the frontier that never
-// stopped.
-func TestResumeContinuesReduction(t *testing.T) {
-	dir := []bool{false, true}
-	pts := []Point{
-		{0, []float64{1, 5}},
-		{1, []float64{2, 7}},
-		{2, []float64{3, 9}},
-		{3, []float64{2.5, 6}},
-	}
-	full := NewFrontier(dir)
-	for _, p := range pts {
-		if err := full.Offer(p.Index, p.Values); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := append([]Point(nil), full.Sorted()...)
-
-	half := NewFrontier(dir)
-	for _, p := range pts[:2] {
-		if err := half.Offer(p.Index, p.Values); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resumed := Resume(dir, append([]Point(nil), half.Sorted()...))
-	for _, p := range pts[2:] {
-		if err := resumed.Offer(p.Index, p.Values); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := resumed.Sorted(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed frontier %v != uninterrupted %v", indices(got), indices(want))
-	}
-}
-
 // TestMergePropagatesRejection: merge is offer-at-scale, so it carries
 // the same non-finite rejection.
 func TestMergePropagatesRejection(t *testing.T) {
 	dir := []bool{true}
-	bad := Resume(dir, []Point{{Index: 4, Values: []float64{math.NaN()}}})
+	bad := &Frontier{minimize: dir, pts: []Point{{Index: 4, Values: []float64{math.NaN()}}}}
 	f := NewFrontier(dir)
 	if err := f.Merge(bad); err == nil || !strings.Contains(err.Error(), "point 4") {
 		t.Fatalf("merge err = %v, want rejection naming point 4", err)

@@ -148,8 +148,7 @@ func gatedPath(path string) bool {
 }
 
 // clientID keys the token bucket: the self-reported X-Client-ID when
-// present (the cluster coordinator and loadgen set it), otherwise the
-// remote host.
+// present, otherwise the remote host.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client-ID"); id != "" {
 		return id

@@ -172,7 +172,6 @@ func TestGatedPaths(t *testing.T) {
 		"/v1/variance":        true,
 		"/v1/sensitivity":     true,
 		"/v1/sweep":           true,
-		"/v1/sweep/shard":     true,
 		"/v1/explore":         true,
 		"/healthz":            false,
 		"/metrics":            false,

@@ -9,9 +9,9 @@ import (
 // atomically: the alias is stable, the Version underneath is
 // monotonic, and in-flight predictions caught on the displaced
 // coalescer retry transparently against the new version (server.go).
-// A cluster rolls new models node by node without dropping traffic —
-// and because prediction-cache keys carry the version, the roll also
-// invalidates every memoized prediction of the old bundle for free.
+// New models roll in without dropping traffic — and because
+// prediction-cache keys carry the version, the roll also invalidates
+// every memoized prediction of the old bundle for free.
 
 // reloadRequest parameterizes one reload. An empty (or absent) body
 // re-reads the model's registered source path.

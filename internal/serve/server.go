@@ -50,17 +50,6 @@
 // arrives in the job's "result" with live point-count progress while
 // it runs.
 //
-// Every server — job store or not — also answers sweep *shards*
-// synchronously, which is how a cluster coordinator (internal/cluster)
-// fans one full-space ranking out across many nodes:
-//
-//	POST /v1/sweep/shard         score flat indices [start,end) → partial reduction
-//
-// The returned partial (per-metric top-k + local Pareto front, flat
-// indices into the full space) is deterministic for the loaded
-// bundles, so partials from any mix of nodes merge back bit-identical
-// to a single-process sweep.
-//
 // Design points are addressed either by flat index ("point"/"points")
 // or by explicit choice vectors ("choices"); both are validated against
 // the model's design space before encoding. Batch endpoints call the
@@ -99,8 +88,8 @@ type Server struct {
 	ctr  counters
 	adm  *admission  // nil = no admission control
 	lat  latencyHist // request-duration histogram for /metrics
-	// kernel is the forward-kernel tier applied to predict, sweep and
-	// shard requests whose "kernel" field is empty (zero value: exact).
+	// kernel is the forward-kernel tier applied to predict and sweep
+	// requests whose "kernel" field is empty (zero value: exact).
 	kernel ann.KernelMode
 }
 
@@ -124,7 +113,6 @@ func NewWithJobs(reg *Registry, jobs *JobStore) *Server {
 	s.mux.HandleFunc("POST /v1/sensitivity", s.handleSensitivity)
 	s.mux.HandleFunc("POST /v1/explore", s.handleExplore)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/sweep/shard", s.handleSweepShard)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/frontier", s.handleJobFrontier)
@@ -132,10 +120,8 @@ func NewWithJobs(reg *Registry, jobs *JobStore) *Server {
 	return s
 }
 
-// SetDefaultKernel sets the forward-kernel tier for sweep and shard
+// SetDefaultKernel sets the forward-kernel tier for predict and sweep
 // requests that leave "kernel" unset (the -kernel flag on cmd/serve).
-// Cluster deployments must configure every node identically, exactly
-// like registries — the partial merge rejects kernel-label drift.
 // Call before serving; the field is not synchronized afterwards.
 func (s *Server) SetDefaultKernel(mode ann.KernelMode) {
 	s.kernel = mode

@@ -49,11 +49,9 @@ type SweepRequest struct {
 	// Kernel names the forward-pass tier (see ann.KernelMode): "exact"
 	// keeps the bit-identical default; "fast32" trades the
 	// documented mathx error bounds for throughput. Empty defers to the
-	// serving node's -kernel default (itself exact unless configured) —
-	// cluster deployments must configure that default identically on
-	// every node, exactly like registries; the partial merge rejects
-	// kernel-label drift. Whatever the tier, results stay bit-identical
-	// within it for any Workers/Chunk setting.
+	// server's -kernel default (itself exact unless configured).
+	// Whatever the tier, results stay bit-identical within it for any
+	// Workers/Chunk setting.
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -71,10 +69,7 @@ func (r SweepRequest) kernelMode(def ann.KernelMode) ann.KernelMode {
 }
 
 // Validate checks the request's registry-independent bounds — the
-// checks a server will enforce before touching any model. Cluster
-// coordinators run it before dispatch: the same request bytes go to
-// every node, so a violation here is deterministic and must fail the
-// sweep locally instead of masquerading as node failures.
+// checks a server enforces before touching any model.
 func (r SweepRequest) Validate() error {
 	switch {
 	case r.Model != "" && len(r.Models) > 0:
@@ -102,11 +97,7 @@ func (r SweepRequest) Validate() error {
 }
 
 // resolveSweepRequest validates a sweep request's engine bounds and
-// resolves its models and metrics against the registry. It is the
-// shared admission path of asynchronous sweep jobs (POST /v1/sweep)
-// and synchronous shard runs (POST /v1/sweep/shard), so both reject
-// malformed requests with one vocabulary and — crucially for the
-// distributed merge — normalize metrics identically.
+// resolves its models and metrics against the registry.
 func resolveSweepRequest(reg *Registry, req SweepRequest) (*core.MetricSet, *space.Space, error) {
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
@@ -140,16 +131,6 @@ func resolveSweepRequest(reg *Registry, req SweepRequest) (*core.MetricSet, *spa
 	return sweep.Resolve(specs, bundles)
 }
 
-// engineWorkers resolves the request's engine pool size: 0 stays at 1
-// on the server, because the registered ensembles already fan batched
-// predictions out over the server-wide worker bound.
-func (r SweepRequest) engineWorkers() int {
-	if r.Workers == 0 {
-		return 1
-	}
-	return r.Workers
-}
-
 // SubmitSweep validates, enqueues and returns a new sweep job. The
 // metric set is resolved against the registry at submission, so a
 // request naming unknown models or incompatible spaces fails
@@ -164,7 +145,7 @@ func (s *JobStore) SubmitSweep(req SweepRequest) (JobInfo, error) {
 		cfg := sweep.Config{
 			TopK:      req.TopK,
 			ChunkSize: req.Chunk,
-			Workers:   req.engineWorkers(),
+			Workers:   max(req.Workers, 1), // 0 means 1 here; see SweepRequest.Workers
 			Kernel:    req.kernelMode(s.kernel),
 			OnProgress: func(done, total int) {
 				job.mu.Lock()
@@ -174,18 +155,6 @@ func (s *JobStore) SubmitSweep(req SweepRequest) (JobInfo, error) {
 		}
 		return sweep.Run(ctx, sp, set, cfg)
 	})
-}
-
-// sweepErrorStatus maps a sweep admission error onto its HTTP status.
-// Both sweep surfaces (async jobs and synchronous shards) must agree:
-// cluster coordinators treat a shard 400 as a deterministic request
-// rejection (sweep-fatal) and anything else as a node failure
-// (retry/retire), so the mapping is part of the distributed contract.
-func sweepErrorStatus(err error) int {
-	if strings.Contains(err.Error(), "unknown model") {
-		return http.StatusNotFound
-	}
-	return http.StatusBadRequest
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -200,8 +169,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := jobs.SubmitSweep(req)
 	if err != nil {
-		status := sweepErrorStatus(err)
-		if strings.Contains(err.Error(), "queue is full") {
+		status := http.StatusBadRequest
+		switch {
+		case strings.Contains(err.Error(), "unknown model"):
+			status = http.StatusNotFound
+		case strings.Contains(err.Error(), "queue is full"):
 			status = http.StatusTooManyRequests
 		}
 		writeError(w, status, "%v", err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/sweep"
 )
@@ -115,20 +116,24 @@ func TestSweepSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSweepHTTPEndToEnd drives POST /v1/sweep → poll /v1/jobs/{id} →
-// read the result document, the curl workflow from the README.
-func TestSweepHTTPEndToEnd(t *testing.T) {
-	s, reg, _ := sweepStore(t)
-	srv := httptest.NewServer(NewWithJobs(reg, s))
-	defer srv.Close()
+// sweepJobDoc is the part of a GET /v1/jobs/{id} document the sweep
+// tests read.
+type sweepJobDoc struct {
+	Status JobStatus     `json:"status"`
+	Error  string        `json:"error"`
+	Result *sweep.Result `json:"result"`
+}
 
-	body := `{"model":"synth","topk":3,"metrics":[{"name":"ipc"},{"name":"conf","variance":true,"minimize":true}]}`
-	resp, err := http.Post(srv.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+// runSweepHTTP submits body to POST /v1/sweep and polls the job until
+// it settles, returning its final document.
+func runSweepHTTP(t *testing.T, url, body string) sweepJobDoc {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit returned %d", resp.StatusCode)
+		t.Fatalf("submit %s returned %d", body, resp.StatusCode)
 	}
 	var submitted JobInfo
 	if err := json.NewDecoder(resp.Body).Decode(&submitted); err != nil {
@@ -137,38 +142,39 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 
 	deadline := time.Now().Add(30 * time.Second)
-	var raw struct {
-		Status JobStatus `json:"status"`
-		Error  string    `json:"error"`
-		Result *struct {
-			Space    string             `json:"space"`
-			Points   int                `json:"points"`
-			Metrics  []sweep.MetricInfo `json:"metrics"`
-			TopK     [][]sweep.Point    `json:"topk"`
-			Frontier []sweep.Point      `json:"frontier"`
-		} `json:"result"`
-	}
 	for {
-		r, err := http.Get(srv.URL + "/v1/jobs/" + submitted.ID)
+		r, err := http.Get(url + "/v1/jobs/" + submitted.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
+		var doc sweepJobDoc
+		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-		if raw.Status != JobQueued && raw.Status != JobRunning {
-			break
+		if doc.Status != JobQueued && doc.Status != JobRunning {
+			return doc
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep stuck at %s", raw.Status)
+			t.Fatalf("sweep %s stuck at %s", body, doc.Status)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if raw.Status != JobDone {
-		t.Fatalf("sweep finished %s (%s)", raw.Status, raw.Error)
+}
+
+// TestSweepHTTPEndToEnd drives POST /v1/sweep → poll /v1/jobs/{id} →
+// read the result document, the curl workflow from the README.
+func TestSweepHTTPEndToEnd(t *testing.T) {
+	s, reg, _ := sweepStore(t)
+	srv := httptest.NewServer(NewWithJobs(reg, s))
+	defer srv.Close()
+
+	body := `{"model":"synth","topk":3,"metrics":[{"name":"ipc"},{"name":"conf","variance":true,"minimize":true}]}`
+	doc := runSweepHTTP(t, srv.URL, body)
+	if doc.Status != JobDone {
+		t.Fatalf("sweep finished %s (%s)", doc.Status, doc.Error)
 	}
-	res := raw.Result
+	res := doc.Result
 	if res == nil {
 		t.Fatal("done sweep carries no result document")
 	}
@@ -203,7 +209,78 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSweepHTTPErrorStatus maps validation failures onto 400/404.
+// TestServerDefaultKernel pins the -kernel server default: a sweep job
+// that leaves "kernel" unset runs the configured tier, while an
+// explicit "exact" overrides the default back to the bit-identical
+// kernel (the empty Result.Kernel).
+func TestServerDefaultKernel(t *testing.T) {
+	s, reg, _ := sweepStore(t)
+	srv := NewWithJobs(reg, s)
+	srv.SetDefaultKernel(ann.KernelFast32)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, tc := range []struct {
+		body, want string
+	}{
+		{`{"model":"synth","topk":3,"chunk":16}`, ann.KernelFast32.String()},
+		{`{"model":"synth","topk":3,"chunk":16,"kernel":"exact"}`, ""},
+	} {
+		doc := runSweepHTTP(t, ts.URL, tc.body)
+		if doc.Status != JobDone {
+			t.Fatalf("request %s finished %s (%s)", tc.body, doc.Status, doc.Error)
+		}
+		if doc.Result.Kernel != tc.want {
+			t.Fatalf("request %s ran kernel %q, want %q", tc.body, doc.Result.Kernel, tc.want)
+		}
+	}
+}
+
+// TestSweepJobVarianceOnly: a sweep job whose only metric is the
+// model's variance finishes done with the variance leaderboard of the
+// default mean+variance sweep, and the server keeps serving afterwards.
+// The engine scores inside its own worker goroutines, where nothing
+// recovers a panic, so any panic on this path kills the process.
+func TestSweepJobVarianceOnly(t *testing.T) {
+	s, reg, b := sweepStore(t)
+	ts := httptest.NewServer(NewWithJobs(reg, s))
+	defer ts.Close()
+	doc := runSweepHTTP(t, ts.URL,
+		`{"model":"synth","topk":5,"chunk":16,"metrics":[{"name":"conf","model":"synth","variance":true,"minimize":true}]}`)
+	if doc.Status != JobDone {
+		t.Fatalf("variance-only sweep finished %s (%s)", doc.Status, doc.Error)
+	}
+	set, sp, err := sweep.Resolve(sweep.DefaultSpecs([]string{"synth"}),
+		map[string]*bundle.Bundle{"synth": b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep.Run(context.Background(), sp, set, sweep.Config{TopK: 5, ChunkSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := doc.Result
+	if len(got.TopK) != 1 || len(got.TopK[0]) != len(want.TopK[1]) {
+		t.Fatalf("variance-only leaderboards %v, want one of %d points", got.TopK, len(want.TopK[1]))
+	}
+	for i, p := range got.TopK[0] {
+		q := want.TopK[1][i]
+		if p.Index != q.Index || p.Values[0] != q.Values[1] {
+			t.Fatalf("variance rank %d: job has point %d (%v), mean+variance sweep %d (%v)",
+				i, p.Index, p.Values[0], q.Index, q.Values[1])
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the sweep: status %d", resp.StatusCode)
+	}
+}
+
+// TestSweepHTTPErrorStatus maps validation failures onto 400/404, and
+// the retired shard endpoint onto 404.
 func TestSweepHTTPErrorStatus(t *testing.T) {
 	s, reg, _ := sweepStore(t)
 	srv := httptest.NewServer(NewWithJobs(reg, s))
@@ -213,6 +290,7 @@ func TestSweepHTTPErrorStatus(t *testing.T) {
 		`{"model":"synth","topk"`:      http.StatusBadRequest,
 		`{"model":"synth","x":1}`:      http.StatusBadRequest,
 		`{"model":"synth","chunk":-2}`: http.StatusBadRequest,
+		`{"models":["synth","synth"]}`: http.StatusBadRequest,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -222,5 +300,13 @@ func TestSweepHTTPErrorStatus(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("body %s returned %d, want %d", body, resp.StatusCode, want)
 		}
+	}
+	resp, err := http.Post(srv.URL+"/v1/sweep/shard", "application/json", strings.NewReader(`{"model":"synth"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/sweep/shard returned %d, want 404", resp.StatusCode)
 	}
 }

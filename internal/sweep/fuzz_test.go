@@ -81,8 +81,8 @@ func refFrontier(minimize []bool, pts []Point) []Point {
 // FuzzParetoDominance fuzzes the streaming frontier reducer against
 // the dominance definition: dominance must be irreflexive and
 // antisymmetric, and the reducer must match the O(n²) reference for
-// any offer order — the set-function property the whole distributed
-// merge rests on. Points with non-finite values must be rejected at
+// any offer order — the set-function property the chunk-order merge
+// rests on. Points with non-finite values must be rejected at
 // Offer with an error naming the point, leaving the frontier exactly
 // as if they were never offered.
 func FuzzParetoDominance(f *testing.F) {

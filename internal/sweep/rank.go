@@ -8,8 +8,7 @@ import (
 )
 
 // Point is one scored design point — internal/pareto's Point, aliased
-// so the sweep wire format and result documents are unchanged by the
-// algebra's extraction.
+// so sweep result documents are unchanged by the algebra's extraction.
 type Point = pareto.Point
 
 // better, dominates and equalValues delegate to the shared dominance

@@ -7,11 +7,11 @@
 // energy across model bundles, or performance vs. prediction variance
 // as a confidence axis).
 //
-// The engine is streaming and sharded: the space is enumerated in
-// fixed-size chunks (never materializing the cross product), each
-// chunk is encoded and scored through the batched core kernels by a
-// worker pool, and per-chunk partial reductions — a bounded top-k heap
-// per metric plus a local Pareto front — merge in chunk order. Chunk
+// The engine is streaming: the space is enumerated in fixed-size
+// chunks (never materializing the cross product), each chunk is
+// encoded and scored through the batched core kernels by a worker
+// pool, and per-chunk partial reductions — a bounded top-k heap per
+// metric plus a local Pareto front — merge in chunk order. Chunk
 // boundaries depend only on ChunkSize and every reduction is a total
 // order (ties break on the lower flat index; exactly equal metric
 // vectors collapse onto the lowest index), so the output is
@@ -56,19 +56,10 @@ type Config struct {
 	// TopK is the per-metric leaderboard size (0 = DefaultTopK,
 	// negative = no leaderboards, frontier only).
 	TopK int
-	// Start and End restrict the sweep to the half-open flat-index
-	// range [Start, End) — one contiguous shard of the space. The zero
-	// values select the whole space (End == 0 means Size()). Chunk
-	// boundaries stay aligned to absolute ChunkSize multiples of the
-	// full space regardless of Start, so a shard's per-chunk reduction
-	// sequence is exactly a sub-sequence of the full run's and shard
-	// outputs merge back bit-identically (see Partial).
-	Start int
-	End   int
 	// ChunkSize is the number of points one work unit enumerates,
-	// encodes and scores (0 = DefaultChunkSize). Results are
-	// bit-identical for any setting; throughput is flat across a wide
-	// range.
+	// encodes and scores (0 = DefaultChunkSize; anything past the
+	// space's size means one chunk). Results are bit-identical for any
+	// setting; throughput is flat across a wide range.
 	ChunkSize int
 	// Workers bounds the sweep's worker pool (0 = GOMAXPROCS; 1 or
 	// negative = fully sequential). Output bits do not depend on it.
@@ -83,9 +74,8 @@ type Config struct {
 	OnProgress func(done, total int)
 	// Kernel selects the forward-kernel tier (see ann.KernelMode). The
 	// zero value is the bit-identical exact kernel; fast32 is
-	// bounded-error and bit-identical within a mode, so every shard of
-	// a distributed sweep must run the same kernel (Partial records it
-	// and Merge enforces agreement).
+	// bounded-error and bit-identical within a mode for any worker
+	// count and chunk size. Result.Kernel records the tier.
 	Kernel ann.KernelMode
 }
 
@@ -118,6 +108,16 @@ type Result struct {
 	PointsPerSec float64       `json:"pointsPerSec"`
 }
 
+// kernelLabel renders a kernel mode as Result.Kernel: the exact
+// default stays the empty string, so an exact sweep's document carries
+// no kernel field.
+func kernelLabel(m ann.KernelMode) string {
+	if m == ann.KernelExact {
+		return ""
+	}
+	return m.String()
+}
+
 // chunkPart is one chunk's reduction, travelling worker → reducer. A
 // non-nil err means the chunk hit an unrankable point (NaN/±Inf metric
 // value); the reducer surfaces errors strictly in chunk-id order, so
@@ -131,60 +131,14 @@ type chunkPart struct {
 	err   error
 }
 
-// resolveRange validates the configured [Start, End) window against
-// the space size and resolves the zero-value defaults (End == 0 means
-// size). Errors name the offending Config field.
-func (c Config) resolveRange(size int) (start, end int, err error) {
-	start, end = c.Start, c.End
-	if end == 0 {
-		end = size
-	}
-	switch {
-	case start < 0:
-		return 0, 0, fmt.Errorf("sweep: Config.Start %d is negative", c.Start)
-	case c.End < 0:
-		return 0, 0, fmt.Errorf("sweep: Config.End %d is negative", c.End)
-	case end > size:
-		return 0, 0, fmt.Errorf("sweep: Config.End %d exceeds the space's %d points", c.End, size)
-	case end < start:
-		if c.End == 0 {
-			// The caller never set End; the actual defect is Start.
-			return 0, 0, fmt.Errorf("sweep: Config.Start %d exceeds the space's %d points", start, size)
-		}
-		return 0, 0, fmt.Errorf("sweep: Config.End %d is before Config.Start %d", end, start)
-	case end == start:
-		return 0, 0, fmt.Errorf("sweep: Config range [%d,%d) is empty", start, end)
-	}
-	return start, end, nil
-}
-
-// Run sweeps every point of sp — or the [Config.Start, Config.End)
-// shard of it — through the metric set and reduces the stream into
-// per-metric top-k leaderboards and the Pareto frontier. The encoder
-// is derived from sp, so the metric set's ensembles must have been
-// trained on sp's encoding (bundle loading guarantees this for
-// bundle-backed metrics). Cancelling ctx abandons the sweep and
+// Run sweeps every point of sp through the metric set and reduces the
+// stream into per-metric top-k leaderboards and the Pareto frontier.
+// The encoder is derived from sp, so the metric set's ensembles must
+// have been trained on sp's encoding (bundle loading guarantees this
+// for bundle-backed metrics). Cancelling ctx abandons the sweep and
 // returns the context's error.
 func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) (*Result, error) {
 	start := time.Now() //repolint:allow determinism -- throughput telemetry; Elapsed/PointsPerSec are documented as the only wall-varying Result fields
-	p, err := RunPartial(ctx, sp, set, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := p.Result()
-	res.Elapsed = time.Since(start) //repolint:allow determinism -- throughput telemetry; parity tests compare everything but these fields
-	res.PointsPerSec = float64(res.Points) / res.Elapsed.Seconds()
-	return res, nil
-}
-
-// RunPartial is the sharded engine entry point: it sweeps the
-// [Config.Start, Config.End) range and returns the serializable
-// partial reduction instead of a finished result document. Partials
-// over adjacent ranges merge associatively (see Partial.Merge), and
-// because chunk boundaries are absolute ChunkSize multiples, a
-// shard's reduction is a byte-exact sub-reduction of the full run —
-// merging every shard in range order reproduces Run bit for bit.
-func RunPartial(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) (*Partial, error) {
 	if sp == nil || set == nil {
 		return nil, fmt.Errorf("sweep: need both a space and a metric set")
 	}
@@ -200,10 +154,11 @@ func RunPartial(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg C
 	if chunk < 1 {
 		return nil, fmt.Errorf("sweep: Config.ChunkSize %d is not positive", cfg.ChunkSize)
 	}
-	first, last, err := cfg.resolveRange(sp.Size())
-	if err != nil {
-		return nil, err
-	}
+	size := sp.Size()
+	// Workers size their buffers by the chunk, so a chunk larger than
+	// the space would allocate rows that can never be filled. Either
+	// way the space is one chunk, so clamping cannot change the result.
+	chunk = min(chunk, size)
 	topk := cfg.TopK
 	if topk == 0 {
 		topk = DefaultTopK
@@ -211,20 +166,16 @@ func RunPartial(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg C
 	switch {
 	case topk < 0:
 		topk = 0 // frontier only
-	case topk > sp.Size():
-		topk = sp.Size()
+	case topk > size:
+		topk = size
 	}
 	maxFrontier := cfg.MaxFrontier
 	if maxFrontier == 0 {
 		maxFrontier = DefaultMaxFrontier
 	}
 
-	// Chunk ids are absolute: chunk c always covers [c·chunk,
-	// (c+1)·chunk) ∩ [first, last), whatever the range, so every shard
-	// reduces the same per-chunk pieces the full run would.
-	total := last - first
-	firstChunk := first / chunk
-	nchunks := (last-1)/chunk - firstChunk + 1
+	// Chunk c covers [c·chunk, (c+1)·chunk) ∩ [0, size).
+	nchunks := (size + chunk - 1) / chunk
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -257,19 +208,18 @@ func RunPartial(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg C
 			}
 			vbuf := make([]float64, len(metrics))
 			for {
-				c := firstChunk + int(next.Add(1)) - 1
-				if c >= firstChunk+nchunks || ctx.Err() != nil {
+				c := int(next.Add(1)) - 1
+				if c >= nchunks || ctx.Err() != nil {
 					return
 				}
-				lo := max(first, c*chunk)
-				hi := min(last, (c+1)*chunk)
-				rows := hi - lo
+				lo := c * chunk
+				rows := min(size, lo+chunk) - lo
 				enc.EncodeRange(lo, rows, xs[:rows*width])
 				for m := range cols {
 					view[m] = cols[m][:rows]
 				}
 				set.EvalKernel(xs[:rows*width], rows, view, cfg.Kernel)
-				p := chunkPart{id: c - firstChunk, rows: rows, front: newFrontier(minimize)}
+				p := chunkPart{id: c, rows: rows, front: newFrontier(minimize)}
 				for m := range metrics {
 					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
 				}
@@ -340,34 +290,34 @@ func RunPartial(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg C
 				cancel()
 				wg.Wait()
 				return nil, fmt.Errorf("sweep: Pareto frontier exceeds %d points after %d of %d swept — the metric set is likely degenerate (one axis both maximized and minimized); raise Config.MaxFrontier (negative = unbounded) if the frontier is genuinely this large",
-					maxFrontier, scored+q.rows, total)
+					maxFrontier, scored+q.rows, size)
 			}
 			scored += q.rows
 			reduced++
 			if cfg.OnProgress != nil {
-				cfg.OnProgress(scored, total)
+				cfg.OnProgress(scored, size)
 			}
 		}
 	}
 	wg.Wait()
 
-	out := &Partial{
+	res := &Result{
 		Space:    sp.Name,
-		Start:    first,
-		End:      last,
-		K:        topk,
+		Points:   size,
 		Kernel:   kernelLabel(cfg.Kernel),
 		Frontier: front.Sorted(),
 	}
 	for _, m := range metrics {
-		out.Metrics = append(out.Metrics, MetricInfo{Name: m.Name, Minimize: m.Minimize})
+		res.Metrics = append(res.Metrics, MetricInfo{Name: m.Name, Minimize: m.Minimize})
 	}
 	if topk > 0 {
 		for _, t := range tops {
-			out.TopK = append(out.TopK, t.ranked())
+			res.TopK = append(res.TopK, t.ranked())
 		}
 	}
-	return out, nil
+	res.Elapsed = time.Since(start) //repolint:allow determinism -- throughput telemetry; parity tests compare everything but these fields
+	res.PointsPerSec = float64(res.Points) / res.Elapsed.Seconds()
+	return res, nil
 }
 
 // Reference computes the same reduction by materializing and scoring

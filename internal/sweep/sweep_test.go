@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -154,9 +155,9 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 
 // TestRunKernelBitIdentity extends the sharding guarantee to every
 // kernel tier: within a mode, the sweep reduction is byte-identical
-// for every worker count and chunk size (the distributed-sweep
-// invariant). Modes are free to differ from each other — each one is
-// its own deterministic function of the inputs.
+// for every worker count and chunk size. Modes are free to differ from
+// each other — each one is its own deterministic function of the
+// inputs.
 func TestRunKernelBitIdentity(t *testing.T) {
 	set, sp := testSet(t)
 	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
@@ -348,21 +349,31 @@ func TestRunRejectsNonFiniteDeterministically(t *testing.T) {
 	}
 }
 
-// TestPartialMergeRejectsNonFinite: the binary shard wire format can
-// physically carry NaN (unlike JSON), so a partial from a corrupted
-// node must be rejected at merge instead of poisoning the frontier.
-func TestPartialMergeRejectsNonFinite(t *testing.T) {
-	metrics := []MetricInfo{{Name: "perf"}}
-	p := &Partial{Space: "s", Start: 0, End: 4, K: 0, Metrics: metrics,
-		Frontier: []Point{{Index: 2, Values: []float64{1.5}}}}
-	o := &Partial{Space: "s", Start: 4, End: 8, K: 0, Metrics: metrics,
-		Frontier: []Point{{Index: 6, Values: []float64{math.NaN()}}}}
-	err := p.Merge(o)
-	if err == nil {
-		t.Fatal("merge of a NaN-carrying partial succeeded")
+// TestRunClampsChunkToSpace: a chunk larger than the space sweeps the
+// space as one chunk, so it must reproduce the default sweep and
+// allocate no more than a chunk of exactly the space's size — workers
+// size their buffers by the chunk, not by what it can hold.
+func TestRunClampsChunkToSpace(t *testing.T) {
+	set, sp := testSet(t)
+	run := func(chunk int) (*Result, uint64) {
+		// Two collections empty the kernels' scratch pools, so every
+		// measured run allocates its scratch afresh.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(context.Background(), sp, set, Config{TopK: 5, ChunkSize: chunk, Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, after.TotalAlloc - before.TotalAlloc
 	}
-	if !strings.Contains(err.Error(), "point 6") {
-		t.Fatalf("merge rejection %q does not name point 6", err)
+	want, _ := run(0)
+	got, huge := run(1 << 20)
+	sameReduction(t, "chunk 1<<20 vs default", want, got)
+	if _, exact := run(sp.Size()); huge > 2*exact {
+		t.Fatalf("chunk 1<<20 allocated %d bytes, chunk %d only %d", huge, sp.Size(), exact)
 	}
 }
 
