@@ -21,11 +21,10 @@
 //
 // -kernel selects the forward-pass tier (see internal/ann): "exact"
 // (the default) is the bit-identical reference; "fast32" trades
-// documented activation error bounds for multi-million-point/s
-// throughput, and stays bit-identical within a tier for any
-// -workers/-chunk setting:
+// documented activation error bounds for more throughput, and stays
+// bit-identical within a tier for any -workers/-chunk setting:
 //
-//	sweep -kernel fast32 -topk 25 perf.bundle   # ~3.5x exact throughput
+//	sweep -kernel fast32 -topk 25 perf.bundle   # ~1.1-1.5x exact throughput
 package main
 
 import (

@@ -1,7 +1,8 @@
 package ann
 
 // Scratch holds the reusable buffers the batched forward kernels write
-// into: per-layer activation matrices, plus the float32 tier's copies.
+// into: per-layer activation matrices, the vector kernels' weight
+// repacks, and the float32 tier's copies.
 // A Scratch grows to the largest (network, batch) shape it has seen and
 // is then allocation-free across calls.
 //
@@ -11,6 +12,7 @@ package ann
 // separate Scratches).
 type Scratch struct {
 	acts [][]float64 // per layer: rows × layer.out activations
+	wT   []float64   // input-major weight repack for the vector kernel
 
 	// Float32 tier (KernelFast32): per-call rounded copies of the flat
 	// weight layout and the input batch, plus float32 activations.
@@ -60,18 +62,28 @@ func (n *Network) forwardBatchExact(xs []float64, rows int, s *Scratch) []float6
 	s.ensure(n, rows)
 	in := xs
 	for li, l := range n.layers {
-		l.forwardBatch(in, rows, s.acts[li])
-		in = s.acts[li]
+		out := s.acts[li]
+		if kernelAsm16(l, rows) {
+			// AVX2 path: the multiply-then-add sequence of sumBatch,
+			// vectorized across the 16 units, fed by an input-major
+			// repack of the layer's weights.
+			s.wT = transpose(l, n.w, s.wT)
+			hidden16AVX2f64(&s.wT[0], &in[0], rows, l.in, &out[0])
+		} else {
+			l.sumBatch(in, rows, out)
+		}
+		l.act.applyBatch(out[:rows*l.out])
+		in = out
 	}
 	return s.acts[len(n.layers)-1]
 }
 
-// forwardBatch computes this layer's activations for rows examples.
-// The kernel processes four examples per weight-row pass, so each
-// weight load feeds four independent accumulators — the register
+// sumBatch computes this layer's pre-activation sums for rows
+// examples. The kernel processes four examples per weight-row pass, so
+// each weight load feeds four independent accumulators — the register
 // blocking that makes batched scoring several times faster than
 // per-point calls.
-func (l *layer) forwardBatch(in []float64, rows int, out []float64) {
+func (l *layer) sumBatch(in []float64, rows int, out []float64) {
 	stride := l.in + 1
 	inW := l.in
 	outW := l.out
@@ -110,5 +122,4 @@ func (l *layer) forwardBatch(in []float64, rows int, out []float64) {
 			o[j] = sum
 		}
 	}
-	l.act.applyBatch(out[:rows*outW])
 }

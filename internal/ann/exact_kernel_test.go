@@ -1,0 +1,212 @@
+package ann
+
+import (
+	"encoding/binary"
+	"math"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+
+	"repro/internal/cpufeat"
+	"repro/internal/stats"
+)
+
+// The exact tier's vector kernels (sigmoidAVX2 and hidden16AVX2f64 on
+// amd64) must reproduce the scalar definitions bit for bit. On machines
+// where they do not run, these tests compare the scalar path with
+// itself and always pass.
+
+// checkSigmoidExact runs Sigmoid.applyBatch over a copy of ys and
+// compares every element with the scalar apply reference, bit for bit.
+func checkSigmoidExact(t *testing.T, ys []float64) {
+	t.Helper()
+	got := append([]float64(nil), ys...)
+	Sigmoid.applyBatch(got)
+	for i, y := range ys {
+		want := Sigmoid.apply(y)
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("sigmoid(%g) (bits %x) at %d of %d: applyBatch %g (bits %x), apply %g (bits %x)",
+				y, math.Float64bits(y), i, len(ys), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestSigmoidExactEdgeLanes places every edge input at each lane of a
+// 4-group between ordinary groups, and at each position of a 1–3
+// element tail, so the vector kernel's scalar hand-off runs mid-slice
+// and the tail loop sees the same values.
+func TestSigmoidExactEdgeLanes(t *testing.T) {
+	ordinary := []float64{0.5, -1.25, 3, -7, 0.1, 2.5, -3, 40}
+	for _, e := range edgeInputs {
+		for lane := 0; lane < 4; lane++ {
+			group := []float64{-0.75, 1.5, 6, -12}
+			group[lane] = e
+			ys := append(append(append([]float64(nil), ordinary...), group...), ordinary...)
+			checkSigmoidExact(t, ys)
+		}
+		for tail := 1; tail <= 3; tail++ {
+			for pos := 0; pos < tail; pos++ {
+				ys := append([]float64(nil), ordinary...)
+				for i := 0; i < tail; i++ {
+					ys = append(ys, -0.3*float64(i+1))
+				}
+				ys[len(ordinary)+pos] = e
+				checkSigmoidExact(t, ys)
+			}
+		}
+	}
+}
+
+// TestSigmoidExactGrid sweeps [-746, 746] densely, then walks a few
+// thousand consecutive float64 values across every point where the
+// exp argument x = -y changes branch: where round(x·log2e) crosses the
+// edges of the kernel's one-multiply range (x near -708.76 and
+// 709.44), math.Exp's subnormal-result and underflow edges (near
+// -708.4 and -745.1), and its overflow edge (near 709.78). Both signs
+// of each are walked.
+func TestSigmoidExactGrid(t *testing.T) {
+	var ys []float64
+	for y := -746.0; y <= 746; y += 1.0 / 128 {
+		ys = append(ys, y)
+	}
+	var edges []float64
+	for _, k := range []float64{-1075, -1074, -1023, -1022, 1023, 1024} {
+		edges = append(edges, (k+0.5)*math.Ln2) // round(x·log2e) steps
+	}
+	edges = append(edges, 1022*math.Ln2, 7.09782712893384e+02, 745.1332191019411)
+	for _, c := range edges {
+		for _, sign := range []float64{1, -1} {
+			y := sign * c
+			for i := 0; i < 1000; i++ {
+				y = math.Nextafter(y, math.Inf(-1))
+			}
+			for i := 0; i < 2000; i++ {
+				ys = append(ys, y)
+				y = math.Nextafter(y, math.Inf(1))
+			}
+		}
+	}
+	checkSigmoidExact(t, ys)
+}
+
+// TestSigmoidExactRandomBits compares 2^20 uniformly random float64 bit
+// patterns (every exponent, both signs, NaN payloads) and 2^20 random
+// values in [-750, 750].
+func TestSigmoidExactRandomBits(t *testing.T) {
+	rng := stats.NewRNG(0x5164)
+	const n = 1 << 20
+	ys := make([]float64, 2*n)
+	for i := 0; i < n; i++ {
+		ys[i] = math.Float64frombits(rng.Uint64())
+		ys[n+i] = rng.Range(-750, 750)
+	}
+	checkSigmoidExact(t, ys)
+}
+
+// TestExactKernelVectorScalarParity compares ForwardBatch of 16-hidden-
+// unit networks with the scalar reference — sumBatch's MAC loop and
+// the per-element apply, layer by layer — for 0–9 rows and 1–20
+// inputs. Every fourth row is scaled up so some hidden sums leave the
+// vector sigmoid's range and take its scalar hand-off.
+func TestExactKernelVectorScalarParity(t *testing.T) {
+	rng := stats.NewRNG(0xE4AC7)
+	s := NewScratch()
+	for inputs := 1; inputs <= 20; inputs++ {
+		for _, outAct := range []Activation{Linear, Sigmoid} {
+			n := New(Config{
+				Inputs: inputs, Hidden: []int{16}, Outputs: 2,
+				HiddenAct: Sigmoid, OutputAct: outAct,
+				LearningRate: 0.1, Momentum: 0.5, InitRange: 4,
+				Seed: rng.Uint64(),
+			})
+			for rows := 0; rows <= 9; rows++ {
+				xs := make([]float64, rows*inputs)
+				for i := range xs {
+					scale := 1.0
+					if (i/inputs)%4 == 3 {
+						scale = 300
+					}
+					xs[i] = scale * rng.Range(-1, 2)
+				}
+				got := n.ForwardBatch(xs, rows, s)
+
+				in := xs
+				for _, l := range n.layers {
+					out := make([]float64, rows*l.out)
+					l.sumBatch(in, rows, out)
+					for i, v := range out {
+						out[i] = l.act.apply(v)
+					}
+					in = out
+				}
+				for i, want := range in {
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("inputs=%d rows=%d output act %s: output %d: kernel %g (bits %x), scalar %g (bits %x)",
+							inputs, rows, outAct, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSigmoidExact decodes 4–9 little-endian float64 values and
+// compares Sigmoid.applyBatch over them with the scalar expression
+// 1/(1+math.Exp(-y)), bit for bit. Its seed corpus
+// (testdata/fuzz/FuzzSigmoidExact) holds the edge inputs at assorted
+// lanes and slice lengths.
+func FuzzSigmoidExact(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 8
+		if n < 4 || n > 9 {
+			return
+		}
+		ys := make([]float64, n)
+		for i := range ys {
+			ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		got := append([]float64(nil), ys...)
+		Sigmoid.applyBatch(got)
+		for i, y := range ys {
+			want := 1 / (1 + math.Exp(-y))
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("sigmoid(%g) (bits %x) at %d of %d: applyBatch bits %x, scalar bits %x",
+					y, math.Float64bits(y), i, n, math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+	})
+}
+
+// TestSigmoidExactKernelLive fails when the start-up probe rejects the
+// vector sigmoid on a CPU that has AVX2 and FMA: the kernel has then
+// drifted from math.Exp, and the parity tests above would be comparing
+// the scalar path with itself.
+func TestSigmoidExactKernelLive(t *testing.T) {
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("GODEBUG overrides CPU features")
+	}
+	if cpufeat.AVX2 && cpufeat.FMA && !sigmoidAsm {
+		t.Fatal("the vector sigmoid disagrees with math.Exp on its probe inputs")
+	}
+}
+
+// TestSigmoidExactFollowsGODEBUG reruns the parity tests in a child
+// process with GODEBUG=cpu.fma=off, which (below GOAMD64=v3) sends
+// math.Exp down its non-FMA branch; the vector sigmoid must then stand
+// aside rather than keep the FMA rounding.
+func TestSigmoidExactFollowsGODEBUG(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a child test process")
+	}
+	cmd := exec.Command(os.Args[0], "-test.count=1", "-test.v",
+		"-test.run=^(TestSigmoidExactEdgeLanes|TestSigmoidExactGrid|TestExactKernelVectorScalarParity)$")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("parity tests under GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "--- PASS: TestExactKernelVectorScalarParity") {
+		t.Fatalf("child process ran no parity test:\n%s", out)
+	}
+}

@@ -9,11 +9,16 @@ import (
 
 // KernelMode selects the batched forward-pass kernel tier.
 //
-// KernelExact is the bit-identical reference path: plain IEEE-754
-// multiply-add accumulation and library transcendentals, the same
-// operations in the same order as the per-point Forward. Training,
-// checkpoints, and every pre-existing parity gate run exclusively on
-// this tier.
+// KernelExact is the bit-identical reference path: float64
+// multiply-then-add accumulation and the activations' scalar
+// definitions (the sigmoid is 1/(1+math.Exp(-y))), the same operations
+// in the same order as the per-point Forward. On amd64, 16-unit layers
+// (with AVX2) and the sigmoid (with AVX2 and FMA) run in vector kernels
+// that repeat those operations lane for lane, math.Exp's own FMA
+// sequence included, so they produce the scalar loops' bits; the
+// argument is set out in docs/ARCHITECTURE.md, "Kernel tiers".
+// Training, checkpoints, and every pre-existing parity gate run
+// exclusively on this tier.
 //
 // KernelFast32 runs the inner loops in float32 over a float32 copy of
 // the flat weight layout, halving the data the MAC loops move and
@@ -206,7 +211,7 @@ func (n *Network) forwardBatch32(xs []float64, rows int, s *Scratch) []float64 {
 			// AVX2 path: same multiply-add sequence as the Go loops below,
 			// vectorized across the 16 units (two YMM accumulators), fed by
 			// an input-major repack of the layer's float32 weights.
-			s.wT32 = l.transpose32(s.w32, s.wT32)
+			s.wT32 = transpose(l, s.w32, s.wT32)
 			hidden16AVX2(&s.wT32[0], &in[0], rows, l.in, &out[0])
 			l.act.applyBatchFast32(out[:rows*l.out])
 		} else {
@@ -222,18 +227,18 @@ func (n *Network) forwardBatch32(xs []float64, rows int, s *Scratch) []float64 {
 	return out
 }
 
-// transpose32 repacks one layer's float32 weights from unit-major
-// (each unit's inputs contiguous) to input-major (wt[i*out+j] =
-// weight of input i into unit j) with the bias vector as the final
-// row — the layout the vector kernel broadcasts inputs against. The
-// values are copied bits from w32, so both layouts feed identical
-// products. Reuses buf's capacity.
-func (l *layer) transpose32(w32, buf []float32) []float32 {
-	w := w32[l.off : l.off+l.out*(l.in+1)]
+// transpose repacks one layer's weights, taken from the flat layout
+// all (float64 or its float32 copy), from unit-major (each unit's
+// inputs contiguous) to input-major (wt[i*out+j] = weight of input i
+// into unit j) with the bias vector as the final row — the layout the
+// vector kernels broadcast inputs against. The values are copied bits,
+// so both layouts feed identical products. Reuses buf's capacity.
+func transpose[T float32 | float64](l *layer, all, buf []T) []T {
+	w := all[l.off : l.off+l.out*(l.in+1)]
 	stride := l.in + 1
 	n := stride * l.out
 	if cap(buf) < n {
-		buf = make([]float32, n)
+		buf = make([]T, n)
 	}
 	buf = buf[:n]
 	for j := 0; j < l.out; j++ {
@@ -246,7 +251,7 @@ func (l *layer) transpose32(w32, buf []float32) []float32 {
 }
 
 // forwardBatch32 computes one layer in float32 with the four-row
-// blocking of forwardBatch. Every product is explicitly rounded to
+// blocking of sumBatch. Every product is explicitly rounded to
 // float32 before accumulating, pinning one rounding per operation so
 // no platform may contract the multiply-add and change the bits.
 func (l *layer) forwardBatch32(w32 []float32, in []float32, rows int, out []float32) {

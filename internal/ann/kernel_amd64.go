@@ -7,13 +7,46 @@ import "repro/internal/cpufeat"
 // in ascending input order with one float32 rounding per multiply and
 // per add — exactly the op sequence of the portable forwardBatch32
 // loops, so the two paths produce identical bits (asserted by
-// TestKernelVectorScalarParity). wt is the transpose32 layout:
+// TestKernelVectorScalarParity). wt is the transpose layout:
 // in input-major rows of 16 weights followed by one bias row.
 //
 //go:noescape
 func hidden16AVX2(wt *float32, xs *float32, rows, in int, dst *float32)
 
-// kernelAsm16 reports whether the AVX2 16-unit layer kernel applies.
+// hidden16AVX2f64 is hidden16AVX2 in float64 for the exact tier: one
+// float64 rounding per multiply and per add, in ascending input order,
+// as in the portable sumBatch loop (asserted by
+// TestExactKernelVectorScalarParity).
+//
+//go:noescape
+func hidden16AVX2f64(wt *float64, xs *float64, rows, in int, dst *float64)
+
+// sigmoidAVX2 applies the exact sigmoid to groups 4-element groups of
+// ys in place, stopping before the first group that needs the scalar
+// path, and returns the number of elements it stored (see
+// sigmoidExact).
+//
+//go:noescape
+func sigmoidAVX2(ys *float64, groups int) int
+
+// kernelAsm16 reports whether the AVX2 16-unit layer kernels apply.
 func kernelAsm16(l *layer, rows int) bool {
 	return cpufeat.AVX2 && l.out == 16 && l.in > 0 && rows > 0
+}
+
+// sigmoidAsm reports whether the vector sigmoid runs. It repeats the
+// fused multiply-adds of math.Exp's avxfma branch, which the runtime
+// takes when the CPU has AVX and FMA (cpufeat.FMA) unless GODEBUG
+// (cpu.fma=off, cpu.avx=off or cpu.all=off) turns them off for it.
+// sigmoidProbe catches that case.
+var sigmoidAsm = cpufeat.AVX2 && cpufeat.FMA && sigmoidProbe()
+
+// sigmoidProbe reports whether the vector sigmoid matches the scalar
+// expression on four inputs where math.Exp's FMA and non-FMA branches
+// round differently.
+func sigmoidProbe() bool {
+	ys := [4]float64{-7.25, -6.375, -3.625, -2.375}
+	want := ys
+	sigmoidScalar(want[:])
+	return sigmoidAVX2(&ys[0], 1) == 4 && ys == want
 }

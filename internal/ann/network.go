@@ -15,6 +15,13 @@
 // leans on: the ensemble's candidate-pool scoring and full-space sweeps
 // go through ForwardBatch rather than per-point calls.
 //
+// On amd64 the exact forward pass has two AVX2 kernels, chosen at run
+// time by internal/cpufeat and bit-identical to the portable loops,
+// which stay as the reference: a 16-unit layer MAC (cpufeat.AVX2) and
+// a 4-lane sigmoid (cpufeat.AVX2 and cpufeat.FMA) that Forward, Train
+// and ForwardBatch all reach through the activation step. See
+// KernelExact.
+//
 // The package is self-contained and generic over input/output
 // dimensions; the design-space-specific encoding and the
 // cross-validation ensembling live in internal/encoding and
@@ -63,9 +70,7 @@ func (a Activation) String() string {
 func (a Activation) applyBatch(ys []float64) {
 	switch a {
 	case Sigmoid:
-		for i, y := range ys {
-			ys[i] = 1 / (1 + math.Exp(-y))
-		}
+		sigmoidExact(ys)
 	case Tanh:
 		for i, y := range ys {
 			ys[i] = math.Tanh(y)
@@ -76,6 +81,31 @@ func (a Activation) applyBatch(ys []float64) {
 				ys[i] = 0
 			}
 		}
+	}
+}
+
+// sigmoidExact sets ys[i] = 1/(1+math.Exp(-ys[i])). Where sigmoidAsm
+// holds, sigmoidAVX2 does four elements per step and stops at any
+// group that math.Exp would not finish with a single 2^k multiply
+// (NaN, ±Inf, overflow, subnormal results); that group goes to the
+// scalar expression whole.
+func sigmoidExact(ys []float64) {
+	if sigmoidAsm {
+		for len(ys) >= 4 {
+			ys = ys[sigmoidAVX2(&ys[0], len(ys)/4):]
+			if len(ys) < 4 {
+				break
+			}
+			sigmoidScalar(ys[:4])
+			ys = ys[4:]
+		}
+	}
+	sigmoidScalar(ys)
+}
+
+func sigmoidScalar(ys []float64) {
+	for i, y := range ys {
+		ys[i] = 1 / (1 + math.Exp(-y))
 	}
 }
 

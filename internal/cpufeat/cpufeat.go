@@ -3,9 +3,21 @@
 // select between implementations that are bit-identical by
 // construction (see internal/mathx and internal/ann), so detection can
 // never change results — only speed.
+//
+// AVX2 selects the float32 and float64 16-unit layer kernels. AVX2
+// together with FMA selects the exact tier's vector sigmoid, which
+// repeats the fused multiply-adds of math.Exp's FMA branch and so is
+// bit-identical to it only where that branch runs.
 package cpufeat
 
 // AVX2 reports whether the CPU supports AVX2 and the OS saves the YMM
 // register state (OSXSAVE + XCR0 bits 1 and 2). False on every
 // non-amd64 architecture.
 var AVX2 = hasAVX2()
+
+// FMA reports whether the CPU supports AVX and FMA3 (CPUID.1:ECX bits
+// 28 and 12) and the OS saves the YMM register state. It is the
+// condition under which the Go runtime's math.Exp takes its fused
+// multiply-add branch on amd64, unless GODEBUG turns the runtime's
+// FMA off. False on every non-amd64 architecture.
+var FMA = hasFMA()

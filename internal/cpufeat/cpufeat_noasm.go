@@ -3,3 +3,5 @@
 package cpufeat
 
 func hasAVX2() bool { return false }
+
+func hasFMA() bool { return false }

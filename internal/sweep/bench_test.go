@@ -84,7 +84,7 @@ func BenchmarkSweep(b *testing.B) {
 
 // BenchmarkSweepKernel measures the same single-worker sweep across
 // the kernel tiers; BENCH_kernel.json gates both the absolute
-// throughputs and the fast32:exact ratio (the tentpole speedup).
+// throughputs and the same-run ratios between the tiers.
 func BenchmarkSweepKernel(b *testing.B) {
 	bd := benchBundle(b)
 	set, sp, err := Resolve(DefaultSpecs([]string{"m"}), map[string]*bundle.Bundle{"m": bd})
