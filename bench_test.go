@@ -15,7 +15,6 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pb"
@@ -420,7 +419,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		ens.SetWorkers(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ens.PredictBatch(0, flat, rows, ann.KernelExact, out, nil)
+			ens.PredictBatch(0, flat, rows, out, nil)
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})
@@ -428,7 +427,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		ens.SetWorkers(0) // GOMAXPROCS
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ens.PredictBatch(0, flat, rows, ann.KernelExact, out, nil)
+			ens.PredictBatch(0, flat, rows, out, nil)
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})

@@ -33,8 +33,8 @@
 // "min_ratio_to"/"min_ratio": its measurement must stay at least
 // min_ratio times the named gate's measurement. Both sides come from
 // the same machine and run, so the ratio holds across hardware and
-// -scale leaves it untouched — this is how BENCH_kernel.json pins the
-// two kernel tiers against each other wherever CI runs.
+// -scale leaves it untouched — this is how BENCH_sweep.json pins batched
+// prediction against the per-point loop wherever CI runs.
 package main
 
 import (
@@ -63,7 +63,8 @@ type gate struct {
 	// the gate named MinRatioTo. Both sides are measured on the same
 	// machine in the same benchdiff run, so — unlike absolute baselines
 	// — the ratio is machine-independent and -scale does not loosen it.
-	// This is how speedup contracts (e.g. fast32 ≥ 1x exact) are pinned.
+	// This is how speedup contracts (e.g. batched ≥ 2.5x per-point) are
+	// pinned.
 	MinRatioTo string  `json:"min_ratio_to,omitempty"`
 	MinRatio   float64 `json:"min_ratio,omitempty"`
 }

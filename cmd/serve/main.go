@@ -49,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -68,7 +67,6 @@ func main() {
 	jobQueue := flag.Int("job-queue", 16, "exploration jobs queued beyond the running ones before 429s")
 	defaultInsts := flag.Int("insts", 30000, "default instructions per simulation for exploration jobs")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof profiles on this address (e.g. localhost:6060; empty = off)")
-	kernelFlag := flag.String("kernel", "", "forward-kernel tier for predict/sweep requests that don't name one: exact (default, bit-identical) or fast32 (bounded-error)")
 	cacheSize := flag.Int("cache-size", 0, "exact prediction cache entries across all models (0 disables caching)")
 	rate := flag.Float64("rate", 0, "per-client sustained requests/second before 429s (0 disables rate limiting)")
 	burst := flag.Int("burst", 0, "per-client burst headroom above -rate (0 = 1)")
@@ -130,13 +128,6 @@ func main() {
 	}
 
 	handler := serve.NewWithJobs(reg, store)
-	kernel, err := ann.ParseKernelMode(*kernelFlag)
-	fatal(err)
-	if *kernelFlag != "" {
-		// Requests naming their own tier still win.
-		handler.SetDefaultKernel(kernel)
-		fmt.Printf("default kernel: %s\n", kernel)
-	}
 	if *rate > 0 || *maxInflight > 0 {
 		handler.SetAdmission(*rate, *burst, *maxInflight)
 		fmt.Printf("admission control: rate=%g/s burst=%d max-inflight=%d\n", *rate, *burst, *maxInflight)

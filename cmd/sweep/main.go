@@ -18,13 +18,6 @@
 // variance minimized). The engine streams the space in chunks over a
 // worker pool; output is bit-identical for any -workers/-chunk
 // setting. -json emits the full result document instead of tables.
-//
-// -kernel selects the forward-pass tier (see internal/ann): "exact"
-// (the default) is the bit-identical reference; "fast32" trades
-// documented activation error bounds for more throughput, and stays
-// bit-identical within a tier for any -workers/-chunk setting:
-//
-//	sweep -kernel fast32 -topk 25 perf.bundle   # ~1.1-1.5x exact throughput
 package main
 
 import (
@@ -38,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/sweep"
 )
@@ -50,7 +42,6 @@ func main() {
 	chunk := flag.Int("chunk", 0, "design points per streamed chunk (0 = default)")
 	jsonOut := flag.Bool("json", false, "emit the result document as JSON")
 	quiet := flag.Bool("quiet", false, "suppress progress reporting on stderr")
-	kernelFlag := flag.String("kernel", "", "forward-kernel tier: exact (default, bit-identical) or fast32 (bounded-error, faster; bit-identical within a tier)")
 	var modelFlags []string
 	flag.Func("model", "name=bundle.json model to rank with (repeatable)", func(v string) error {
 		if !strings.Contains(v, "=") {
@@ -60,10 +51,6 @@ func main() {
 		return nil
 	})
 	flag.Parse()
-
-	// Validate the tier name up front; the empty string parses as exact.
-	kernel, err := ann.ParseKernelMode(*kernelFlag)
-	fatal(err)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -94,13 +81,14 @@ func main() {
 
 	specs := sweep.DefaultSpecs(names)
 	if *metricsFlag != "" {
+		var err error
 		specs, err = sweep.ParseSpecs(*metricsFlag)
 		fatal(err)
 	}
 	set, sp, err := sweep.Resolve(specs, bundles)
 	fatal(err)
 
-	cfg := sweep.Config{TopK: *topk, ChunkSize: *chunk, Workers: *workers, Kernel: kernel}
+	cfg := sweep.Config{TopK: *topk, ChunkSize: *chunk, Workers: *workers}
 	if !*quiet {
 		cfg.OnProgress = progressLine()
 	}

@@ -26,10 +26,9 @@ var DeterminismScope = map[string][]string{
 	"repro/internal/stats":    nil,
 	"repro/internal/explore":  nil,
 	"repro/internal/ann":      nil,
-	"repro/internal/mathx":    nil,
 	"repro/internal/loadsim":  {"pattern.go", "events.go", "schedule.go"},
 	// serve's hardening layer: the cache must key purely on
-	// (version, kernel, index) and the limiter/metrics files funnel
+	// (version, index) and the limiter/metrics files funnel
 	// every wall read through one annotated nowMono() site.
 	"repro/internal/serve": {"cache.go", "limiter.go", "metrics.go"},
 }

@@ -30,7 +30,7 @@ func TestDeterminismDefaultScope(t *testing.T) {
 	for _, pkg := range []string{
 		"repro/internal/core", "repro/internal/sweep", "repro/internal/space",
 		"repro/internal/encoding", "repro/internal/stats", "repro/internal/explore",
-		"repro/internal/loadsim", "repro/internal/ann", "repro/internal/mathx",
+		"repro/internal/loadsim", "repro/internal/ann",
 	} {
 		if _, ok := analysis.DeterminismScope[pkg]; !ok {
 			t.Errorf("DeterminismScope lost %s", pkg)

@@ -1,10 +1,11 @@
 package ann
 
-// Scratch holds the reusable buffers the batched forward kernels write
-// into: per-layer activation matrices, the vector kernels' weight
-// repacks, and the float32 tier's copies.
-// A Scratch grows to the largest (network, batch) shape it has seen and
-// is then allocation-free across calls.
+import "fmt"
+
+// Scratch holds the reusable buffers the batched forward pass writes
+// into: per-layer activation matrices and the vector kernel's weight
+// repack. A Scratch grows to the largest (network, batch) shape it has
+// seen and is then allocation-free across calls.
 //
 // A Scratch is not safe for concurrent use; give each worker goroutine
 // its own (ForwardBatch never writes to shared network state through
@@ -13,13 +14,6 @@ package ann
 type Scratch struct {
 	acts [][]float64 // per layer: rows × layer.out activations
 	wT   []float64   // input-major weight repack for the vector kernel
-
-	// Float32 tier (KernelFast32): per-call rounded copies of the flat
-	// weight layout and the input batch, plus float32 activations.
-	w32    []float32
-	in32   []float32
-	acts32 [][]float32
-	wT32   []float32 // input-major weight repack for the vector kernel
 }
 
 // NewScratch returns an empty scratch; buffers are sized lazily by the
@@ -48,14 +42,19 @@ func (s *Scratch) ensure(n *Network, rows int) {
 // the flat rows × Outputs activation matrix, owned by s and overwritten
 // by its next use. Passing a nil scratch allocates a private one.
 //
-// Outputs are bit-identical to calling Forward on each row; the batched
-// kernel only reorders independent examples, never the floating-point
-// operations within one example.
+// Outputs are bit-identical to calling Forward on each row: float64
+// multiply-then-add accumulation and the activations' scalar
+// definitions (the sigmoid is 1/(1+math.Exp(-y))), the same operations
+// in the same order as the per-point pass. The batched kernel only
+// reorders independent examples, so any split of a batch yields the
+// same bits. On amd64, 16-unit layers (with AVX2) and the sigmoid (with
+// AVX2 and FMA) run in vector kernels that repeat those operations
+// lane for lane, math.Exp's own FMA sequence included; the argument is
+// set out in docs/ARCHITECTURE.md, "The forward kernel".
 func (n *Network) ForwardBatch(xs []float64, rows int, s *Scratch) []float64 {
-	return n.ForwardBatchKernel(xs, rows, s, KernelExact)
-}
-
-func (n *Network) forwardBatchExact(xs []float64, rows int, s *Scratch) []float64 {
+	if rows < 0 || len(xs) != rows*n.cfg.Inputs {
+		panic(fmt.Sprintf("ann: batch of %d values is not %d rows × %d inputs", len(xs), rows, n.cfg.Inputs))
+	}
 	if s == nil {
 		s = NewScratch()
 	}
@@ -76,6 +75,29 @@ func (n *Network) forwardBatchExact(xs []float64, rows int, s *Scratch) []float6
 		in = out
 	}
 	return s.acts[len(n.layers)-1]
+}
+
+// transpose repacks one layer's weights, taken from the flat layout
+// all, from unit-major (each unit's inputs contiguous) to input-major
+// (wt[i*out+j] = weight of input i into unit j) with the bias vector as
+// the final row — the layout the vector kernel broadcasts inputs
+// against. The values are copied bits, so both layouts feed identical
+// products. Reuses buf's capacity.
+func transpose(l *layer, all, buf []float64) []float64 {
+	w := all[l.off : l.off+l.out*(l.in+1)]
+	stride := l.in + 1
+	n := stride * l.out
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	buf = buf[:n]
+	for j := 0; j < l.out; j++ {
+		row := w[j*stride : (j+1)*stride]
+		for i, wv := range row {
+			buf[i*l.out+j] = wv
+		}
+	}
+	return buf
 }
 
 // sumBatch computes this layer's pre-activation sums for rows

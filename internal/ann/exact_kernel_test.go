@@ -12,7 +12,7 @@ import (
 	"repro/internal/stats"
 )
 
-// The exact tier's vector kernels (sigmoidAVX2 and hidden16AVX2f64 on
+// The forward pass's vector kernels (sigmoidAVX2 and hidden16AVX2f64 on
 // amd64) must reproduce the scalar definitions bit for bit. On machines
 // where they do not run, these tests compare the scalar path with
 // itself and always pass.

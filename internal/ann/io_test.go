@@ -91,7 +91,7 @@ func TestLoadRejectsWeightSizeMismatch(t *testing.T) {
 // network saved before its removal wrote "Kernel":"exact"): such a
 // file loads and predicts the same bits as the network that wrote it.
 func TestLoadIgnoresRetiredKernelField(t *testing.T) {
-	n, xs, rows := kernelTestNet(t, Sigmoid)
+	n, xs, rows := kernelTestNet(t)
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
 		t.Fatal(err)

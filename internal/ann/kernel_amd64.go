@@ -2,34 +2,25 @@ package ann
 
 import "repro/internal/cpufeat"
 
-// hidden16AVX2 runs rows forward passes of one 16-unit layer: for each
-// row, dst[r*16+j] = bias[j] + Σ_i xs[r*in+i]·wt[i*16+j], accumulated
-// in ascending input order with one float32 rounding per multiply and
-// per add — exactly the op sequence of the portable forwardBatch32
-// loops, so the two paths produce identical bits (asserted by
-// TestKernelVectorScalarParity). wt is the transpose layout:
-// in input-major rows of 16 weights followed by one bias row.
-//
-//go:noescape
-func hidden16AVX2(wt *float32, xs *float32, rows, in int, dst *float32)
-
-// hidden16AVX2f64 is hidden16AVX2 in float64 for the exact tier: one
-// float64 rounding per multiply and per add, in ascending input order,
-// as in the portable sumBatch loop (asserted by
-// TestExactKernelVectorScalarParity).
+// hidden16AVX2f64 runs rows forward passes of one 16-unit layer: for
+// each row, dst[r*16+j] = bias[j] + Σ_i xs[r*in+i]·wt[i*16+j],
+// accumulated in ascending input order with one float64 rounding per
+// multiply and per add, as in the portable sumBatch loop (asserted by
+// TestExactKernelVectorScalarParity). wt is the transpose layout:
+// input-major rows of 16 weights followed by one bias row.
 //
 //go:noescape
 func hidden16AVX2f64(wt *float64, xs *float64, rows, in int, dst *float64)
 
-// sigmoidAVX2 applies the exact sigmoid to groups 4-element groups of
-// ys in place, stopping before the first group that needs the scalar
-// path, and returns the number of elements it stored (see
-// sigmoidExact).
+// sigmoidAVX2 applies the exact sigmoid in place to ys, four elements
+// at a time for at most groups groups, stopping before the first group
+// that needs the scalar path, and returns the number of elements it
+// stored (see sigmoidExact).
 //
 //go:noescape
 func sigmoidAVX2(ys *float64, groups int) int
 
-// kernelAsm16 reports whether the AVX2 16-unit layer kernels apply.
+// kernelAsm16 reports whether the AVX2 16-unit layer kernel applies.
 func kernelAsm16(l *layer, rows int) bool {
 	return cpufeat.AVX2 && l.out == 16 && l.in > 0 && rows > 0
 }

@@ -1,59 +1,12 @@
 #include "textflag.h"
 
-// func hidden16AVX2(wt *float32, xs *float32, rows, in int, dst *float32)
-//
-// Two YMM accumulators hold the 16 unit sums for one row; each input
-// step broadcasts x_i and does a single-rounded VMULPS + VADDPS pair
-// per half — the same multiply-then-add order as the portable Go
-// loops, so lane j's bits match the scalar accumulation for unit j.
-// in must be >= 1 (the caller gates on it).
-TEXT ·hidden16AVX2(SB), NOSPLIT, $0-40
-	MOVQ wt+0(FP), SI
-	MOVQ xs+8(FP), DI
-	MOVQ rows+16(FP), CX
-	MOVQ in+24(FP), R8
-	MOVQ dst+32(FP), DX
-	MOVQ R8, R9
-	SHLQ $6, R9              // in rows × 16 floats × 4 bytes
-	LEAQ (SI)(R9*1), R10     // bias row
-
-rowloop:
-	TESTQ CX, CX
-	JZ done
-	VMOVUPS (R10), Y0        // acc[0:8]  = bias[0:8]
-	VMOVUPS 32(R10), Y1      // acc[8:16] = bias[8:16]
-	MOVQ SI, R11             // weight row cursor
-	MOVQ R8, R12             // input counter
-
-iloop:
-	VBROADCASTSS (DI), Y2    // x_i
-	VMULPS (R11), Y2, Y3     // x_i * w[i][0:8]   (rounded)
-	VADDPS Y3, Y0, Y0        // acc += …          (rounded)
-	VMULPS 32(R11), Y2, Y4   // x_i * w[i][8:16]
-	VADDPS Y4, Y1, Y1
-	ADDQ $4, DI
-	ADDQ $64, R11
-	DECQ R12
-	JNZ iloop
-
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	ADDQ $64, DX
-	DECQ CX
-	JMP rowloop
-
-done:
-	VZEROUPPER
-	RET
-
 // func hidden16AVX2f64(wt *float64, xs *float64, rows, in int, dst *float64)
 //
-// The float64 twin of hidden16AVX2: four YMM accumulators hold the 16
-// unit sums for one row; each input step broadcasts x_i and does a
-// VMULPD + VADDPD pair per quarter, never fused — the multiply-then-add
-// order of the portable sumBatch loop, so lane j's bits match the
-// scalar accumulation for unit j. in must be >= 1 (the caller gates on
-// it).
+// Four YMM accumulators hold the 16 unit sums for one row; each input
+// step broadcasts x_i and does a VMULPD + VADDPD pair per quarter,
+// never fused — the multiply-then-add order of the portable sumBatch
+// loop, so lane j's bits match the scalar accumulation for unit j. in
+// must be >= 1 (the caller gates on it).
 TEXT ·hidden16AVX2f64(SB), NOSPLIT, $0-40
 	MOVQ wt+0(FP), SI
 	MOVQ xs+8(FP), DI

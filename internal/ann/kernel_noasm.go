@@ -2,14 +2,9 @@
 
 package ann
 
-// kernelAsm16 is always false without a vector kernel; forwardBatch32
-// and forwardBatchExact run the portable loops, which compute the same
-// bits.
+// kernelAsm16 is always false without a vector kernel; ForwardBatch
+// runs the portable loop, which computes the same bits.
 func kernelAsm16(l *layer, rows int) bool { return false }
-
-func hidden16AVX2(wt *float32, xs *float32, rows, in int, dst *float32) {
-	panic("ann: hidden16AVX2 is amd64-only")
-}
 
 func hidden16AVX2f64(wt *float64, xs *float64, rows, in int, dst *float64) {
 	panic("ann: hidden16AVX2f64 is amd64-only")

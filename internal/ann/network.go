@@ -15,12 +15,12 @@
 // leans on: the ensemble's candidate-pool scoring and full-space sweeps
 // go through ForwardBatch rather than per-point calls.
 //
-// On amd64 the exact forward pass has two AVX2 kernels, chosen at run
-// time by internal/cpufeat and bit-identical to the portable loops,
-// which stay as the reference: a 16-unit layer MAC (cpufeat.AVX2) and
-// a 4-lane sigmoid (cpufeat.AVX2 and cpufeat.FMA) that Forward, Train
+// On amd64 the forward pass has two AVX2 kernels, chosen at run time
+// by internal/cpufeat and bit-identical to the portable loops, which
+// stay as the reference: a 16-unit layer MAC (cpufeat.AVX2) and a
+// 4-lane sigmoid (cpufeat.AVX2 and cpufeat.FMA) that Forward, Train
 // and ForwardBatch all reach through the activation step. See
-// KernelExact.
+// ForwardBatch.
 //
 // The package is self-contained and generic over input/output
 // dimensions; the design-space-specific encoding and the

@@ -244,9 +244,7 @@ func meanPercentErrorPacked(n *Network, p *packed, un Unscaler, s *Scratch) floa
 	if p.n == 0 {
 		return 0
 	}
-	// Exact kernel unconditionally: early stopping is part of training
-	// and must not depend on the configured query tier.
-	out := n.forwardBatchExact(p.x, p.n, s)
+	out := n.ForwardBatch(p.x, p.n, s)
 	var sum float64
 	count := 0
 	for i := 0; i < p.n; i++ {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/space"
@@ -102,8 +101,8 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 		t.Fatal("CV estimate not preserved")
 	}
 	want, got := make([]float64, rows), make([]float64, rows)
-	b.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, want, nil)
-	loaded.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, got, nil)
+	b.Ensemble.PredictBatch(0, xs, rows, want, nil)
+	loaded.Ensemble.PredictBatch(0, xs, rows, got, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: reloaded model predicts %v, original %v", i, got[i], want[i])
@@ -143,8 +142,8 @@ func TestLoadIgnoresRetiredBatchSizeField(t *testing.T) {
 	}
 	want, got := make([]float64, rows), make([]float64, rows)
 	wantVar, gotVar := make([]float64, rows), make([]float64, rows)
-	b.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, want, wantVar)
-	loaded.Ensemble.PredictBatch(0, xs, rows, ann.KernelExact, got, gotVar)
+	b.Ensemble.PredictBatch(0, xs, rows, want, wantVar)
+	loaded.Ensemble.PredictBatch(0, xs, rows, got, gotVar)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(gotVar[i]) != math.Float64bits(wantVar[i]) {
 			t.Fatalf("row %d: loaded (%v, %v), original (%v, %v)", i, got[i], gotVar[i], want[i], wantVar[i])

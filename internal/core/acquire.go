@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/ann"
 	"repro/internal/pareto"
 )
 
@@ -311,7 +310,7 @@ func predictOutputs(ens *Ensemble, outputs []int, xs []float64, rows int) *poolP
 		p.sigma = append(p.sigma, make([]float64, rows))
 	}
 	for i, o := range outputs {
-		ens.PredictBatch(o, xs, rows, ann.KernelExact, p.mean[i], p.sigma[i])
+		ens.PredictBatch(o, xs, rows, p.mean[i], p.sigma[i])
 	}
 	return p
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -174,7 +173,7 @@ func TestAcquireVarianceMatchesNaive(t *testing.T) {
 		b := NewBatchSelector(sp, enc, stats.NewRNG(seed))
 		idxs, xs := a.drawPool(8, 40)
 		vs := make([]float64, len(idxs))
-		ens.PredictBatch(0, xs, len(idxs), ann.KernelExact, nil, vs)
+		ens.PredictBatch(0, xs, len(idxs), nil, vs)
 		want := naiveTopVariance(idxs, vs, 8)
 		got, err := acq.Select(b, ens, nil, 8, 40)
 		if err != nil {
@@ -250,7 +249,7 @@ func TestAcquireConstraintsPreferFeasible(t *testing.T) {
 			enc.EncodeIndex(idx, xs[i*width:(i+1)*width])
 		}
 		mean := make([]float64, len(idxs))
-		ens.PredictBatch(0, xs, len(idxs), ann.KernelExact, mean, nil)
+		ens.PredictBatch(0, xs, len(idxs), mean, nil)
 		return mean
 	}
 	all := make([]int, sp.Size())

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -71,7 +70,7 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 	ens, probes := trainSynthEnsemble(t, cfg, 9)
 	xs, rows := flatten(probes)
 	want := make([]float64, rows)
-	ens.PredictBatch(0, xs, rows, ann.KernelExact, want, nil)
+	ens.PredictBatch(0, xs, rows, want, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 4)
@@ -80,7 +79,7 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got := make([]float64, rows)
-			ens.PredictBatch(0, xs, rows, ann.KernelExact, got, nil)
+			ens.PredictBatch(0, xs, rows, got, nil)
 			for i := range got {
 				if got[i] != want[i] {
 					errs <- "PredictBatch diverged under concurrency"

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/explore"
@@ -201,7 +200,7 @@ func TestVarianceSelectionPrefersUncertainPoints(t *testing.T) {
 		xs = append(xs, enc.EncodeIndex(idx, nil)...)
 	}
 	vs := make([]float64, sp.Size())
-	first.PredictBatch(0, xs, sp.Size(), ann.KernelExact, nil, vs)
+	first.PredictBatch(0, xs, sp.Size(), nil, vs)
 	simulated := map[int]bool{}
 	for _, idx := range d.Samples()[:20] {
 		simulated[idx] = true

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/ann"
-)
+import "fmt"
 
 // MetricKind selects what a Metric reads off its ensemble.
 type MetricKind uint8
@@ -140,14 +136,6 @@ func (s *MetricSet) Minimize() []bool {
 // bit-identical to the corresponding single-column PredictBatch call,
 // so sweep results do not depend on which metrics ride along.
 func (s *MetricSet) Eval(xs []float64, rows int, cols [][]float64) {
-	s.EvalKernel(xs, rows, cols, ann.KernelExact)
-}
-
-// EvalKernel is Eval with an explicit kernel tier (see ann.KernelMode):
-// ann.KernelExact is Eval bit for bit, while ann.KernelFast32 runs the
-// bounded-error kernels — still bit-identical within a mode for any
-// chunking or worker count.
-func (s *MetricSet) EvalKernel(xs []float64, rows int, cols [][]float64, mode ann.KernelMode) {
 	if len(cols) != len(s.metrics) {
 		panic(fmt.Sprintf("core: %d metric columns for %d metrics", len(cols), len(s.metrics)))
 	}
@@ -160,7 +148,7 @@ func (s *MetricSet) EvalKernel(xs []float64, rows int, cols [][]float64, mode an
 		// One fused sweep per group, written straight into the first
 		// metric asking for each column (nil skips it) and mirrored to
 		// the rest.
-		g.ens.PredictBatch(g.output, xs, rows, mode, firstCol(cols, g.mean), firstCol(cols, g.variance))
+		g.ens.PredictBatch(g.output, xs, rows, firstCol(cols, g.mean), firstCol(cols, g.variance))
 		for _, ms := range [][]int{g.mean, g.variance} {
 			for i := 1; i < len(ms); i++ {
 				copy(cols[ms[i]], cols[ms[0]])

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -59,7 +58,7 @@ func TestPredictOutputBatchRejectsBadColumn(t *testing.T) {
 					t.Errorf("output %d accepted", bad)
 				}
 			}()
-			ens.PredictBatch(bad, nil, 0, ann.KernelExact, nil, nil)
+			ens.PredictBatch(bad, nil, 0, nil, nil)
 		}()
 	}
 }
@@ -102,9 +101,9 @@ func TestMetricSetEvalMatchesDirectCalls(t *testing.T) {
 		for m, metric := range metrics {
 			want := make([]float64, rows)
 			if metric.Kind == MetricVariance {
-				metric.Ens.PredictBatch(metric.Output, xs, rows, ann.KernelExact, nil, want)
+				metric.Ens.PredictBatch(metric.Output, xs, rows, nil, want)
 			} else {
-				metric.Ens.PredictBatch(metric.Output, xs, rows, ann.KernelExact, want, nil)
+				metric.Ens.PredictBatch(metric.Output, xs, rows, want, nil)
 			}
 			for r := 0; r < rows; r++ {
 				if cols[m][r] != want[r] {

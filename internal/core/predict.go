@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/ann"
 	"repro/internal/encoding"
-	"repro/internal/mathx"
 	"repro/internal/stats"
 )
 
@@ -42,20 +40,17 @@ func (e *Ensemble) Inputs() int { return e.nets[0].Config().Inputs }
 
 // PredictBatch is the ensemble's batched prediction kernel. It scores
 // rows encoded design points (xs is row-major, rows × Inputs()) on
-// output column output with the given kernel tier, and fills mean with
-// the ensemble mean and variance with the variance of the member
-// predictions, the active-learning disagreement signal of Chapter 7.
-// Either buffer may be nil to skip that column; a non-nil one must hold
-// exactly rows values. Chunks fan out across the ensemble's worker
-// bound, and the mode is per call, so one shared ensemble serves exact
-// and fast32 queries concurrently.
+// output column output, and fills mean with the ensemble mean and
+// variance with the variance of the member predictions, the
+// active-learning disagreement signal of Chapter 7. Either buffer may
+// be nil to skip that column; a non-nil one must hold exactly rows
+// values. Chunks fan out across the ensemble's worker bound.
 //
-// On ann.KernelExact each value is bit-identical to Predict, PredictAll
-// or PredictVariance on the same point: rows are independent and the
-// member-order accumulation is the same. ann.KernelFast32 swaps in the
-// bounded-error forward kernels and denormalization, and stays
-// bit-identical within the tier for any chunking or worker count.
-func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mode ann.KernelMode, mean, variance []float64) {
+// Each value is bit-identical to Predict, PredictAll or
+// PredictVariance on the same point, for any chunking or worker
+// count: rows are independent and the member-order accumulation is the
+// same.
+func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mean, variance []float64) {
 	if output < 0 || output >= e.outputs {
 		panic(fmt.Sprintf("core: output %d out of range [0,%d)", output, e.outputs))
 	}
@@ -70,14 +65,10 @@ func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mode ann.Ker
 		cnt := end - start
 		// preds[m*cnt+r] is member m's prediction for row start+r.
 		for m, n := range e.nets {
-			outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, mode)
+			outM := n.ForwardBatch(xs[start*e.Inputs():end*e.Inputs()], cnt, s)
 			dst := preds[m*cnt : (m+1)*cnt]
-			if mode == ann.KernelExact {
-				for r := range dst {
-					dst[r] = e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
-				}
-			} else {
-				e.denormalizeFast(output, outM, cnt, dst)
+			for r := range dst {
+				dst[r] = e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
 			}
 		}
 		// Same accumulation order as the per-point PredictVariance:
@@ -105,22 +96,6 @@ func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mode ann.Ker
 	})
 }
 
-// denormalizeFast maps one member's model-space output column back to
-// the raw target range for the fast32 kernel tier: the affine unscale is
-// fused (math.FMA, correctly rounded everywhere) and a log-transformed
-// target uses the bounded-error mathx exponential in one batch pass
-// instead of a library call per element.
-func (e *Ensemble) denormalizeFast(output int, outM []float64, cnt int, dst []float64) {
-	sc := e.scalers[output]
-	span := sc.Hi - sc.Lo
-	for r := 0; r < cnt; r++ {
-		dst[r] = math.FMA(outM[r*e.outputs+output], span, sc.Lo)
-	}
-	if e.logT {
-		mathx.ExpSlice(dst[:cnt])
-	}
-}
-
 // PredictIndices encodes the design-point indices through enc and
 // scores them with the batched kernels — the common "evaluate the
 // model on this list of points" idiom. Encoding and prediction stream
@@ -137,7 +112,7 @@ func (e *Ensemble) PredictIndices(enc *encoding.Encoder, idxs []int) []float64 {
 		for i, idx := range idxs[lo:hi] {
 			enc.EncodeIndex(idx, xs[i*width:(i+1)*width])
 		}
-		e.PredictBatch(0, xs[:(hi-lo)*width], hi-lo, ann.KernelExact, out[lo:hi], nil)
+		e.PredictBatch(0, xs[:(hi-lo)*width], hi-lo, out[lo:hi], nil)
 	}
 	return out
 }

@@ -70,11 +70,10 @@ func perPointVariance(e *Ensemble, x []float64, output int) (mean, variance floa
 // PredictBatch tests. For every output column of a two-output
 // ensemble, several worker counts and batch sizes up to three
 // predictChunk chunks, a call with the given buffers ("mean", "variance"
-// or "both") must write exact-tier values bit-identical to the
+// or "both") must write values bit-identical to the
 // per-point methods — means to PredictAll, output-0 variances to
 // PredictVariance, and the rest to PredictVariance's loop on their
-// column. On the fast32 tier every setting must reproduce one
-// sequential mean+variance call.
+// column.
 func predictBatchTable(t *testing.T, cols string) {
 	t.Helper()
 	ens := trainMultiTask(t, 11)
@@ -105,40 +104,25 @@ func predictBatchTable(t *testing.T, cols string) {
 			t.Fatalf("point %d: reference (%v, %v) != PredictVariance (%v, %v)", idx, want[0][idx].mean, want[0][idx].variance, m, v)
 		}
 	}
-	fast := make([][]ref, ens.Outputs()) // fast[o][r], one sequential call per column
-	ens.SetWorkers(1)
-	for o := range fast {
-		mean, variance := make([]float64, rows), make([]float64, rows)
-		ens.PredictBatch(o, xs, rows, ann.KernelFast32, mean, variance)
-		for r := range mean {
-			fast[o] = append(fast[o], ref{mean[r], variance[r]})
-		}
-	}
-
 	for _, workers := range []int{1, 4} {
 		ens.SetWorkers(workers)
 		for _, n := range []int{0, 1, 7, sp.Size(), rows} {
 			for o := 0; o < ens.Outputs(); o++ {
-				for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
-					var mean, variance []float64
-					if cols != "variance" {
-						mean = make([]float64, n)
+				var mean, variance []float64
+				if cols != "variance" {
+					mean = make([]float64, n)
+				}
+				if cols != "mean" {
+					variance = make([]float64, n)
+				}
+				ens.PredictBatch(o, xs[:n*width], n, mean, variance)
+				for r := 0; r < n; r++ {
+					w := want[o][r%sp.Size()]
+					if mean != nil && mean[r] != w.mean {
+						t.Fatalf("workers=%d rows=%d output %d %s: row %d mean %v, want %v", workers, n, o, cols, r, mean[r], w.mean)
 					}
-					if cols != "mean" {
-						variance = make([]float64, n)
-					}
-					ens.PredictBatch(o, xs[:n*width], n, mode, mean, variance)
-					for r := 0; r < n; r++ {
-						w := want[o][r%sp.Size()]
-						if mode == ann.KernelFast32 {
-							w = fast[o][r]
-						}
-						if mean != nil && mean[r] != w.mean {
-							t.Fatalf("workers=%d rows=%d output %d %v %s: row %d mean %v, want %v", workers, n, o, mode, cols, r, mean[r], w.mean)
-						}
-						if variance != nil && variance[r] != w.variance {
-							t.Fatalf("workers=%d rows=%d output %d %v %s: row %d variance %v, want %v", workers, n, o, mode, cols, r, variance[r], w.variance)
-						}
+					if variance != nil && variance[r] != w.variance {
+						t.Fatalf("workers=%d rows=%d output %d %s: row %d variance %v, want %v", workers, n, o, cols, r, variance[r], w.variance)
 					}
 				}
 			}
@@ -160,8 +144,8 @@ func TestPredictOutputBatchMatchesPredictAll(t *testing.T) { predictBatchTable(t
 // caller passes no mean buffer.
 func TestPredictVarianceBatchMatchesPerPoint(t *testing.T) { predictBatchTable(t, "variance") }
 
-// TestPredictOutputVarianceBatchColumns: on every output column and
-// both tiers the two buffers are independent — a call that fills both
+// TestPredictOutputVarianceBatchColumns: on every output column the
+// two buffers are independent — a call that fills both
 // writes the bits a mean-only and a variance-only call write — and
 // every variance is non-negative.
 func TestPredictOutputVarianceBatchColumns(t *testing.T) {
@@ -174,22 +158,20 @@ func TestPredictOutputVarianceBatchColumns(t *testing.T) {
 	}
 	xs, rows := flatten(probes)
 	for o := 0; o < ens.Outputs(); o++ {
-		for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
-			mean, variance := make([]float64, rows), make([]float64, rows)
-			ens.PredictBatch(o, xs, rows, mode, mean, variance)
-			meanOnly, varianceOnly := make([]float64, rows), make([]float64, rows)
-			ens.PredictBatch(o, xs, rows, mode, meanOnly, nil)
-			ens.PredictBatch(o, xs, rows, mode, nil, varianceOnly)
-			for i := range mean {
-				if mean[i] != meanOnly[i] {
-					t.Fatalf("output %d %v point %d: mean %v, mean-only call %v", o, mode, i, mean[i], meanOnly[i])
-				}
-				if variance[i] != varianceOnly[i] {
-					t.Fatalf("output %d %v point %d: variance %v, variance-only call %v", o, mode, i, variance[i], varianceOnly[i])
-				}
-				if variance[i] < 0 {
-					t.Fatalf("output %d %v point %d: negative variance %v", o, mode, i, variance[i])
-				}
+		mean, variance := make([]float64, rows), make([]float64, rows)
+		ens.PredictBatch(o, xs, rows, mean, variance)
+		meanOnly, varianceOnly := make([]float64, rows), make([]float64, rows)
+		ens.PredictBatch(o, xs, rows, meanOnly, nil)
+		ens.PredictBatch(o, xs, rows, nil, varianceOnly)
+		for i := range mean {
+			if mean[i] != meanOnly[i] {
+				t.Fatalf("output %d point %d: mean %v, mean-only call %v", o, i, mean[i], meanOnly[i])
+			}
+			if variance[i] != varianceOnly[i] {
+				t.Fatalf("output %d point %d: variance %v, variance-only call %v", o, i, variance[i], varianceOnly[i])
+			}
+			if variance[i] < 0 {
+				t.Fatalf("output %d point %d: negative variance %v", o, i, variance[i])
 			}
 		}
 	}
@@ -205,11 +187,11 @@ func TestPredictBatchWorkersInvariant(t *testing.T) {
 
 	ens.SetWorkers(1)
 	serial := make([]float64, rows)
-	ens.PredictBatch(0, xs, rows, ann.KernelExact, serial, nil)
+	ens.PredictBatch(0, xs, rows, serial, nil)
 	for _, w := range []int{2, 4, 8} {
 		ens.SetWorkers(w)
 		got := make([]float64, rows)
-		ens.PredictBatch(0, xs, rows, ann.KernelExact, got, nil)
+		ens.PredictBatch(0, xs, rows, got, nil)
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: point %d differs: %v vs %v", w, i, got[i], serial[i])
@@ -268,8 +250,8 @@ func TestPredictBatchEmptyAndValidation(t *testing.T) {
 	cfg := fastModel()
 	cfg.Seed = 35
 	ens, probes := trainSynthEnsemble(t, cfg, 11)
-	ens.PredictBatch(0, nil, 0, ann.KernelExact, nil, nil)
-	ens.PredictBatch(0, nil, 0, ann.KernelExact, []float64{}, []float64{})
+	ens.PredictBatch(0, nil, 0, nil, nil)
+	ens.PredictBatch(0, nil, 0, []float64{}, []float64{})
 	xs, _ := flatten(probes[:2])
 	for _, c := range []struct {
 		name           string
@@ -290,7 +272,7 @@ func TestPredictBatchEmptyAndValidation(t *testing.T) {
 					t.Errorf("%s did not panic", c.name)
 				}
 			}()
-			ens.PredictBatch(0, c.xs, c.rows, ann.KernelExact, c.mean, c.variance)
+			ens.PredictBatch(0, c.xs, c.rows, c.mean, c.variance)
 		}()
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/ann"
 	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
@@ -65,7 +64,7 @@ func Sensitivity(ens *Ensemble, sp *space.Space, bases int, seed uint64) []AxisS
 			preds = make([]float64, rows)
 		}
 		preds = preds[:rows]
-		ens.PredictBatch(0, xs, rows, ann.KernelExact, preds, nil)
+		ens.PredictBatch(0, xs, rows, preds, nil)
 
 		var swings []float64
 		var worst float64

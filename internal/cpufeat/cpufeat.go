@@ -1,13 +1,13 @@
 // Package cpufeat detects the few CPU features the optional
 // vectorized kernels in this repo are gated on. Feature bits only ever
 // select between implementations that are bit-identical by
-// construction (see internal/mathx and internal/ann), so detection can
-// never change results — only speed.
+// construction (see internal/ann), so detection can never change
+// results — only speed.
 //
-// AVX2 selects the float32 and float64 16-unit layer kernels. AVX2
-// together with FMA selects the exact tier's vector sigmoid, which
-// repeats the fused multiply-adds of math.Exp's FMA branch and so is
-// bit-identical to it only where that branch runs.
+// AVX2 selects the 16-unit layer kernel. AVX2 together with FMA
+// selects the vector sigmoid, which repeats the fused multiply-adds of
+// math.Exp's FMA branch and so is bit-identical to it only where that
+// branch runs.
 package cpufeat
 
 // AVX2 reports whether the CPU supports AVX2 and the OS saves the YMM

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/stats"
@@ -100,7 +99,7 @@ func CrossApp(study *studies.Study, apps []string, perApp, evalN, traceLen int, 
 		}
 		soloPred := solo.PredictIndices(enc, data[a].evalIdx)
 		crossPred := make([]float64, nEval)
-		pooled.PredictBatch(0, crossX, nEval, ann.KernelExact, crossPred, nil)
+		pooled.PredictBatch(0, crossX, nEval, crossPred, nil)
 		var soloErrs, crossErrs []float64
 		for i := range data[a].evalIdx {
 			truth := data[a].evalIPC[i]

@@ -3,17 +3,15 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/ann"
 )
 
 // The exact prediction cache. Design spaces are finite and discrete,
-// and every prediction is a pure function of (model version, kernel
-// tier, flat space index) — so memoization is *exact*, not
-// approximate: a hit returns the same bits the ensemble would have
-// produced, proven by the bit-identity tests in cache_test.go. Under
-// zipf-shaped production traffic the hot head of the space is answered
-// without touching the ensemble at all.
+// and every prediction is a pure function of (model version, flat
+// space index) — so memoization is *exact*, not approximate: a hit
+// returns the same bits the ensemble would have produced, proven by
+// the bit-identity tests in cache_test.go. Under zipf-shaped
+// production traffic the hot head of the space is answered without
+// touching the ensemble at all.
 //
 // The cache is sharded to keep lock contention off the hot path and
 // uses CLOCK eviction: a hit sets a reference bit instead of reordering
@@ -26,7 +24,6 @@ import (
 // cacheKey addresses one exact prediction.
 type cacheKey struct {
 	version int64
-	kernel  ann.KernelMode
 	index   int
 }
 
@@ -34,7 +31,7 @@ type cacheKey struct {
 // fields; adjacent indices (the common batch shape) land on different
 // shards.
 func (k cacheKey) hash() uint64 {
-	h := uint64(k.index) ^ uint64(k.version)<<20 ^ uint64(k.kernel)<<60
+	h := uint64(k.index) ^ uint64(k.version)<<20
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27

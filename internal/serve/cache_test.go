@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 )
 
@@ -31,43 +30,34 @@ func newCachedServer(t testing.TB, entries int, opts CoalesceOpts) (*httptest.Se
 	return ts, reg, b
 }
 
-// TestCacheBitIdentityAllTiers is the cache's exactness proof: for
-// every kernel tier, the first (computed, cache-filling) response and
-// the second (cache-served) response are bit-identical to the
-// ensemble's direct answer for that tier. JSON carries float64 at full
-// round-trip precision, so == on the decoded values is a bit
-// comparison.
+// TestCacheBitIdentityAllTiers is the cache's exactness proof: the
+// first (computed, cache-filling) response and the second
+// (cache-served) response are bit-identical to the ensemble's direct
+// answer. JSON carries float64 at full round-trip precision, so == on
+// the decoded values is a bit comparison.
 func TestCacheBitIdentityAllTiers(t *testing.T) {
 	ts, reg, b := newCachedServer(t, 1024, CoalesceOpts{Linger: time.Millisecond})
-	for _, tier := range []struct {
-		name string
-		mode ann.KernelMode
-	}{
-		{"exact", ann.KernelExact},
-		{"fast32", ann.KernelFast32},
-	} {
-		t.Run(tier.name, func(t *testing.T) {
-			for _, point := range []int{0, 7, 19, 39} {
-				x := b.Encoder.EncodeIndex(point, nil)
-				wantMean := make([]float64, 1)
-				wantVar := make([]float64, 1)
-				b.Ensemble.PredictBatch(0, x, 1, tier.mode, wantMean, wantVar)
+	t.Run("exact", func(t *testing.T) {
+		for _, point := range []int{0, 7, 19, 39} {
+			x := b.Encoder.EncodeIndex(point, nil)
+			wantMean := make([]float64, 1)
+			wantVar := make([]float64, 1)
+			b.Ensemble.PredictBatch(0, x, 1, wantMean, wantVar)
 
-				body := fmt.Sprintf(`{"model":"synth","point":%d,"kernel":%q}`, point, tier.name)
-				for _, label := range []string{"computed", "cached"} {
-					_, out := postJSON(t, ts.URL+"/v1/predict", body)
-					if got := out["prediction"].(float64); got != wantMean[0] {
-						t.Fatalf("%s point %d (%s pass): prediction %v, ensemble says %v",
-							tier.name, point, label, got, wantMean[0])
-					}
-					if got := out["variance"].(float64); got != wantVar[0] {
-						t.Fatalf("%s point %d (%s pass): variance %v, ensemble says %v",
-							tier.name, point, label, got, wantVar[0])
-					}
+			body := fmt.Sprintf(`{"model":"synth","point":%d}`, point)
+			for _, label := range []string{"computed", "cached"} {
+				_, out := postJSON(t, ts.URL+"/v1/predict", body)
+				if got := out["prediction"].(float64); got != wantMean[0] {
+					t.Fatalf("point %d (%s pass): prediction %v, ensemble says %v",
+						point, label, got, wantMean[0])
+				}
+				if got := out["variance"].(float64); got != wantVar[0] {
+					t.Fatalf("point %d (%s pass): variance %v, ensemble says %v",
+						point, label, got, wantVar[0])
 				}
 			}
-		})
-	}
+		}
+	})
 	st := reg.CacheStats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("expected both hits and misses after repeat queries, got %+v", st)
@@ -103,7 +93,7 @@ func TestCacheHitSkipsEnsemble(t *testing.T) {
 // of LRU list surgery).
 func TestCacheHitAllocationFree(t *testing.T) {
 	c := newPredCache(256)
-	k := cacheKey{version: 1, kernel: ann.KernelFast32, index: 42}
+	k := cacheKey{version: 1, index: 42}
 	c.put(k, cacheVal{mean: 1.5, variance: 0.25})
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := c.get(k); !ok {
@@ -194,7 +184,7 @@ func TestCoalescerFlushComputesOnlyMisses(t *testing.T) {
 			defer wg.Done()
 			x := b.Encoder.EncodeIndex(i, nil)
 			wantMean, wantVar := b.Ensemble.PredictVariance(x)
-			mean, vr, err := c.predict(x, ann.KernelExact, cacheKey{version: 1, index: i})
+			mean, vr, err := c.predict(x, cacheKey{version: 1, index: i})
 			if err != nil {
 				errs <- err
 				return
@@ -217,58 +207,35 @@ func TestCoalescerFlushComputesOnlyMisses(t *testing.T) {
 	}
 }
 
-// TestCoalescerMixedTierBatch drives concurrent requests of different
-// kernel tiers through one coalescer and checks each answer against
-// its own tier's direct computation — the flush partitions correctly.
-func TestCoalescerMixedTierBatch(t *testing.T) {
-	b := trainedBundle(t)
-	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{Linger: 20 * time.Millisecond, MaxBatch: 64}, nil)
-	defer c.close()
+// retiredKernelNames are values of the retired "kernel" request field:
+// both former tiers and the older "fast".
+var retiredKernelNames = []string{"fast32", "exact", "fast"}
 
-	modes := []ann.KernelMode{ann.KernelExact, ann.KernelFast32}
-	const perMode = 5
-	var wg sync.WaitGroup
-	errs := make(chan error, len(modes)*perMode)
-	for _, mode := range modes {
-		for i := 0; i < perMode; i++ {
-			wg.Add(1)
-			go func(mode ann.KernelMode, i int) {
-				defer wg.Done()
-				x := b.Encoder.EncodeIndex(i, nil)
-				wantMean := make([]float64, 1)
-				wantVar := make([]float64, 1)
-				b.Ensemble.PredictBatch(0, x, 1, mode, wantMean, wantVar)
-				mean, vr, err := c.predict(x, mode, cacheKey{})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if mean != wantMean[0] || vr != wantVar[0] {
-					errs <- fmt.Errorf("mode %v point %d: got (%v,%v), want (%v,%v)",
-						mode, i, mean, vr, wantMean[0], wantVar[0])
-				}
-			}(mode, i)
-		}
+// checkKernelRejected asserts a 400 whose error names the "kernel"
+// field.
+func checkKernelRejected(t *testing.T, endpoint, kernel string, resp *http.Response, out map[string]any) {
+	t.Helper()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%s with kernel %q answered %d, want 400", endpoint, kernel, resp.StatusCode)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	if msg, _ := out["error"].(string); !strings.Contains(msg, `"kernel"`) {
+		t.Fatalf("%s with kernel %q: error %q does not name the field", endpoint, kernel, msg)
 	}
 }
 
-// TestPredictRejectsUnknownKernel: a bad tier name — including the
-// retired "fast" tier — is a 400 naming the valid tiers, not a silent
-// fallback.
+// TestPredictRejectsUnknownKernel: the kernel-tier field is gone, so a
+// body that still carries it — under any tier name — is a 400 naming
+// the field on every prediction endpoint, not a silent fallback.
 func TestPredictRejectsUnknownKernel(t *testing.T) {
 	ts, _, _ := newTestServer(t, CoalesceOpts{})
-	for _, kernel := range []string{"warp", "fast"} {
-		resp, out := postJSON(t, ts.URL+"/v1/predict", fmt.Sprintf(`{"model":"synth","point":1,"kernel":%q}`, kernel))
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("kernel %q answered %d, want 400", kernel, resp.StatusCode)
-		}
-		if msg, _ := out["error"].(string); !strings.Contains(msg, "exact or fast32") {
-			t.Fatalf("kernel %q: error %q does not name the valid tiers", kernel, msg)
+	for _, kernel := range retiredKernelNames {
+		for _, c := range []struct{ endpoint, body string }{
+			{"/v1/predict", `{"model":"synth","point":1,"kernel":%q}`},
+			{"/v1/predict/batch", `{"model":"synth","points":[1,2],"kernel":%q}`},
+			{"/v1/variance", `{"model":"synth","points":[1,2],"kernel":%q}`},
+		} {
+			resp, out := postJSON(t, ts.URL+c.endpoint, fmt.Sprintf(c.body, kernel))
+			checkKernelRejected(t, c.endpoint, kernel, resp, out)
 		}
 	}
 }

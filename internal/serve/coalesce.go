@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 )
 
@@ -52,7 +51,6 @@ const nBatchBuckets = len(batchBuckets) + 1
 
 type pointReq struct {
 	x    []float64
-	mode ann.KernelMode
 	key  cacheKey
 	resp chan pointResp
 }
@@ -61,19 +59,15 @@ type pointResp struct {
 	mean, variance float64
 }
 
-// kernelFlushOrder fixes the per-flush partition order, so a mixed
-// batch always computes tiers in the same sequence.
-var kernelFlushOrder = [...]ann.KernelMode{ann.KernelExact, ann.KernelFast32}
-
 // coalescer funnels concurrent single-point predictions into batched
 // ensemble calls. Per-point HTTP traffic would otherwise pay one full
 // per-member forward pass per request; the dispatcher instead gathers
 // whatever requests arrive within one linger window (or MaxBatch,
-// whichever is first) and answers them all with batched kernel calls,
-// so serving throughput rides the same vectorized kernels as
+// whichever is first) and answers them all with one batched kernel
+// call, so serving throughput rides the same vectorized kernels as
 // candidate-pool scoring. Batching changes no bits: rows are
-// independent and the batched kernels are bit-identical to the
-// per-point path within a kernel tier.
+// independent and the batched kernel is bit-identical to the
+// per-point path.
 //
 // The coalescer is also where the prediction cache earns its
 // "coalescing-aware" label: requests whose key was filled between
@@ -98,7 +92,6 @@ type coalescer struct {
 
 	// Dispatcher-owned flush buffers, reused across flushes.
 	batch    []pointReq
-	part     []pointReq
 	xs       []float64
 	mean     []float64
 	variance []float64
@@ -118,11 +111,11 @@ func newCoalescer(ens *core.Ensemble, width int, opts CoalesceOpts, cache *predC
 	return c
 }
 
-// predict answers one encoded point through the coalescer with the
-// given kernel tier. key addresses the point in the prediction cache
-// and is ignored when caching is off.
-func (c *coalescer) predict(x []float64, mode ann.KernelMode, key cacheKey) (mean, variance float64, err error) {
-	r := pointReq{x: x, mode: mode, key: key, resp: make(chan pointResp, 1)}
+// predict answers one encoded point through the coalescer. key
+// addresses the point in the prediction cache and is ignored when
+// caching is off.
+func (c *coalescer) predict(x []float64, key cacheKey) (mean, variance float64, err error) {
+	r := pointReq{x: x, key: key, resp: make(chan pointResp, 1)}
 	select {
 	case c.reqs <- r:
 	case <-c.quit:
@@ -206,7 +199,7 @@ func (c *coalescer) recordBatch(n int) {
 }
 
 // flush answers every gathered request: cache hits immediately, the
-// misses with one batched kernel call per kernel tier present.
+// misses with one batched kernel call.
 func (c *coalescer) flush() {
 	if len(c.batch) == 0 {
 		return
@@ -231,43 +224,28 @@ func (c *coalescer) flush() {
 		c.batch = miss
 	}
 
-	if rows := len(c.batch); rows > 0 {
-		if need := rows * c.width; cap(c.xs) < need {
+	if n := len(c.batch); n > 0 {
+		if need := n * c.width; cap(c.xs) < need {
 			c.xs = make([]float64, need)
-			c.mean = make([]float64, rows)
-			c.variance = make([]float64, rows)
+			c.mean = make([]float64, n)
+			c.variance = make([]float64, n)
 		}
-		c.part = c.part[:0]
-		for _, mode := range kernelFlushOrder {
-			start := len(c.part)
-			for _, r := range c.batch {
-				if r.mode == mode {
-					c.part = append(c.part, r)
-				}
+		xs := c.xs[:n*c.width]
+		mean := c.mean[:n]
+		variance := c.variance[:n]
+		for i, r := range c.batch {
+			copy(xs[i*c.width:(i+1)*c.width], r.x)
+		}
+		c.ens.PredictBatch(0, xs, n, mean, variance)
+		c.flushes.Add(1)
+		c.recordBatch(n)
+		for i, r := range c.batch {
+			if c.cache != nil {
+				c.cache.put(r.key, cacheVal{mean: mean[i], variance: variance[i]})
 			}
-			seg := c.part[start:]
-			n := len(seg)
-			if n == 0 {
-				continue
-			}
-			xs := c.xs[:n*c.width]
-			mean := c.mean[:n]
-			variance := c.variance[:n]
-			for i, r := range seg {
-				copy(xs[i*c.width:(i+1)*c.width], r.x)
-			}
-			c.ens.PredictBatch(0, xs, n, mode, mean, variance)
-			c.flushes.Add(1)
-			c.recordBatch(n)
-			for i, r := range seg {
-				if c.cache != nil {
-					c.cache.put(r.key, cacheVal{mean: mean[i], variance: variance[i]})
-				}
-				r.resp <- pointResp{mean: mean[i], variance: variance[i]}
-			}
+			r.resp <- pointResp{mean: mean[i], variance: variance[i]}
 		}
 	}
 
 	c.batch = c.batch[:0]
-	c.part = c.part[:0]
 }

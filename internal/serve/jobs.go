@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/explore"
@@ -185,10 +184,6 @@ type JobStore struct {
 	reg     *Registry
 	backend Backend
 	copts   CoalesceOpts
-	// kernel is the forward-kernel tier for sweep jobs that leave
-	// "kernel" unset; set through Server.SetDefaultKernel before
-	// serving (zero value: exact).
-	kernel ann.KernelMode
 
 	baseCtx context.Context
 	stop    context.CancelFunc

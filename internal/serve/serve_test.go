@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -122,7 +121,7 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 		b.Encoder.EncodeIndex(p, xs[i*width:(i+1)*width])
 	}
 	want := make([]float64, len(points))
-	b.Ensemble.PredictBatch(0, xs, len(points), ann.KernelExact, want, nil)
+	b.Ensemble.PredictBatch(0, xs, len(points), want, nil)
 
 	body, _ := json.Marshal(map[string]any{"model": "synth", "points": points})
 	resp, out := postJSON(t, ts.URL+"/v1/predict/batch", string(body))
@@ -178,7 +177,7 @@ func TestVarianceEndpointMatchesBatchKernel(t *testing.T) {
 		b.Encoder.EncodeIndex(p, xs[i*width:(i+1)*width])
 	}
 	wantMean, wantVar := make([]float64, len(points)), make([]float64, len(points))
-	b.Ensemble.PredictBatch(0, xs, len(points), ann.KernelExact, wantMean, wantVar)
+	b.Ensemble.PredictBatch(0, xs, len(points), wantMean, wantVar)
 
 	body, _ := json.Marshal(map[string]any{"points": points})
 	resp, out := postJSON(t, ts.URL+"/v1/variance", string(body))
@@ -425,7 +424,7 @@ func TestCoalescerDirect(t *testing.T) {
 			defer wg.Done()
 			x := b.Encoder.EncodeIndex(i, nil)
 			wantMean, wantVar := b.Ensemble.PredictVariance(x)
-			mean, variance, err := c.predict(x, ann.KernelExact, cacheKey{})
+			mean, variance, err := c.predict(x, cacheKey{})
 			if err != nil {
 				errs <- err
 				return
@@ -441,7 +440,7 @@ func TestCoalescerDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.close()
-	if _, _, err := c.predict(b.Encoder.EncodeIndex(0, nil), ann.KernelExact, cacheKey{}); err == nil {
+	if _, _, err := c.predict(b.Encoder.EncodeIndex(0, nil), cacheKey{}); err == nil {
 		t.Fatal("predict succeeded on a closed coalescer")
 	}
 }

@@ -15,11 +15,11 @@
 //
 // The serve tier is production-hardened for sustained traffic: a
 // bounded, sharded *exact* prediction cache (cache.go) memoizes by
-// (model version, kernel tier, flat index) — legal because design
-// spaces are finite and predictions are pure — admission control
-// (limiter.go) degrades overload into fast 429 + Retry-After instead
-// of latency collapse, and hot reload (reload.go) rolls new bundles
-// under a stable alias without dropping requests.
+// (model version, flat index) — legal because design spaces are finite
+// and predictions are pure — admission control (limiter.go) degrades
+// overload into fast 429 + Retry-After instead of latency collapse,
+// and hot reload (reload.go) rolls new bundles under a stable alias
+// without dropping requests.
 //
 // With an exploration backend attached (see JobStore), the server also
 // runs the paper's whole §3.3 procedure as asynchronous jobs —
@@ -67,7 +67,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 )
 
@@ -88,9 +87,6 @@ type Server struct {
 	ctr  counters
 	adm  *admission  // nil = no admission control
 	lat  latencyHist // request-duration histogram for /metrics
-	// kernel is the forward-kernel tier applied to predict and sweep
-	// requests whose "kernel" field is empty (zero value: exact).
-	kernel ann.KernelMode
 }
 
 // New builds a server over reg, serving queries only.
@@ -118,16 +114,6 @@ func NewWithJobs(reg *Registry, jobs *JobStore) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/frontier", s.handleJobFrontier)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
 	return s
-}
-
-// SetDefaultKernel sets the forward-kernel tier for predict and sweep
-// requests that leave "kernel" unset (the -kernel flag on cmd/serve).
-// Call before serving; the field is not synchronized afterwards.
-func (s *Server) SetDefaultKernel(mode ann.KernelMode) {
-	s.kernel = mode
-	if s.jobs != nil {
-		s.jobs.kernel = mode
-	}
 }
 
 // ServeHTTP implements http.Handler. Every request passes through the
@@ -209,19 +195,6 @@ type pointSpec struct {
 	Point   *int    `json:"point,omitempty"`
 	Points  []int   `json:"points,omitempty"`
 	Choices [][]int `json:"choices,omitempty"`
-	// Kernel selects the forward-kernel tier ("exact" or "fast32");
-	// empty defers to the server's -kernel default. Cache entries are
-	// keyed per tier, so mixed-tier traffic never cross-contaminates.
-	Kernel string `json:"kernel,omitempty"`
-}
-
-// kernelFor resolves a request's kernel field against the server
-// default, rejecting unknown tier names.
-func (s *Server) kernelFor(name string) (ann.KernelMode, error) {
-	if name == "" {
-		return s.kernel, nil
-	}
-	return ann.ParseKernelMode(name)
 }
 
 // encodeOne resolves a single-point request into one encoded input row
@@ -306,18 +279,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	mode, err := s.kernelFor(req.Kernel)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	for attempt := 0; ; attempt++ {
 		x, index, err := encodeOne(m, req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		key := cacheKey{version: m.Version, kernel: mode, index: index}
+		key := cacheKey{version: m.Version, index: index}
 		if c := m.coal.cache; c != nil {
 			if v, hit := c.get(key); hit {
 				// Cache hit: answered without touching the ensemble (or
@@ -326,7 +294,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		mean, variance, err := m.coal.predict(x, mode, key)
+		mean, variance, err := m.coal.predict(x, key)
 		if err == nil {
 			writePrediction(w, m.Name, index, mean, variance)
 			return
@@ -358,18 +326,13 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	mode, err := s.kernelFor(req.Kernel)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	xs, idxs, err := encodeBatch(m, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	preds := make([]float64, len(idxs))
-	m.Bundle.Ensemble.PredictBatch(0, xs, len(idxs), mode, preds, nil)
+	m.Bundle.Ensemble.PredictBatch(0, xs, len(idxs), preds, nil)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":       m.Name,
 		"points":      idxs,
@@ -382,18 +345,13 @@ func (s *Server) handleVariance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	mode, err := s.kernelFor(req.Kernel)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	xs, idxs, err := encodeBatch(m, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	mean, variance := make([]float64, len(idxs)), make([]float64, len(idxs))
-	m.Bundle.Ensemble.PredictBatch(0, xs, len(idxs), mode, mean, variance)
+	m.Bundle.Ensemble.PredictBatch(0, xs, len(idxs), mean, variance)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":     m.Name,
 		"points":    idxs,

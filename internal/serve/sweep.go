@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/space"
@@ -46,26 +45,6 @@ type SweepRequest struct {
 	TopK    int `json:"topk,omitempty"`
 	Chunk   int `json:"chunk,omitempty"`
 	Workers int `json:"workers,omitempty"`
-	// Kernel names the forward-pass tier (see ann.KernelMode): "exact"
-	// keeps the bit-identical default; "fast32" trades the
-	// documented mathx error bounds for throughput. Empty defers to the
-	// server's -kernel default (itself exact unless configured).
-	// Whatever the tier, results stay bit-identical within it for any
-	// Workers/Chunk setting.
-	Kernel string `json:"kernel,omitempty"`
-}
-
-// kernelMode resolves the request's tier against a server default.
-// Validate has already rejected unknown names by the time this runs.
-func (r SweepRequest) kernelMode(def ann.KernelMode) ann.KernelMode {
-	if r.Kernel == "" {
-		return def
-	}
-	mode, err := ann.ParseKernelMode(r.Kernel)
-	if err != nil {
-		return def
-	}
-	return mode
 }
 
 // Validate checks the request's registry-independent bounds — the
@@ -80,9 +59,6 @@ func (r SweepRequest) Validate() error {
 		return fmt.Errorf("serve: chunk %d outside [0,%d]", r.Chunk, maxSweepChunk)
 	case r.Workers < 0:
 		return fmt.Errorf("serve: workers %d is negative", r.Workers)
-	}
-	if _, err := ann.ParseKernelMode(r.Kernel); err != nil {
-		return fmt.Errorf("serve: kernel: %w", err)
 	}
 	seen := make(map[string]bool, len(r.Models))
 	for _, name := range r.Models {
@@ -146,7 +122,6 @@ func (s *JobStore) SubmitSweep(req SweepRequest) (JobInfo, error) {
 			TopK:      req.TopK,
 			ChunkSize: req.Chunk,
 			Workers:   max(req.Workers, 1), // 0 means 1 here; see SweepRequest.Workers
-			Kernel:    req.kernelMode(s.kernel),
 			OnProgress: func(done, total int) {
 				job.mu.Lock()
 				job.swept, job.sweepTotal = done, total

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/sweep"
 )
@@ -119,6 +120,7 @@ func TestSweepSubmitValidation(t *testing.T) {
 // sweepJobDoc is the part of a GET /v1/jobs/{id} document the sweep
 // tests read.
 type sweepJobDoc struct {
+	ID     string        `json:"id"`
 	Status JobStatus     `json:"status"`
 	Error  string        `json:"error"`
 	Result *sweep.Result `json:"result"`
@@ -209,29 +211,36 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerDefaultKernel pins the -kernel server default: a sweep job
-// that leaves "kernel" unset runs the configured tier, while an
-// explicit "exact" overrides the default back to the bit-identical
-// kernel (the empty Result.Kernel).
+// TestServerDefaultKernel: the sweep endpoint has no kernel-tier knob
+// either. A body naming "kernel" is a 400 naming the field, and a sweep
+// job submitted without it carries no "kernel" key anywhere in its job
+// document.
 func TestServerDefaultKernel(t *testing.T) {
 	s, reg, _ := sweepStore(t)
-	srv := NewWithJobs(reg, s)
-	srv.SetDefaultKernel(ann.KernelFast32)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(NewWithJobs(reg, s))
 	defer ts.Close()
-	for _, tc := range []struct {
-		body, want string
-	}{
-		{`{"model":"synth","topk":3,"chunk":16}`, ann.KernelFast32.String()},
-		{`{"model":"synth","topk":3,"chunk":16,"kernel":"exact"}`, ""},
-	} {
-		doc := runSweepHTTP(t, ts.URL, tc.body)
-		if doc.Status != JobDone {
-			t.Fatalf("request %s finished %s (%s)", tc.body, doc.Status, doc.Error)
-		}
-		if doc.Result.Kernel != tc.want {
-			t.Fatalf("request %s ran kernel %q, want %q", tc.body, doc.Result.Kernel, tc.want)
-		}
+	for _, kernel := range retiredKernelNames {
+		resp, out := postJSON(t, ts.URL+"/v1/sweep", fmt.Sprintf(`{"model":"synth","topk":3,"kernel":%q}`, kernel))
+		checkKernelRejected(t, "/v1/sweep", kernel, resp, out)
+	}
+	doc := runSweepHTTP(t, ts.URL, `{"model":"synth","topk":3,"chunk":16}`)
+	if doc.Status != JobDone {
+		t.Fatalf("sweep finished %s (%s)", doc.Status, doc.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"frontier"`) {
+		t.Fatalf("job document carries no sweep result: %s", raw)
+	}
+	if strings.Contains(string(raw), `"kernel"`) {
+		t.Fatalf("sweep job document has a kernel key: %s", raw)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -74,28 +73,6 @@ func BenchmarkSweep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(context.Background(), sp, set, Config{Workers: workers, ChunkSize: 512}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(sp.Size())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-	}
-}
-
-// BenchmarkSweepKernel measures the same single-worker sweep across
-// the kernel tiers; BENCH_kernel.json gates both the absolute
-// throughputs and the same-run ratios between the tiers.
-func BenchmarkSweepKernel(b *testing.B) {
-	bd := benchBundle(b)
-	set, sp, err := Resolve(DefaultSpecs([]string{"m"}), map[string]*bundle.Bundle{"m": bd})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
-		b.Run(fmt.Sprintf("kernel=%s", mode), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), sp, set, Config{Workers: 1, ChunkSize: 512, Kernel: mode}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/pareto"
@@ -72,11 +71,6 @@ type Config struct {
 	// OnProgress, when non-nil, is called from the reducer — in chunk
 	// order, on the Run goroutine — as chunks complete.
 	OnProgress func(done, total int)
-	// Kernel selects the forward-kernel tier (see ann.KernelMode). The
-	// zero value is the bit-identical exact kernel; fast32 is
-	// bounded-error and bit-identical within a mode for any worker
-	// count and chunk size. Result.Kernel records the tier.
-	Kernel ann.KernelMode
 }
 
 // MetricInfo names one result column and its ranking direction.
@@ -96,9 +90,6 @@ type Result struct {
 	// TopK holds one best-first leaderboard per metric (empty when the
 	// sweep ran frontier-only).
 	TopK [][]Point `json:"topk,omitempty"`
-	// Kernel names the non-default kernel tier the sweep ran under
-	// (empty = exact; see ann.KernelMode).
-	Kernel string `json:"kernel,omitempty"`
 	// Frontier is the Pareto-optimal set over all metrics, in
 	// ascending index order.
 	Frontier []Point `json:"frontier"`
@@ -106,16 +97,6 @@ type Result struct {
 	// fields that vary between bit-identical runs.
 	Elapsed      time.Duration `json:"elapsed"`
 	PointsPerSec float64       `json:"pointsPerSec"`
-}
-
-// kernelLabel renders a kernel mode as Result.Kernel: the exact
-// default stays the empty string, so an exact sweep's document carries
-// no kernel field.
-func kernelLabel(m ann.KernelMode) string {
-	if m == ann.KernelExact {
-		return ""
-	}
-	return m.String()
 }
 
 // chunkPart is one chunk's reduction, travelling worker → reducer. A
@@ -218,7 +199,7 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 				for m := range cols {
 					view[m] = cols[m][:rows]
 				}
-				set.EvalKernel(xs[:rows*width], rows, view, cfg.Kernel)
+				set.Eval(xs[:rows*width], rows, view)
 				p := chunkPart{id: c, rows: rows, front: newFrontier(minimize)}
 				for m := range metrics {
 					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
@@ -304,7 +285,6 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 	res := &Result{
 		Space:    sp.Name,
 		Points:   size,
-		Kernel:   kernelLabel(cfg.Kernel),
 		Frontier: front.Sorted(),
 	}
 	for _, m := range metrics {

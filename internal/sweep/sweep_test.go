@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -9,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -153,32 +153,25 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunKernelBitIdentity extends the sharding guarantee to every
-// kernel tier: within a mode, the sweep reduction is byte-identical
-// for every worker count and chunk size. Modes are free to differ from
-// each other — each one is its own deterministic function of the
-// inputs.
+// TestRunKernelBitIdentity crosses worker counts with chunk sizes:
+// the sweep reduction through the forward kernel is byte-identical for
+// every (workers, chunk) pair, not only along one axis at a time.
 func TestRunKernelBitIdentity(t *testing.T) {
 	set, sp := testSet(t)
-	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
-		var base *Result
-		for _, workers := range []int{1, 4, 16} {
-			for _, chunk := range []int{9, 64, 512} {
-				got, err := Run(context.Background(), sp, set, Config{
-					TopK: 5, ChunkSize: chunk, Workers: workers, Kernel: mode,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if base == nil {
-					base = got
-					continue
-				}
-				sameReduction(t, mode.String(), base, got)
+	var base *Result
+	for _, workers := range []int{1, 4, 16} {
+		for _, chunk := range []int{9, 64, 512} {
+			got, err := Run(context.Background(), sp, set, Config{
+				TopK: 5, ChunkSize: chunk, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if base.Kernel != kernelLabel(mode) {
-			t.Fatalf("result kernel label %q, want %q", base.Kernel, kernelLabel(mode))
+			if base == nil {
+				base = got
+				continue
+			}
+			sameReduction(t, fmt.Sprintf("workers=%d chunk=%d", workers, chunk), base, got)
 		}
 	}
 }
