@@ -37,10 +37,10 @@ import (
 	"time"
 
 	"repro/internal/bundle"
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/explore"
+	"repro/internal/space"
 	"repro/internal/studies"
 	"repro/internal/sweep"
 )
@@ -86,14 +86,14 @@ func main() {
 		// A loaded bundle answers everything without exploring; refuse
 		// exploration flags instead of silently ignoring them.
 		for _, f := range []string{"active", "acquire", "paper", "budget", "batch", "target", "checkpoint", "oracle-workers", "retries"} {
-			if cliutil.FlagWasSet(f) {
+			if flagWasSet(f) {
 				fatal(fmt.Errorf("-%s controls exploration and has no effect with -load", f))
 			}
 		}
 		// The confirming simulation must run the application the model
-		// was trained on; ResolveBundle adopts the bundle's app unless
+		// was trained on; resolveBundle adopts the bundle's app unless
 		// -app was passed explicitly (cross-app evaluation, warned).
-		b, resolvedApp, err := cliutil.ResolveBundle("dsexplore", *loadPath, study.Space, "app", appName, *workers)
+		b, resolvedApp, err := resolveBundle(*loadPath, study.Space, appName, *workers)
 		fatal(err)
 		appName = resolvedApp
 		ens = b.Ensemble
@@ -112,7 +112,7 @@ func main() {
 			// results; refuse conflicting flags instead of silently
 			// ignoring them.
 			for _, f := range []string{"study", "app", "insts", "budget", "batch", "target", "active", "acquire", "paper", "seed"} {
-				if cliutil.FlagWasSet(f) {
+				if flagWasSet(f) {
 					fatal(fmt.Errorf("-%s comes from the checkpoint and cannot be overridden with -resume", f))
 				}
 			}
@@ -131,7 +131,7 @@ func main() {
 			// flags above — an explicit -workers is honored on resume
 			// (a run checkpointed on a big box may finish on a small
 			// one).
-			if cliutil.FlagWasSet("workers") {
+			if flagWasSet("workers") {
 				cp.Config.Model.Workers = *workers
 			}
 			if pipe.CheckpointPath == "" {
@@ -245,6 +245,43 @@ func main() {
 		fmt.Printf("  %2d. %-22s mean %6.1f%%  max %6.1f%%  (%d/%d bases)\n",
 			s.Rank, s.Name, s.MeanSwing, s.MaxSwing, s.ValidBases, s.Bases)
 	}
+}
+
+// flagWasSet reports whether the named flag was passed explicitly on
+// the command line (flag.Parse must have run), telling a deliberate
+// choice apart from a default.
+func flagWasSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = true
+		}
+	})
+	return set
+}
+
+// resolveBundle is the -load sequence: read the bundle, verify it is
+// still interpretable under the compiled-in study space, adopt the
+// bundle's recorded application unless -app chose one explicitly (a
+// cross-workload evaluation, warned on stderr), and apply the worker
+// bound. It returns the bundle and the application to simulate.
+func resolveBundle(path string, sp *space.Space, app string, workers int) (*bundle.Bundle, string, error) {
+	b, err := bundle.ReadFile(path)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := b.CompatibleWith(sp); err != nil {
+		return nil, "", fmt.Errorf("%s: %w", path, err)
+	}
+	if b.Meta.App != "" && b.Meta.App != app {
+		if flagWasSet("app") {
+			fmt.Fprintf(os.Stderr, "dsexplore: warning: bundle was trained on %q, evaluating against %q\n", b.Meta.App, app)
+		} else {
+			app = b.Meta.App
+		}
+	}
+	b.Ensemble.SetWorkers(workers)
+	return b, app, nil
 }
 
 // oracleMetrics picks the simulator target set an acquisition config

@@ -15,33 +15,24 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/bundle"
-	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/explore"
 	"repro/internal/pb"
-	"repro/internal/stats"
 	"repro/internal/studies"
-	"repro/internal/sweep"
 	"repro/internal/textplot"
 )
 
 func main() {
-	exp := flag.String("exp", "list", "experiment: list|all|spaces|table5.1|fig5.1|fig5.2|fig5.4|fig5.5|fig5.6|fig5.7|fig5.8|pb|crossapp|active|acquire|model")
+	exp := flag.String("exp", "list", "experiment: list|all|spaces|table5.1|fig5.1|fig5.2|fig5.4|fig5.5|fig5.6|fig5.7|fig5.8|pb|crossapp|active|acquire")
 	scaleName := flag.String("scale", "quick", "budget preset: quick|standard|full")
 	studyName := flag.String("study", "", "restrict to one study: memory|processor")
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: paper's choice per experiment)")
 	workers := flag.Int("workers", 0, "goroutines for fold training and batched prediction (0 = all cores)")
-	savePath := flag.String("save", "", "with -exp model: write the trained model bundle to this path (for cmd/serve)")
-	loadPath := flag.String("load", "", "with -exp model: evaluate a saved bundle against fresh simulations")
 	seed := flag.Uint64("seed", 42, "experiment seed")
 	flag.Parse()
 
@@ -84,8 +75,6 @@ func main() {
 		r.active()
 	case "acquire":
 		r.acquire()
-	case "model":
-		r.model(*savePath, *loadPath)
 	case "all":
 		r.spaces()
 		r.table51()
@@ -141,8 +130,7 @@ func (r *runner) list() {
   crossapp   Ch. 7 ext.     — cross-application model vs per-app models
   active     Ch. 7 ext.     — active learning vs random sampling
   acquire    Ch. 7 ext.     — Pareto-aware acquisition vs variance-only (hypervolume vs budget)
-  model      train once (-save bundle) / verify a saved bundle (-load)
-  all        everything above (except model, which needs -save or -load)
+  all        everything above
 `)
 }
 
@@ -299,82 +287,6 @@ func (r *runner) crossApp() {
 	fmt.Printf("%-8s %12s %12s\n", "app", "solo err%", "pooled err%")
 	for _, res := range results {
 		fmt.Printf("%-8s %11.2f%% %11.2f%%\n", res.App, res.SoloErr, res.CrossErr)
-	}
-}
-
-// model is the "train once, query forever" entry point: -save trains
-// one ensemble on the first configured (study, app) pair at the scale's
-// budget and writes it as a serveable bundle; -load reads a bundle back
-// and measures its true error against fresh held-out simulations.
-func (r *runner) model(save, load string) {
-	if (save == "") == (load == "") {
-		fatal(fmt.Errorf("-exp model needs exactly one of -save <path> or -load <path>"))
-	}
-	st := r.studies[0]
-	app := r.appsFor([]string{"mcf"})[0]
-	cfg := r.curveConfig()
-
-	if load != "" {
-		b, resolvedApp, err := cliutil.ResolveBundle("repro", load, st.Space, "apps", app, r.workers)
-		fatal(err)
-		app = resolvedApp
-		est := b.Ensemble.Estimate()
-		fmt.Printf("== bundle %s ==\n", load)
-		fmt.Printf("%s study / %s: %d members, %d sims behind it, estimated %.2f%% ± %.2f%%\n",
-			st.Name, app, b.Ensemble.Members(), b.Meta.Samples, est.MeanErr, est.SDErr)
-
-		oracle := experiments.NewSimOracle(st, app, cfg.TraceLen, experiments.IPCOnly)
-		rng := stats.NewRNG(r.seed ^ 0xB0D1E)
-		evalIdx := st.Space.Sample(rng, cfg.EvalPoints)
-		truth, err := oracle.IPCs(evalIdx)
-		fatal(err)
-		m, sd, used := b.Ensemble.TrueError(b.Encoder, evalIdx, truth)
-		fmt.Printf("measured against %d fresh simulations: true %.2f%% ± %.2f%%\n", used, m, sd)
-		r.sweepReport(st, b.Ensemble)
-		return
-	}
-
-	fmt.Printf("== training %s / %s model (%d sims, batches of %d) ==\n", st.Name, app, cfg.End, cfg.Step)
-	oracle := experiments.NewSimOracle(st, app, cfg.TraceLen, experiments.IPCOnly)
-	d, err := explore.New(st.Space, oracle, explore.Config{ExploreConfig: core.ExploreConfig{
-		Model:      cfg.Model,
-		BatchSize:  cfg.Step,
-		MaxSamples: cfg.End,
-		Seed:       r.seed,
-	}})
-	fatal(err)
-	ens, err := d.Run(context.Background())
-	fatal(err)
-	steps := d.Steps()
-	last := steps[len(steps)-1]
-	fmt.Printf("%d sims (%.2f%% of space): estimated %.2f%% ± %.2f%%\n",
-		last.Samples, 100*last.Fraction, last.Est.MeanErr, last.Est.SDErr)
-	b, err := bundle.New(st.Space, ens, bundle.Meta{
-		Study:   st.Name,
-		App:     app,
-		Metric:  "IPC",
-		Samples: len(d.Samples()),
-		Model:   cfg.Model,
-	})
-	fatal(err)
-	fatal(b.WriteFile(save))
-	fmt.Printf("saved model bundle to %s (serve it: go run ./cmd/serve %s)\n", save, save)
-	r.sweepReport(st, ens)
-}
-
-// sweepReport ranks the entire design space through the shared
-// streaming engine (internal/sweep) — the full-space evaluation the
-// model was trained to afford, identical to what cmd/sweep and
-// POST /v1/sweep answer from the same bundle.
-func (r *runner) sweepReport(st *studies.Study, ens *core.Ensemble) {
-	set, err := core.NewMetricSet([]core.Metric{{Name: "IPC", Ens: ens}})
-	fatal(err)
-	res, err := sweep.Run(context.Background(), st.Space, set, sweep.Config{TopK: 5, Workers: 1})
-	fatal(err)
-	fmt.Printf("full-space sweep: %d points in %v (%.0f points/s); predicted top %d by IPC:\n",
-		res.Points, res.Elapsed.Round(time.Millisecond), res.PointsPerSec, len(res.TopK[0]))
-	for rank, p := range res.TopK[0] {
-		fmt.Printf("  %d. IPC %.4f  %s\n", rank+1, p.Values[0], st.Space.Describe(p.Index))
 	}
 }
 

@@ -9,14 +9,14 @@ import (
 )
 
 // DeterminismScope lists the result-affecting packages: everything a
-// model output, sweep document, exploration trace, or offered-load
-// schedule is computed from. In these packages wall-clock reads and
-// platform-dependent RNGs are forbidden outright — the repo's core
+// model output, sweep document, exploration trace, simulation result
+// or saved bundle is computed from. In these packages wall-clock reads
+// and platform-dependent RNGs are forbidden outright — the repo's core
 // invariant is that results are pure functions of (inputs, seeds), so
 // any wall or OS entropy source here is a latent bit-identity bug. An
 // empty file list means the whole package; a non-empty list scopes the
-// rule to those files (loadsim's schedule layer must be pure, but its
-// runner/clock layer exists precisely to measure wall time).
+// rule to those files (serve's hardening files are held to it, but the
+// rest of serve is a service layer that measures wall time).
 var DeterminismScope = map[string][]string{
 	"repro/internal/core":     nil,
 	"repro/internal/pareto":   nil,
@@ -26,7 +26,13 @@ var DeterminismScope = map[string][]string{
 	"repro/internal/stats":    nil,
 	"repro/internal/explore":  nil,
 	"repro/internal/ann":      nil,
-	"repro/internal/loadsim":  {"pattern.go", "events.go", "schedule.go"},
+	"repro/internal/sim":      nil,
+	"repro/internal/workload": nil,
+	"repro/internal/simpoint": nil,
+	"repro/internal/bundle":   nil,
+	"repro/internal/studies":  nil,
+	"repro/internal/cacti":    nil,
+	"repro/internal/pb":       nil,
 	// serve's hardening layer: the cache must key purely on
 	// (version, index) and the limiter/metrics files funnel
 	// every wall read through one annotated nowMono() site.

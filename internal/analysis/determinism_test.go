@@ -9,7 +9,7 @@ import (
 
 // TestDeterminism covers the in-scope fixture (wall clocks, RNG
 // imports, trailing/above/malformed/wrong-name directives), the
-// per-file scoping used for loadsim's schedule layer, and a fully
+// per-file scoping used for serve's hardening layer, and a fully
 // out-of-scope package.
 func TestDeterminism(t *testing.T) {
 	a := analysis.NewDeterminism(map[string][]string{
@@ -24,20 +24,24 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestDeterminismDefaultScope pins the production scope: the packages
-// every result document is computed from, plus loadsim's pure schedule
-// layer — and nothing that is legitimately wall-measured.
+// every result document is computed from, simulation results and saved
+// bundles included, whole-package — and nothing that is legitimately
+// wall-measured.
 func TestDeterminismDefaultScope(t *testing.T) {
 	for _, pkg := range []string{
 		"repro/internal/core", "repro/internal/sweep", "repro/internal/space",
 		"repro/internal/encoding", "repro/internal/stats", "repro/internal/explore",
-		"repro/internal/loadsim", "repro/internal/ann",
+		"repro/internal/ann", "repro/internal/sim", "repro/internal/workload",
+		"repro/internal/simpoint", "repro/internal/bundle", "repro/internal/studies",
+		"repro/internal/cacti", "repro/internal/pb",
 	} {
-		if _, ok := analysis.DeterminismScope[pkg]; !ok {
+		files, ok := analysis.DeterminismScope[pkg]
+		if !ok {
 			t.Errorf("DeterminismScope lost %s", pkg)
 		}
-	}
-	if files := analysis.DeterminismScope["repro/internal/loadsim"]; len(files) == 0 {
-		t.Error("loadsim must be scoped to its schedule layer, not the wall-measuring runner")
+		if len(files) != 0 {
+			t.Errorf("%s must be in scope whole-package, not only %v", pkg, files)
+		}
 	}
 	// serve is a wall-measured service layer, so it must never be in
 	// scope whole-package — but its hardening files are: the cache key

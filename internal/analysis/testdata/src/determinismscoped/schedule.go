@@ -1,6 +1,6 @@
-// Package determinismscoped mirrors loadsim: only the schedule layer
-// (this file) is in the determinism scope; wall.go is the measurement
-// layer and exempt.
+// Package determinismscoped mirrors serve: only its pure layer (this
+// file) is in the determinism scope; wall.go is the measurement layer
+// and exempt.
 package determinismscoped
 
 import "time"

@@ -48,17 +48,40 @@ func Load(r io.Reader) (*Network, error) {
 	if err := s.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("ann: load: %w", err)
 	}
-	n := New(s.Config)
-	if len(s.Weights) != len(n.layers) {
-		return nil, fmt.Errorf("ann: load: %d weight layers for %d-layer network",
-			len(s.Weights), len(n.layers))
+	if err := s.checkShape(); err != nil {
+		return nil, fmt.Errorf("ann: load: %w", err)
 	}
+	n := New(s.Config)
 	for i, l := range n.layers {
-		if len(s.Weights[i]) != len(l.w) {
-			return nil, fmt.Errorf("ann: load: layer %d has %d weights, network expects %d",
-				i, len(s.Weights[i]), len(l.w))
-		}
 		copy(l.w, s.Weights[i])
 	}
 	return n, nil
+}
+
+// checkShape compares the layer sizes the config declares with the
+// weights the file holds, before New allocates anything: a declared
+// size is trusted only once the weights to fill it are present. Layer
+// i holds out rows of in+1 weights; a row width that does not divide
+// the weight count blames the layer's input size, a wrong row count its
+// output size. Division keeps the check free of overflow.
+func (s *serialized) checkShape() error {
+	c := s.Config
+	if len(s.Weights) != len(c.Hidden)+1 {
+		return fmt.Errorf("%d weight layers for a %d-layer network", len(s.Weights), len(c.Hidden)+1)
+	}
+	in, inField := c.Inputs, "Inputs"
+	for i, w := range s.Weights {
+		out, outField := c.Outputs, "Outputs"
+		if i < len(c.Hidden) {
+			out, outField = c.Hidden[i], fmt.Sprintf("Hidden[%d]", i)
+		}
+		if len(w)%(in+1) != 0 {
+			return fmt.Errorf("config.%s is %d, but layer %d's %d weights are not rows of %d+1", inField, in, i, len(w), in)
+		}
+		if rows := len(w) / (in + 1); rows != out {
+			return fmt.Errorf("config.%s is %d, but layer %d holds %d rows of %d+1 weights", outField, out, i, rows, in)
+		}
+		in, inField = out, outField
+	}
+	return nil
 }

@@ -58,18 +58,67 @@ func TestLoadedNetworkTrainsOn(t *testing.T) {
 	}
 }
 
+// badLoadInputs are network files Load must reject; field, when set,
+// is the config field the error must name.
+var badLoadInputs = map[string]struct{ payload, field string }{
+	"garbage":        {"not json at all", ""},
+	"future version": {`{"version":99,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`, ""},
+	"bad config":     {`{"version":1,"config":{"Inputs":0,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[]}`, "Inputs"},
+	"layer mismatch": {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[[0,0,0,0]]}`, ""},
+	// 2^46 inputs: allocating the declared shape panics in makeslice.
+	"huge inputs":   {`{"version":1,"config":{"Inputs":70368744177664,"Hidden":[16],"Outputs":1,"LearningRate":0.1,"Momentum":0.5},"weights":[[0],[0]]}`, "Inputs"},
+	"hidden rows":   {`{"version":1,"config":{"Inputs":1,"Hidden":[3],"Outputs":1,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0,0]]}`, "Hidden[0]"},
+	"output width":  {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0]]}`, "Hidden[0]"},
+	"output rows":   {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":2,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`, "Outputs"},
+	"max int input": {`{"version":1,"config":{"Inputs":9223372036854775807,"Hidden":[1],"Outputs":1,"LearningRate":0.1},"weights":[[0],[0,0]]}`, "Inputs"},
+}
+
 func TestLoadRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"garbage":        "not json at all",
-		"future version": `{"version":99,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`,
-		"bad config":     `{"version":1,"config":{"Inputs":0,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[]}`,
-		"layer mismatch": `{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[[0,0,0,0]]}`,
-	}
-	for name, payload := range cases {
-		if _, err := Load(strings.NewReader(payload)); err == nil {
+	for name, c := range badLoadInputs {
+		_, err := Load(strings.NewReader(c.payload))
+		switch {
+		case err == nil:
 			t.Errorf("%s accepted", name)
+		case !strings.Contains(err.Error(), c.field):
+			t.Errorf("%s: error %q does not name %s", name, err, c.field)
 		}
 	}
+}
+
+// FuzzLoad feeds Load arbitrary files: it must reject or accept without
+// panicking or allocating past the weights present, and whatever it
+// accepts must save and load again to the same weight bits.
+func FuzzLoad(f *testing.F) {
+	for _, c := range badLoadInputs {
+		f.Add(c.payload)
+	}
+	var buf bytes.Buffer
+	if err := New(smallConfig(3, 2)).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Fuzz(func(t *testing.T, payload string) {
+		n, err := Load(strings.NewReader(payload))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := n.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("reloading a saved network: %v", err)
+		}
+		if len(again.w) != len(n.w) {
+			t.Fatalf("reloaded %d weights, saved %d", len(again.w), len(n.w))
+		}
+		for i := range n.w {
+			if math.Float64bits(again.w[i]) != math.Float64bits(n.w[i]) {
+				t.Fatalf("weight %d: reloaded bits %x, saved %x", i, math.Float64bits(again.w[i]), math.Float64bits(n.w[i]))
+			}
+		}
+	})
 }
 
 func TestLoadRejectsWeightSizeMismatch(t *testing.T) {

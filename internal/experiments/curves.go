@@ -68,19 +68,6 @@ type CurveConfig struct {
 	Seed       uint64
 }
 
-// DefaultCurveConfig returns a paper-shaped sweep scaled to the given
-// budget: Start/Step of 50 simulations like the paper, ending at end.
-func DefaultCurveConfig(end int) CurveConfig {
-	return CurveConfig{
-		TraceLen:   50000,
-		Start:      50,
-		Step:       50,
-		End:        end,
-		EvalPoints: 1200,
-		Model:      core.DefaultModelConfig(),
-	}
-}
-
 // Curve runs one learning-curve experiment for (study, app): it samples
 // an evaluation set, then grows the training set batch by batch,
 // training an ensemble at every size and recording true and estimated

@@ -24,8 +24,8 @@ func (o *slowOracle) Evaluate(indices []int) ([][]float64, error) {
 }
 
 // BenchmarkOracleFanout measures one 50-point oracle batch through the
-// evaluation stage alone at different worker counts: the numbers in
-// BENCH_pipeline.json come from here.
+// evaluation stage alone at different worker counts; CI's bench smoke
+// runs it once per worker count, and no baseline gates it.
 func BenchmarkOracleFanout(b *testing.B) {
 	sp := synthSpace()
 	const batchSize = 50

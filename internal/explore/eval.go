@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bundle"
 	"repro/internal/core"
 )
 
@@ -134,38 +133,4 @@ func resolveAttempts(retries int) int {
 	default:
 		return 1
 	}
-}
-
-// EvaluateBatch evaluates indices through the oracle with the same
-// machinery the driver uses — per-point fan-out across workers,
-// order-preserving reassembly, retry-then-quarantine — and returns the
-// targets for the points that succeeded alongside the quarantine list
-// for those that did not. Callers that need every point (a fixed
-// training set, say) treat a non-empty quarantine as fatal; callers
-// growing a pool simply drop the quarantined points.
-//
-// The returned targets slice aligns with ok: targets[i] belongs to
-// ok[i], which preserves the relative order of indices.
-func EvaluateBatch(ctx context.Context, oracle core.Oracle, indices []int, workers, retries int) (ok []int, targets [][]float64, quarantined []bundle.QuarantinedPoint, err error) {
-	results := launchEval(ctx, oracle, indices, resolveFanout(workers), resolveAttempts(retries)).await()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	width := 0
-	for i, idx := range indices {
-		r := results[i]
-		if r.err == nil {
-			if werr := core.CheckTarget(idx, r.target, width); werr != nil {
-				r.err = werr
-			}
-		}
-		if r.err != nil {
-			quarantined = append(quarantined, bundle.QuarantinedPoint{Index: idx, Attempts: r.attempts, Error: r.err.Error()})
-			continue
-		}
-		width = len(r.target)
-		ok = append(ok, idx)
-		targets = append(targets, r.target)
-	}
-	return ok, targets, quarantined, nil
 }

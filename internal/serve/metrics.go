@@ -11,9 +11,8 @@ import (
 // GET /metrics — Prometheus text exposition, stdlib only. This is the
 // serve tier's production observability surface: request and latency
 // histograms, coalesce batch sizes, cache hit counters, rate-limit
-// rejections, and per-model counters, in one scrape. The load harness
-// (internal/loadsim) polls it for its server-side deltas, and any
-// standard Prometheus scraper can too.
+// rejections, and per-model counters, in one scrape, for any standard
+// Prometheus scraper.
 //
 // Everything here reads atomics written on the request path; a scrape
 // takes no locks the hot path contends on. Output ordering is fully

@@ -130,73 +130,97 @@ func TestReloadVersionCutover(t *testing.T) {
 // TestReloadUnderLoad is the zero-drop proof: clients hammer
 // /v1/predict while the alias is rolled repeatedly; every single
 // request must answer 200. Requests caught on the displaced coalescer
-// are retried against the new version inside the handler.
+// are retried against the new version inside the handler. It runs
+// twice: with admission control off, and armed as a hardened
+// deployment runs it, with rate and in-flight headroom far above this
+// load — an armed limiter with headroom must shed nothing, and the
+// cache must still answer hits.
 func TestReloadUnderLoad(t *testing.T) {
-	b := trainedBundle(t)
-	path := writeBundle(t, b, "m.bundle.json")
-	reg := NewRegistry()
-	reg.EnableCache(128)
-	if _, err := reg.AddFile("synth", path, CoalesceOpts{Linger: time.Millisecond}, 0); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(reg))
-	t.Cleanup(func() {
-		ts.Close()
-		reg.Close()
-	})
-
-	const clients = 8
-	var (
-		stop     atomic.Bool
-		done     sync.WaitGroup
-		total    atomic.Int64
-		failures atomic.Int64
-	)
-	for w := 0; w < clients; w++ {
-		done.Add(1)
-		go func(w int) {
-			defer done.Done()
-			for i := 0; !stop.Load(); i++ {
-				body := fmt.Sprintf(`{"model":"synth","point":%d}`, (w*5+i)%40)
-				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					failures.Add(1)
-				}
-				resp.Body.Close()
-				total.Add(1)
+	path := writeBundle(t, trainedBundle(t), "m.bundle.json")
+	for _, tc := range []struct {
+		name  string
+		armed bool
+	}{{"open", false}, {"armed-limiter", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			reg.EnableCache(128)
+			if _, err := reg.AddFile("synth", path, CoalesceOpts{Linger: time.Millisecond}, 0); err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
+			srv := New(reg)
+			if tc.armed {
+				srv.SetAdmission(50000, 10000, 256)
+			}
+			ts := httptest.NewServer(srv)
+			t.Cleanup(func() {
+				ts.Close()
+				reg.Close()
+			})
 
-	const rolls = 5
-	for i := 0; i < rolls; i++ {
-		time.Sleep(15 * time.Millisecond)
-		resp, out := postJSON(t, ts.URL+"/v1/models/synth/reload", "{}")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("reload %d answered %d: %v", i, resp.StatusCode, out)
-		}
-	}
-	time.Sleep(15 * time.Millisecond)
-	stop.Store(true)
-	done.Wait()
+			const clients = 8
+			var (
+				stop     atomic.Bool
+				done     sync.WaitGroup
+				total    atomic.Int64
+				failures atomic.Int64
+				shed     atomic.Int64
+			)
+			for w := 0; w < clients; w++ {
+				done.Add(1)
+				go func(w int) {
+					defer done.Done()
+					for i := 0; !stop.Load(); i++ {
+						body := fmt.Sprintf(`{"model":"synth","point":%d}`, (w*5+i)%40)
+						resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+						if err != nil {
+							failures.Add(1)
+							continue
+						}
+						if resp.StatusCode == http.StatusTooManyRequests {
+							shed.Add(1)
+						}
+						if resp.StatusCode != http.StatusOK {
+							failures.Add(1)
+						}
+						resp.Body.Close()
+						total.Add(1)
+					}
+				}(w)
+			}
 
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d of %d requests failed across %d reloads; a roll must drop nothing",
-			n, total.Load(), rolls)
-	}
-	if total.Load() == 0 {
-		t.Fatal("load generator sent no requests; the test proved nothing")
-	}
-	m, err := reg.Get("synth")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != rolls+1 {
-		t.Fatalf("final version %d, want %d after %d reloads", m.Version, rolls+1, rolls)
+			const rolls = 5
+			for i := 0; i < rolls; i++ {
+				time.Sleep(15 * time.Millisecond)
+				resp, out := postJSON(t, ts.URL+"/v1/models/synth/reload", "{}")
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("reload %d answered %d: %v", i, resp.StatusCode, out)
+				}
+			}
+			time.Sleep(15 * time.Millisecond)
+			stop.Store(true)
+			done.Wait()
+
+			if n := shed.Load(); n != 0 {
+				t.Fatalf("%d of %d requests answered 429; admission with headroom must shed nothing", n, total.Load())
+			}
+			if n := failures.Load(); n != 0 {
+				t.Fatalf("%d of %d requests failed across %d reloads; a roll must drop nothing",
+					n, total.Load(), rolls)
+			}
+			if total.Load() == 0 {
+				t.Fatal("load generator sent no requests; the test proved nothing")
+			}
+			if hits := reg.CacheStats().Hits; hits == 0 {
+				t.Fatalf("no cache hits across %d requests over 40 points", total.Load())
+			}
+			m, err := reg.Get("synth")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Version != rolls+1 {
+				t.Fatalf("final version %d, want %d after %d reloads", m.Version, rolls+1, rolls)
+			}
+		})
 	}
 }
 
