@@ -53,8 +53,7 @@ func main() {
 	batch := flag.Int("batch", 50, "simulations per round (paper: 50)")
 	traceLen := flag.Int("insts", 30000, "instructions per simulation")
 	paperCfg := flag.Bool("paper", false, "use the paper's exact ANN hyperparameters (slower training)")
-	active := flag.Bool("active", false, "use variance-driven (active) sampling instead of random; shorthand for -acquire variance")
-	acquire := flag.String("acquire", "", "Pareto-aware acquisition spec: hvi|frontier|variance with :max=outN/:min=outN/:var=outN objectives and :outN>=v constraints")
+	acquire := flag.String("acquire", "", "acquisition spec (variance = active learning): hvi|frontier|variance with :max=outN/:min=outN/:var=outN objectives and :outN>=v constraints")
 	workers := flag.Int("workers", 0, "goroutines for fold training and batched prediction (0 = all cores)")
 	oracleWorkers := flag.Int("oracle-workers", 0, "goroutines simulating design points concurrently (0 = all cores)")
 	retries := flag.Int("retries", 0, "oracle retries per failing point before quarantine (0 = default, negative = none)")
@@ -85,7 +84,7 @@ func main() {
 		fatal(err)
 		// A loaded bundle answers everything without exploring; refuse
 		// exploration flags instead of silently ignoring them.
-		for _, f := range []string{"active", "acquire", "paper", "budget", "batch", "target", "checkpoint", "oracle-workers", "retries"} {
+		for _, f := range []string{"acquire", "paper", "budget", "batch", "target", "checkpoint", "oracle-workers", "retries"} {
 			if flagWasSet(f) {
 				fatal(fmt.Errorf("-%s controls exploration and has no effect with -load", f))
 			}
@@ -111,7 +110,7 @@ func main() {
 			// The checkpoint is authoritative for everything that shapes
 			// results; refuse conflicting flags instead of silently
 			// ignoring them.
-			for _, f := range []string{"study", "app", "insts", "budget", "batch", "target", "active", "acquire", "paper", "seed"} {
+			for _, f := range []string{"study", "app", "insts", "budget", "batch", "target", "acquire", "paper", "seed"} {
 				if flagWasSet(f) {
 					fatal(fmt.Errorf("-%s comes from the checkpoint and cannot be overridden with -resume", f))
 				}
@@ -160,9 +159,6 @@ func main() {
 				cfg.Model = core.PaperConfig()
 			}
 			cfg.Model.Workers = *workers
-			if *active {
-				cfg.Acquire = &core.AcquireConfig{Strategy: core.AcquireVariance}
-			}
 			if *acquire != "" {
 				cfg.Acquire, err = core.ParseAcquireSpec(*acquire)
 				fatal(err)

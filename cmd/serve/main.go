@@ -8,7 +8,11 @@
 //
 // Bundles may also be passed as bare arguments, in which case each is
 // registered under its file basename. Concurrent single-point requests
-// are coalesced into batched ensemble calls; see internal/serve.
+// are coalesced into batched ensemble calls; see internal/serve. A
+// full-space sweep (internal/sweep) is a query too — top-k per metric
+// plus the Pareto frontier, answered in the response:
+//
+//	curl -s localhost:8080/v1/sweep -d '{"model":"mcf","topk":10}'
 //
 // The server also runs exploration itself: POST /v1/explore submits an
 // asynchronous job that drives the pipelined engine (internal/explore)
@@ -21,13 +25,6 @@
 //	curl -s localhost:8080/v1/jobs/job-1                # live round progress
 //	curl -s localhost:8080/v1/predict \
 //	     -d '{"model":"mcf","point":1234}'              # once done
-//
-// The same job pool runs full-space sweeps (internal/sweep) over
-// registered models — top-k per metric plus the Pareto frontier,
-// streamed over the whole design space:
-//
-//	curl -s localhost:8080/v1/sweep -d '{"model":"mcf","topk":10}'
-//	curl -s localhost:8080/v1/jobs/job-2                # progress, then "result"
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener stops,
 // in-flight requests get -drain to finish, and queued or running jobs
@@ -62,7 +59,7 @@ func main() {
 	workers := flag.Int("workers", 0, "goroutines per model for batched prediction (0 = all cores)")
 	maxBatch := flag.Int("coalesce-batch", 256, "max single-point requests answered per batched flush")
 	linger := flag.Duration("coalesce-linger", 200*time.Microsecond, "how long a flush waits for more requests")
-	jobs := flag.Int("jobs", 1, "exploration jobs running concurrently (0 disables POST /v1/explore)")
+	jobs := flag.Int("jobs", 1, "exploration jobs running concurrently (0 disables POST /v1/explore and /v1/jobs; queries such as /v1/sweep still answer)")
 	drain := flag.Duration("drain", 15*time.Second, "how long shutdown waits for in-flight requests before closing connections")
 	jobQueue := flag.Int("job-queue", 16, "exploration jobs queued beyond the running ones before 429s")
 	defaultInsts := flag.Int("insts", 30000, "default instructions per simulation for exploration jobs")

@@ -2,12 +2,15 @@ package bundle
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/space"
@@ -177,15 +180,127 @@ func TestBundleLoadRejectsCorruption(t *testing.T) {
 		"no ensemble":    strings.Replace(good, `"ensemble":{`, `"ensemble":null,"unused2":{`, 1),
 		"member inputs":  strings.Replace(good, `"Inputs":5`, `"Inputs":4`, -1),
 		"dropped scaler": strings.Replace(good, `"outputs":1`, `"outputs":2`, -1),
+		// Ensemble.Inputs reads member 0 only, so the encoder-width
+		// check alone would pass a wider member 1.
+		"mixed member widths": string(widenMember1(t, buf.Bytes())),
 	}
 	for name, doc := range cases {
 		if doc == good {
 			t.Fatalf("case %q did not alter the document", name)
 		}
-		if _, err := Load(strings.NewReader(doc)); err == nil {
+		_, err := Load(strings.NewReader(doc))
+		if err == nil {
 			t.Errorf("Load accepted %s", name)
+		} else if name == "mixed member widths" && !strings.Contains(err.Error(), "Inputs") {
+			t.Errorf("%s: error %q does not name Inputs", name, err)
 		}
 	}
+}
+
+// widenMember1 rewrites member 1 of the ensemble inside a saved bundle
+// or checkpoint as a valid network over 7 more inputs: every member
+// loads on its own, but the members' input widths disagree.
+func widenMember1(t testing.TB, doc []byte) []byte {
+	t.Helper()
+	marshal := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	var top, ens map[string]json.RawMessage
+	var nets []json.RawMessage
+	var member struct {
+		Config ann.Config `json:"config"`
+	}
+	if err := json.Unmarshal(doc, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["ensemble"], &ens); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(ens["nets"], &nets); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(nets[1], &member); err != nil {
+		t.Fatal(err)
+	}
+	member.Config.Inputs += 7
+	var wide bytes.Buffer
+	if err := ann.New(member.Config).Save(&wide); err != nil {
+		t.Fatal(err)
+	}
+	nets[1] = wide.Bytes()
+	ens["nets"] = marshal(nets)
+	top["ensemble"] = marshal(ens)
+	return marshal(top)
+}
+
+// tinyBundle trains three folds of 2-unit networks over testSpace: a
+// real saved artifact, small enough for the fuzzer to mutate quickly.
+func tinyBundle(t testing.TB) *Bundle {
+	t.Helper()
+	sp := testSpace()
+	enc := encoding.NewEncoder(sp)
+	var x, y [][]float64
+	for _, idx := range sp.Sample(stats.NewRNG(5), 12) {
+		x = append(x, enc.EncodeIndex(idx, nil))
+		y = append(y, []float64{testTarget(sp, idx)})
+	}
+	cfg := core.DefaultModelConfig()
+	cfg.Folds, cfg.Hidden = 3, []int{2}
+	cfg.Train.MaxEpochs = 5
+	ens, err := core.TrainEnsemble(x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(sp, ens, Meta{Study: "synth", App: "unit", Metric: "IPC", Model: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// resave runs save into a buffer and returns the bytes.
+func resave(t *testing.T, save func(io.Writer) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzBundleLoad: no input panics Load; an accepted bundle saves to
+// bytes that load and save again unchanged, and predicts one encoded
+// design point.
+func FuzzBundleLoad(f *testing.F) {
+	var buf bytes.Buffer
+	if err := tinyBundle(f).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.Bytes()
+	f.Add(saved)
+	f.Add(widenMember1(f, saved))
+	f.Add(saved[:len(saved)/2])
+	f.Add(bytes.Replace(saved, []byte(`"version":1`), []byte(`"version":2`), 1))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		b, err := Load(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		first := resave(t, b.Save)
+		again, err := Load(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("reloading a saved bundle: %v", err)
+		}
+		if second := resave(t, again.Save); !bytes.Equal(first, second) {
+			t.Fatalf("save/load/save changed the bytes:\n%s\n%s", first, second)
+		}
+		mean := make([]float64, 1)
+		b.Ensemble.PredictBatch(0, b.Encoder.EncodeIndex(0, nil), 1, mean, nil)
+	})
 }
 
 // TestCompatibleWithCatchesInPlaceDrift pins the reason CompatibleWith

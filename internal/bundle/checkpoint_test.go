@@ -25,7 +25,7 @@ func fastModel() core.ModelConfig {
 // sampleCheckpoint samples and trains two rounds the way the
 // exploration loop does and snapshots them by hand, standing in for
 // the driver's own snapshots (internal/explore imports this package).
-func sampleCheckpoint(t *testing.T) *Checkpoint {
+func sampleCheckpoint(t testing.TB) *Checkpoint {
 	t.Helper()
 	sp := testSpace()
 	cfg := core.ExploreConfig{
@@ -240,4 +240,39 @@ func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 	if math.IsNaN(cp.Targets[0][0]) {
 		t.Fatal("sanity: test fixture produced NaN targets")
 	}
+}
+
+// FuzzLoadCheckpoint: no input panics LoadCheckpoint; an accepted
+// checkpoint saves to bytes that load and save again unchanged, and its
+// ensemble, when it has one, predicts one encoded design point.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cp := sampleCheckpoint(f)
+	cp.Ensemble = tinyBundle(f).Ensemble // same width, far fewer bytes to mutate
+	var buf bytes.Buffer
+	if err := cp.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.Bytes()
+	f.Add(saved)
+	f.Add(widenMember1(f, saved))
+	f.Add(saved[:len(saved)/2])
+	f.Add(bytes.Replace(saved, []byte(`"version":2`), []byte(`"version":3`), 1))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		c, err := LoadCheckpoint(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		first := resave(t, c.Save)
+		again, err := LoadCheckpoint(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("reloading a saved checkpoint: %v", err)
+		}
+		if second := resave(t, again.Save); !bytes.Equal(first, second) {
+			t.Fatalf("save/load/save changed the bytes:\n%s\n%s", first, second)
+		}
+		if c.Ensemble != nil {
+			mean := make([]float64, 1)
+			c.Ensemble.PredictBatch(0, c.Encoder.EncodeIndex(0, nil), 1, mean, nil)
+		}
+	})
 }

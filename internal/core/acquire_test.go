@@ -158,8 +158,8 @@ func TestParseAcquireSpec(t *testing.T) {
 // TestAcquireVarianceMatchesNaive: the variance strategy without
 // constraints is the Chapter 7 rule — from the same RNG state it must
 // select exactly what a sorted reference picks from the same candidate
-// draw, and consume the selection stream identically, so `-active` and
-// `-acquire variance` runs replay bit-identically.
+// draw, and consume the selection stream identically, so an
+// `-acquire variance` run replays the Chapter 7 selections bit-identically.
 func TestAcquireVarianceMatchesNaive(t *testing.T) {
 	ens := trainAcquireEnsemble(t, 1, 60, 0)
 	sp := synthSpace()

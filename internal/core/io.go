@@ -80,6 +80,11 @@ func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 			return nil, fmt.Errorf("core: load ensemble member %d: %d outputs, ensemble has %d",
 				i, n.Config().Outputs, s.Outputs)
 		}
+		// Inputs() reads member 0, so every member must share its width.
+		if i > 0 && n.Config().Inputs != e.Inputs() {
+			return nil, fmt.Errorf("core: load ensemble member %d: Inputs %d, member 0 has %d",
+				i, n.Config().Inputs, e.Inputs())
+		}
 		e.nets = append(e.nets, n)
 	}
 	return e, nil

@@ -67,9 +67,6 @@ func (s *JobStore) Frontier(ctx context.Context, id string) (*FrontierDoc, error
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown job %q", id)
 	}
-	if job.Kind != JobKindExplore {
-		return nil, fmt.Errorf("serve: job %q is a %s job; only explorations serve a predicted frontier", id, job.Kind)
-	}
 	job.mu.Lock()
 	sp, ens, acq := job.liveSp, job.liveEns, job.acquire
 	samples := 0

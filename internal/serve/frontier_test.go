@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/bundle"
 	"repro/internal/core"
@@ -159,10 +158,10 @@ func TestFrontierEndpointMatchesInProcessSweep(t *testing.T) {
 	}
 }
 
-// TestFrontierWithoutAcquisition: a job with no acquire spec — plain,
-// or "active" (shorthand for the variance acquirer) — still serves a
-// frontier over the default objective pair: predicted performance vs
-// prediction disagreement.
+// TestFrontierWithoutAcquisition: a job with no objectives in its
+// acquire spec — none at all, or the bare "variance" acquirer — still
+// serves a frontier over the default objective pair: predicted
+// performance vs prediction disagreement.
 func TestFrontierWithoutAcquisition(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
@@ -171,7 +170,9 @@ func TestFrontierWithoutAcquisition(t *testing.T) {
 
 	for _, active := range []bool{false, true} {
 		req := fastJobRequest(fmt.Sprintf("active-%v", active))
-		req.Active = active
+		if active {
+			req.Acquire = "variance"
+		}
 		info, err := s.Submit(req)
 		if err != nil {
 			t.Fatal(err)
@@ -232,29 +233,6 @@ func TestFrontierErrors(t *testing.T) {
 	close(block)
 	if done := awaitJob(t, s, info.ID); done.Status != JobDone {
 		t.Fatalf("job finished %s (%s)", done.Status, done.Error)
-	}
-
-	// Sweep jobs have no live ensemble to predict a frontier from: 400.
-	swInfo, err := s.SubmitSweep(SweepRequest{Model: "blocked", TopK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		si, err := s.Get(swInfo.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if si.Status != JobQueued && si.Status != JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep job did not settle")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := status(swInfo.ID); got != http.StatusBadRequest {
-		t.Fatalf("sweep job frontier returned %d, want 400", got)
 	}
 }
 

@@ -33,13 +33,10 @@ type ExploreRequest struct {
 	Budget int     `json:"budget"`
 	Batch  int     `json:"batch,omitempty"`
 	Target float64 `json:"target,omitempty"`
-	// Active selects variance-driven (active-learning) sampling; it is
-	// shorthand for "acquire":"variance".
-	Active bool `json:"active,omitempty"`
 	// Acquire selects an acquisition function, in the
-	// core.ParseAcquireSpec grammar ("hvi:max=out0:min=out1",
-	// "variance:out0>=1.2", ...), and overrides Active. The first round
-	// is always random.
+	// core.ParseAcquireSpec grammar ("variance" for the Chapter 7
+	// active-learning rule, "hvi:max=out0:min=out1",
+	// "variance:out0>=1.2", ...). The first round is always random.
 	Acquire string `json:"acquire,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
 	// Workers bounds the per-job oracle fan-out (0 = all cores);
@@ -54,7 +51,7 @@ type ExploreRequest struct {
 // for the registered bundle.
 type Backend func(req ExploreRequest) (*space.Space, core.Oracle, bundle.Meta, error)
 
-// JobStatus is the lifecycle of an asynchronous job.
+// JobStatus is the lifecycle of an exploration job.
 type JobStatus string
 
 // Job lifecycle states.
@@ -66,27 +63,12 @@ const (
 	JobCancelled JobStatus = "cancelled"
 )
 
-// Job kinds the store runs.
-const (
-	// JobKindExplore trains a model by driving the exploration pipeline
-	// and registers the finished bundle.
-	JobKindExplore = "explore"
-	// JobKindSweep ranks an entire design space through registered
-	// models with the streaming sweep engine.
-	JobKindSweep = "sweep"
-)
-
-// Job is one asynchronous unit of work tracked by the store.
+// Job is one asynchronous exploration tracked by the store. Its
+// Req.Name is reserved in the registry from submission until the job
+// fails or is cancelled.
 type Job struct {
-	ID   string
-	Kind string
-	Req  any // the submitted request (ExploreRequest, SweepRequest)
-
-	// exec runs the work; its non-nil result is surfaced in JobInfo
-	// once the job is done. reserved is the registry name released if
-	// the job does not complete ("" when the job registers nothing).
-	exec     func(ctx context.Context, job *Job) (any, error)
-	reserved string
+	ID  string
+	Req ExploreRequest
 
 	mu          sync.Mutex
 	status      JobStatus
@@ -98,60 +80,41 @@ type Job struct {
 	// liveSp/liveEns/acquire feed GET /v1/jobs/{id}/frontier: the
 	// exploration's design space, its latest trained ensemble (updated
 	// after every completed round) and its acquisition config.
-	liveSp     *space.Space
-	liveEns    *core.Ensemble
-	acquire    *core.AcquireConfig
-	swept      int
-	sweepTotal int
-	result     any
-	errMsg     string
-	cancel     context.CancelFunc
-	cancelled  bool
+	liveSp    *space.Space
+	liveEns   *core.Ensemble
+	acquire   *core.AcquireConfig
+	errMsg    string
+	cancel    context.CancelFunc
+	cancelled bool
 }
 
 // JobInfo is a consistent snapshot of a job, and its JSON view.
 type JobInfo struct {
-	ID          string      `json:"id"`
-	Kind        string      `json:"kind"`
-	Req         any         `json:"request"`
-	Status      JobStatus   `json:"status"`
-	Created     time.Time   `json:"created"`
-	Started     *time.Time  `json:"started,omitempty"`
-	Finished    *time.Time  `json:"finished,omitempty"`
-	Samples     int         `json:"samples"`
-	Rounds      []core.Step `json:"rounds,omitempty"`
-	Quarantined int         `json:"quarantined,omitempty"`
-	// Swept/SweepTotal are a sweep job's live progress in design
-	// points.
-	Swept      int    `json:"swept,omitempty"`
-	SweepTotal int    `json:"sweepTotal,omitempty"`
-	Error      string `json:"error,omitempty"`
-	// Model is the registry name queryable once an exploration is done.
+	ID          string         `json:"id"`
+	Req         ExploreRequest `json:"request"`
+	Status      JobStatus      `json:"status"`
+	Created     time.Time      `json:"created"`
+	Started     *time.Time     `json:"started,omitempty"`
+	Finished    *time.Time     `json:"finished,omitempty"`
+	Samples     int            `json:"samples"`
+	Rounds      []core.Step    `json:"rounds,omitempty"`
+	Quarantined int            `json:"quarantined,omitempty"`
+	Error       string         `json:"error,omitempty"`
+	// Model is the registry name queryable once the job is done.
 	Model string `json:"model,omitempty"`
-	// Result is the job's product once Status == done — a sweep's
-	// top-k/frontier document. Explorations surface theirs through the
-	// model registry instead. Only single-job lookups carry it; the
-	// job listing omits it, so polling GET /v1/jobs does not
-	// re-serialize every finished sweep's tables.
-	Result any `json:"result,omitempty"`
 }
 
-// Info snapshots the job under its lock, result document included.
-func (j *Job) Info() JobInfo { return j.snapshot(true) }
-
-func (j *Job) snapshot(withResult bool) JobInfo {
+// Info snapshots the job under its lock.
+func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	info := JobInfo{
 		ID:          j.ID,
-		Kind:        j.Kind,
 		Req:         j.Req,
 		Status:      j.status,
 		Created:     j.created,
 		Rounds:      append([]core.Step(nil), j.steps...),
 		Quarantined: j.quarantined,
-		Swept:       j.swept,
-		SweepTotal:  j.sweepTotal,
 		Error:       j.errMsg,
 	}
 	if !j.started.IsZero() {
@@ -166,12 +129,7 @@ func (j *Job) snapshot(withResult bool) JobInfo {
 		info.Samples = j.steps[n-1].Samples
 	}
 	if j.status == JobDone {
-		if j.Kind == JobKindExplore {
-			info.Model = j.reserved
-		}
-		if withResult {
-			info.Result = j.result
-		}
+		info.Model = j.Req.Name
 	}
 	return info
 }
@@ -249,29 +207,18 @@ func (s *JobStore) Submit(req ExploreRequest) (JobInfo, error) {
 			return JobInfo{}, fmt.Errorf("serve: %w", err)
 		}
 	}
-	return s.enqueue(JobKindExplore, req, req.Name, func(ctx context.Context, job *Job) (any, error) {
-		return nil, s.runExplore(ctx, job, req)
-	})
-}
-
-// enqueue is the kind-agnostic admission path: it checks store
-// shutdown and queue capacity, reserves the registry name when the job
-// will register one, and hands the job to the worker pool.
-func (s *JobStore) enqueue(kind string, req any, reserve string, exec func(ctx context.Context, job *Job) (any, error)) (JobInfo, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return JobInfo{}, fmt.Errorf("serve: job store is shut down")
 	}
-	if reserve != "" {
-		if s.names[reserve] {
-			s.mu.Unlock()
-			return JobInfo{}, fmt.Errorf("serve: model name %q is taken by another job", reserve)
-		}
-		if _, err := s.reg.Get(reserve); err == nil {
-			s.mu.Unlock()
-			return JobInfo{}, fmt.Errorf("serve: model %q already registered", reserve)
-		}
+	if s.names[req.Name] {
+		s.mu.Unlock()
+		return JobInfo{}, fmt.Errorf("serve: model name %q is taken by another job", req.Name)
+	}
+	if _, err := s.reg.Get(req.Name); err == nil {
+		s.mu.Unlock()
+		return JobInfo{}, fmt.Errorf("serve: model %q already registered", req.Name)
 	}
 	if len(s.pending) >= s.queueCap {
 		s.mu.Unlock()
@@ -279,18 +226,13 @@ func (s *JobStore) enqueue(kind string, req any, reserve string, exec func(ctx c
 	}
 	s.nextID++
 	job := &Job{
-		ID:       fmt.Sprintf("job-%d", s.nextID),
-		Kind:     kind,
-		Req:      req,
-		exec:     exec,
-		reserved: reserve,
-		status:   JobQueued,
-		created:  time.Now(),
+		ID:      fmt.Sprintf("job-%d", s.nextID),
+		Req:     req,
+		status:  JobQueued,
+		created: time.Now(),
 	}
 	s.pending = append(s.pending, job)
-	if reserve != "" {
-		s.names[reserve] = true
-	}
+	s.names[req.Name] = true
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.notEmpty.Signal()
@@ -309,8 +251,7 @@ func (s *JobStore) Get(id string) (JobInfo, error) {
 	return job.Info(), nil
 }
 
-// List snapshots every job in submission order. Listings omit result
-// documents — fetch a single job for those.
+// List snapshots every job in submission order.
 func (s *JobStore) List() []JobInfo {
 	s.mu.Lock()
 	jobs := make([]*Job, 0, len(s.order))
@@ -320,7 +261,7 @@ func (s *JobStore) List() []JobInfo {
 	s.mu.Unlock()
 	out := make([]JobInfo, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.snapshot(false)
+		out[i] = j.Info()
 	}
 	return out
 }
@@ -344,7 +285,7 @@ func (s *JobStore) Cancel(id string) (JobInfo, error) {
 		job.status = JobCancelled
 		job.finished = time.Now()
 		s.unqueue(job)
-		s.releaseName(job.reserved)
+		s.releaseName(job.Req.Name)
 	case JobRunning:
 		job.cancelled = true
 		job.cancel() // run() settles status when Run returns
@@ -375,7 +316,7 @@ func (s *JobStore) Close() {
 		job.status = JobCancelled
 		job.finished = time.Now()
 		job.mu.Unlock()
-		s.releaseName(job.reserved)
+		s.releaseName(job.Req.Name)
 	}
 	s.stop()
 	s.wg.Wait()
@@ -420,8 +361,7 @@ func (s *JobStore) worker() {
 	}
 }
 
-// run executes one job end to end, whatever its kind, and settles its
-// final status.
+// run executes one job end to end and settles its final status.
 func (s *JobStore) run(job *Job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
@@ -435,7 +375,7 @@ func (s *JobStore) run(job *Job) {
 	job.cancel = cancel
 	job.mu.Unlock()
 
-	result, err := job.exec(ctx, job)
+	err := s.runExplore(ctx, job)
 	job.mu.Lock()
 	defer job.mu.Unlock()
 	job.finished = time.Now()
@@ -446,16 +386,16 @@ func (s *JobStore) run(job *Job) {
 			job.status = JobFailed
 		}
 		job.errMsg = err.Error()
-		s.releaseName(job.reserved)
+		s.releaseName(job.Req.Name)
 		return
 	}
-	job.result = result
 	job.status = JobDone
 }
 
-// runExplore is an exploration job's exec: backend resolution, the
-// exploration driver, and registration of the finished bundle.
-func (s *JobStore) runExplore(ctx context.Context, job *Job, req ExploreRequest) error {
+// runExplore is one job's work: backend resolution, the exploration
+// driver, and registration of the finished bundle.
+func (s *JobStore) runExplore(ctx context.Context, job *Job) error {
+	req := job.Req
 	ens, d, meta, err := s.explore(ctx, job, req)
 	if d != nil {
 		job.mu.Lock()
@@ -533,9 +473,6 @@ func driverConfig(req ExploreRequest, batch int) (explore.Config, error) {
 			Workers: req.Workers,
 			Retries: req.Retries,
 		},
-	}
-	if req.Active {
-		cfg.Acquire = &core.AcquireConfig{Strategy: core.AcquireVariance}
 	}
 	if req.Acquire != "" {
 		acq, err := core.ParseAcquireSpec(req.Acquire)

@@ -247,6 +247,12 @@ func TestExploreHTTPEndToEnd(t *testing.T) {
 	if submitted.ID == "" {
 		t.Fatal("no job id returned")
 	}
+	// The retired "active" shorthand is an unknown field, not a silent
+	// random run: "acquire":"variance" is the one spelling.
+	r400, out := postJSON(t, srv.URL+"/v1/explore", `{"name":"old","study":"synth","budget":12,"active":true}`)
+	if msg, _ := out["error"].(string); r400.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `unknown field "active"`) {
+		t.Fatalf(`body with "active" answered %d %q, want 400 naming the field`, r400.StatusCode, msg)
+	}
 
 	// Poll the job endpoint until done.
 	deadline := time.Now().Add(30 * time.Second)

@@ -254,9 +254,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				active++
 			}
 		}
-		mw.header("repro_jobs_total", "Jobs accepted by the store.", "counter")
+		mw.header("repro_jobs_total", "Exploration jobs accepted by the store.", "counter")
 		mw.sample("repro_jobs_total", float64(len(infos)))
-		mw.header("repro_jobs_active", "Jobs queued or running.", "gauge")
+		mw.header("repro_jobs_active", "Exploration jobs queued or running.", "gauge")
 		mw.sample("repro_jobs_active", float64(active))
 	}
 

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -260,4 +263,68 @@ func TestReloadErrors(t *testing.T) {
 	if _, err := reg.Get("mem"); err != nil {
 		t.Fatal("failed reload broke the alias:", err)
 	}
+	// So does a bundle whose member 1 is wider than member 0: its first
+	// prediction would panic a coalescer goroutine and take the process
+	// down, so the load itself must refuse it.
+	prev, err := reg.Get("mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := filepath.Join(t.TempDir(), "mixed.bundle.json")
+	if err := os.WriteFile(mixed, widenMember1(t, b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, out = postJSON(t, ts.URL+"/v1/models/mem/reload", fmt.Sprintf(`{"path":%q}`, mixed))
+	if msg, _ := out["error"].(string); resp.StatusCode != http.StatusConflict || !strings.Contains(msg, "Inputs") {
+		t.Fatalf("mixed-width reload answered %d %q, want 409 naming Inputs", resp.StatusCode, msg)
+	}
+	resp, out = postJSON(t, ts.URL+"/v1/predict", `{"model":"mem","point":3}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after the refused reload answered %d: %v", resp.StatusCode, out)
+	}
+	if cur, _ := reg.Get("mem"); cur.Version != prev.Version {
+		t.Fatalf("refused reload moved the alias from version %d to %d", prev.Version, cur.Version)
+	}
+}
+
+// widenMember1 saves b with member 1 of its ensemble rewritten as a
+// valid network over 7 more inputs: every member loads on its own, but
+// the members' input widths disagree.
+func widenMember1(t *testing.T, b *bundle.Bundle) []byte {
+	t.Helper()
+	var doc bytes.Buffer
+	if err := b.Save(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var top, ens map[string]json.RawMessage
+	var nets []json.RawMessage
+	if err := json.Unmarshal(doc.Bytes(), &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["ensemble"], &ens); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(ens["nets"], &nets); err != nil {
+		t.Fatal(err)
+	}
+	var wide bytes.Buffer
+	if err := ann.New(ann.Config{
+		Inputs: b.Encoder.Width() + 7, Hidden: []int{16}, Outputs: b.Ensemble.Outputs(),
+		LearningRate: 0.1, Momentum: 0.5,
+	}).Save(&wide); err != nil {
+		t.Fatal(err)
+	}
+	nets[1] = wide.Bytes()
+	var err error
+	if ens["nets"], err = json.Marshal(nets); err != nil {
+		t.Fatal(err)
+	}
+	if top["ensemble"], err = json.Marshal(ens); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

@@ -10,8 +10,17 @@
 //	POST /v1/predict/batch  many design points → predictions, one batched call
 //	POST /v1/variance       many design points → ensemble mean + disagreement
 //	GET  /v1/sensitivity    model-powered per-axis sensitivity ranking
+//	POST /v1/sweep          whole design space → top-k per metric + Pareto frontier
 //
 //	POST /v1/models/{alias}/reload  hot-swap the alias to a freshly loaded bundle
+//
+// A sweep (internal/sweep) is the paper's "evaluate the whole space
+// through the model" payoff as a query: it streams every design point
+// of the named models' shared space through the batched kernels on the
+// request goroutine and answers the reduced sweep.Result document —
+// per-metric top-k leaderboards and the Pareto frontier over all
+// requested metrics (several models' predictions, multi-task output
+// columns, or prediction variance as a confidence axis).
 //
 // The serve tier is production-hardened for sustained traffic: a
 // bounded, sharded *exact* prediction cache (cache.go) memoizes by
@@ -35,20 +44,6 @@
 // Completed jobs register their trained bundle in the model registry
 // under the requested name, immediately queryable by every endpoint
 // above.
-//
-// The same job store runs full-space sweeps (internal/sweep) over
-// registered models — the paper's "evaluate the whole space through
-// the model" payoff as a service:
-//
-//	POST /v1/sweep               submit a sweep job (202 + job id)
-//
-// A sweep streams every design point of the models' shared space
-// through the batched kernels and reduces it into per-metric top-k
-// leaderboards and the Pareto frontier over all requested metrics
-// (several models' predictions, multi-task output columns, or
-// prediction variance as a confidence axis); the finished document
-// arrives in the job's "result" with live point-count progress while
-// it runs.
 //
 // Design points are addressed either by flat index ("point"/"points")
 // or by explicit choice vectors ("choices"); both are validated against
@@ -95,7 +90,8 @@ func New(reg *Registry) *Server { return NewWithJobs(reg, nil) }
 // NewWithJobs builds a server that additionally runs exploration as a
 // service: POST /v1/explore submits jobs against jobs' backend, and
 // finished models become queryable through the same registry. A nil
-// jobs store turns those endpoints into 503s.
+// jobs store turns the exploration and job endpoints into 503s; every
+// query, /v1/sweep included, answers either way.
 func NewWithJobs(reg *Registry, jobs *JobStore) *Server {
 	s := &Server{reg: reg, jobs: jobs, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)

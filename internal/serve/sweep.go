@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -19,10 +18,11 @@ const (
 	maxSweepChunk = 1 << 20
 )
 
-// SweepRequest is the wire form of one full-space sweep job: which
+// SweepRequest is the wire form of one full-space sweep: which
 // registered models contribute ranking metrics, which metrics to
-// reduce by, and the engine knobs. Results are bit-identical for any
-// Workers/Chunk setting.
+// reduce by, and the engine knobs. POST /v1/sweep runs it on the
+// request goroutine and answers the sweep.Result document; results
+// are bit-identical for any Workers/Chunk setting.
 type SweepRequest struct {
 	// Model names the single registry model to sweep (may be empty on
 	// a one-model server); Models lists several whose bundles must
@@ -107,52 +107,29 @@ func resolveSweepRequest(reg *Registry, req SweepRequest) (*core.MetricSet, *spa
 	return sweep.Resolve(specs, bundles)
 }
 
-// SubmitSweep validates, enqueues and returns a new sweep job. The
-// metric set is resolved against the registry at submission, so a
-// request naming unknown models or incompatible spaces fails
-// synchronously; the sweep itself runs asynchronously on the store's
-// worker pool, with live progress in the job's Swept/SweepTotal.
-func (s *JobStore) SubmitSweep(req SweepRequest) (JobInfo, error) {
-	set, sp, err := resolveSweepRequest(s.reg, req)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return s.enqueue(JobKindSweep, req, "", func(ctx context.Context, job *Job) (any, error) {
-		cfg := sweep.Config{
-			TopK:      req.TopK,
-			ChunkSize: req.Chunk,
-			Workers:   max(req.Workers, 1), // 0 means 1 here; see SweepRequest.Workers
-			OnProgress: func(done, total int) {
-				job.mu.Lock()
-				job.swept, job.sweepTotal = done, total
-				job.mu.Unlock()
-			},
-		}
-		return sweep.Run(ctx, sp, set, cfg)
-	})
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	jobs, ok := s.requireJobs(w)
-	if !ok {
-		return
-	}
 	var req SweepRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	info, err := jobs.SubmitSweep(req)
+	set, sp, err := resolveSweepRequest(s.reg, req)
 	if err != nil {
 		status := http.StatusBadRequest
-		switch {
-		case strings.Contains(err.Error(), "unknown model"):
+		if strings.Contains(err.Error(), "unknown model") {
 			status = http.StatusNotFound
-		case strings.Contains(err.Error(), "queue is full"):
-			status = http.StatusTooManyRequests
 		}
 		writeError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, info)
+	res, err := sweep.Run(r.Context(), sp, set, sweep.Config{
+		TopK:      req.TopK,
+		ChunkSize: req.Chunk,
+		Workers:   max(req.Workers, 1), // 0 means 1 here; see SweepRequest.Workers
+	})
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// sweepStore builds a registry holding one trained model plus a job
-// store with no exploration backend needs exercised.
+// sweepStore builds a registry holding one trained model plus an idle
+// job store, so the sweep tests run against a server that has one.
 func sweepStore(t *testing.T) (*JobStore, *Registry, *bundle.Bundle) {
 	t.Helper()
 	b := trainedBundle(t)
@@ -33,25 +34,43 @@ func sweepStore(t *testing.T) (*JobStore, *Registry, *bundle.Bundle) {
 	return s, reg, b
 }
 
-// TestSweepJobMatchesInProcessRun: the served sweep must be the exact
-// in-process engine result — same top-k, same frontier, bit for bit.
-func TestSweepJobMatchesInProcessRun(t *testing.T) {
-	s, _, b := sweepStore(t)
-	info, err := s.SubmitSweep(SweepRequest{Model: "synth", TopK: 5, Workers: 3, Chunk: 7})
+// postSweep posts body to url's /v1/sweep and returns the raw 200
+// document; any other status fails the test.
+func postSweep(t *testing.T, url, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Kind != JobKindSweep {
-		t.Fatalf("job kind %q", info.Kind)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := awaitJob(t, s, info.ID)
-	if done.Status != JobDone {
-		t.Fatalf("sweep finished %s (%s)", done.Status, done.Error)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep %s answered %d, want 200: %s", body, resp.StatusCode, raw)
 	}
-	got, ok := done.Result.(*sweep.Result)
-	if !ok {
-		t.Fatalf("job result is %T, want *sweep.Result", done.Result)
+	return raw
+}
+
+// runSweepHTTP posts body to POST /v1/sweep and decodes the answered
+// sweep document.
+func runSweepHTTP(t *testing.T, url, body string) *sweep.Result {
+	t.Helper()
+	var res sweep.Result
+	if err := json.Unmarshal(postSweep(t, url, body), &res); err != nil {
+		t.Fatal(err)
 	}
+	return &res
+}
+
+// TestSweepMatchesInProcessRun: the served sweep must be the exact
+// in-process engine result — same top-k, same frontier, bit for bit.
+func TestSweepMatchesInProcessRun(t *testing.T) {
+	s, reg, b := sweepStore(t)
+	srv := httptest.NewServer(NewWithJobs(reg, s))
+	defer srv.Close()
+	got := runSweepHTTP(t, srv.URL, `{"model":"synth","topk":5,"workers":3,"chunk":7}`)
 
 	set, sp, err := sweep.Resolve(sweep.DefaultSpecs([]string{"synth"}),
 		map[string]*bundle.Bundle{"synth": b})
@@ -65,26 +84,78 @@ func TestSweepJobMatchesInProcessRun(t *testing.T) {
 	if !reflect.DeepEqual(got.TopK, want.TopK) || !reflect.DeepEqual(got.Frontier, want.Frontier) {
 		t.Fatalf("served sweep diverged from in-process run:\n%+v\nvs\n%+v", got, want)
 	}
-	if done.Swept != sp.Size() || done.SweepTotal != sp.Size() {
-		t.Fatalf("progress settled at %d/%d, want %d/%d", done.Swept, done.SweepTotal, sp.Size(), sp.Size())
+	if got.Points != sp.Size() {
+		t.Fatalf("served sweep scored %d points, want %d", got.Points, sp.Size())
 	}
-	if done.Model != "" {
-		t.Fatalf("sweep job claims to have registered model %q", done.Model)
-	}
-	// The listing stays light: result documents come only from
-	// single-job lookups.
-	list := s.List()
-	if len(list) != 1 || list[0].Result != nil {
-		t.Fatalf("job listing carries a result document: %+v", list)
-	}
-	if list[0].Status != JobDone || list[0].Swept != sp.Size() {
-		t.Fatalf("listing lost status/progress: %+v", list[0])
+	// A sweep is a query: the job store never sees it.
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("sweep left %d jobs in the store", len(jobs))
 	}
 }
 
-// TestSweepSubmitValidation: malformed requests fail synchronously.
+// TestSweepAnswersWhileExplorationRuns: a sweep does not wait for the
+// exploration pool. With the store's one worker held by an exploration
+// blocked in its oracle, POST /v1/sweep still answers its document.
+func TestSweepAnswersWhileExplorationRuns(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	if _, err := reg.Add("synth", trainedBundle(t), CoalesceOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	block := make(chan struct{})
+	s := NewJobStore(reg, testBackend(0, block), 1, 4, CoalesceOpts{})
+	defer s.Close()
+	// Runs before Close on every exit, so a failed check cannot leave
+	// Close waiting on the blocked oracle.
+	release := sync.OnceFunc(func() { close(block) })
+	defer release()
+	srv := httptest.NewServer(NewWithJobs(reg, s))
+	defer srv.Close()
+
+	info, err := s.Submit(fastJobRequest("busy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got, _ := s.Get(info.ID)
+		if got.Status == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("exploration never started")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(srv.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"model":"synth","topk":3}`))
+	if err != nil {
+		t.Fatalf("sweep did not answer while the exploration ran: %v", err)
+	}
+	var res sweep.Result
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("sweep answered %d (%v) while the exploration ran, want 200 and its document", resp.StatusCode, err)
+	}
+	if res.Points != 40 || len(res.Frontier) == 0 {
+		t.Fatalf("sweep document covers %d points with a %d-point frontier", res.Points, len(res.Frontier))
+	}
+	if got, _ := s.Get(info.ID); got.Status != JobRunning {
+		t.Fatalf("exploration is %s before its oracle was released", got.Status)
+	}
+	release()
+	if done := awaitJob(t, s, info.ID); done.Status != JobDone {
+		t.Fatalf("exploration finished %s (%s)", done.Status, done.Error)
+	}
+}
+
+// TestSweepSubmitValidation: malformed requests fail before any
+// scoring.
 func TestSweepSubmitValidation(t *testing.T) {
-	s, reg, _ := sweepStore(t)
+	_, reg, _ := sweepStore(t)
 	cases := map[string]SweepRequest{
 		"both model and models": {Model: "synth", Models: []string{"synth"}},
 		"unknown model":         {Model: "nope"},
@@ -96,90 +167,37 @@ func TestSweepSubmitValidation(t *testing.T) {
 		"bad metric output":     {Model: "synth", Metrics: []sweep.MetricSpec{{Output: 4}}},
 	}
 	for label, req := range cases {
-		if _, err := s.SubmitSweep(req); err == nil {
+		if _, _, err := resolveSweepRequest(reg, req); err == nil {
 			t.Errorf("%s accepted", label)
 		}
 	}
 	// The sole model may be left implicit — and once a second model
 	// exists, it may not.
-	info, err := s.SubmitSweep(SweepRequest{TopK: -1})
+	set, sp, err := resolveSweepRequest(reg, SweepRequest{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done := awaitJob(t, s, info.ID); done.Status != JobDone {
-		t.Fatalf("implicit-model sweep finished %s (%s)", done.Status, done.Error)
+	if _, err := sweep.Run(context.Background(), sp, set, sweep.Config{TopK: -1}); err != nil {
+		t.Fatalf("implicit-model sweep: %v", err)
 	}
 	if _, err := reg.Add("second", trainedBundle(t), CoalesceOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitSweep(SweepRequest{}); err == nil {
+	if _, _, err := resolveSweepRequest(reg, SweepRequest{}); err == nil {
 		t.Fatal("ambiguous implicit model accepted")
 	}
 }
 
-// sweepJobDoc is the part of a GET /v1/jobs/{id} document the sweep
-// tests read.
-type sweepJobDoc struct {
-	ID     string        `json:"id"`
-	Status JobStatus     `json:"status"`
-	Error  string        `json:"error"`
-	Result *sweep.Result `json:"result"`
-}
-
-// runSweepHTTP submits body to POST /v1/sweep and polls the job until
-// it settles, returning its final document.
-func runSweepHTTP(t *testing.T, url, body string) sweepJobDoc {
-	t.Helper()
-	resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit %s returned %d", body, resp.StatusCode)
-	}
-	var submitted JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&submitted); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		r, err := http.Get(url + "/v1/jobs/" + submitted.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc sweepJobDoc
-		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if doc.Status != JobQueued && doc.Status != JobRunning {
-			return doc
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep %s stuck at %s", body, doc.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestSweepHTTPEndToEnd drives POST /v1/sweep → poll /v1/jobs/{id} →
-// read the result document, the curl workflow from the README.
+// TestSweepHTTPEndToEnd drives POST /v1/sweep and reads the answered
+// document, the curl workflow from the README — on a server with a job
+// store and on a bare query server alike.
 func TestSweepHTTPEndToEnd(t *testing.T) {
 	s, reg, _ := sweepStore(t)
 	srv := httptest.NewServer(NewWithJobs(reg, s))
 	defer srv.Close()
 
 	body := `{"model":"synth","topk":3,"metrics":[{"name":"ipc"},{"name":"conf","variance":true,"minimize":true}]}`
-	doc := runSweepHTTP(t, srv.URL, body)
-	if doc.Status != JobDone {
-		t.Fatalf("sweep finished %s (%s)", doc.Status, doc.Error)
-	}
-	res := doc.Result
-	if res == nil {
-		t.Fatal("done sweep carries no result document")
-	}
+	res := runSweepHTTP(t, srv.URL, body)
 	if res.Space != "synth" || res.Points != 40 {
 		t.Fatalf("result covers %q/%d, want synth/40", res.Space, res.Points)
 	}
@@ -198,23 +216,20 @@ func TestSweepHTTPEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A server with no job store answers 503.
+	// A server with no job store answers the same document.
 	bare := httptest.NewServer(New(reg))
 	defer bare.Close()
-	r2, err := http.Post(bare.URL+"/v1/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Body.Close()
-	if r2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("sweep without jobs returned %d, want 503", r2.StatusCode)
+	other := runSweepHTTP(t, bare.URL, body)
+	res.Elapsed, res.PointsPerSec = 0, 0
+	other.Elapsed, other.PointsPerSec = 0, 0
+	if !reflect.DeepEqual(res, other) {
+		t.Fatalf("bare server's sweep differs:\n%+v\nvs\n%+v", other, res)
 	}
 }
 
 // TestServerDefaultKernel: the sweep endpoint has no kernel-tier knob
 // either. A body naming "kernel" is a 400 naming the field, and a sweep
-// job submitted without it carries no "kernel" key anywhere in its job
-// document.
+// requested without it answers a document with no "kernel" key.
 func TestServerDefaultKernel(t *testing.T) {
 	s, reg, _ := sweepStore(t)
 	ts := httptest.NewServer(NewWithJobs(reg, s))
@@ -223,41 +238,26 @@ func TestServerDefaultKernel(t *testing.T) {
 		resp, out := postJSON(t, ts.URL+"/v1/sweep", fmt.Sprintf(`{"model":"synth","topk":3,"kernel":%q}`, kernel))
 		checkKernelRejected(t, "/v1/sweep", kernel, resp, out)
 	}
-	doc := runSweepHTTP(t, ts.URL, `{"model":"synth","topk":3,"chunk":16}`)
-	if doc.Status != JobDone {
-		t.Fatalf("sweep finished %s (%s)", doc.Status, doc.Error)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := postSweep(t, ts.URL, `{"model":"synth","topk":3,"chunk":16}`)
 	if !strings.Contains(string(raw), `"frontier"`) {
-		t.Fatalf("job document carries no sweep result: %s", raw)
+		t.Fatalf("response carries no sweep document: %s", raw)
 	}
 	if strings.Contains(string(raw), `"kernel"`) {
-		t.Fatalf("sweep job document has a kernel key: %s", raw)
+		t.Fatalf("sweep document has a kernel key: %s", raw)
 	}
 }
 
-// TestSweepJobVarianceOnly: a sweep job whose only metric is the
-// model's variance finishes done with the variance leaderboard of the
-// default mean+variance sweep, and the server keeps serving afterwards.
-// The engine scores inside its own worker goroutines, where nothing
+// TestSweepJobVarianceOnly: a sweep whose only metric is the model's
+// variance answers the variance leaderboard of the default
+// mean+variance sweep, and the server keeps serving afterwards. The
+// engine scores inside its own worker goroutines, where nothing
 // recovers a panic, so any panic on this path kills the process.
 func TestSweepJobVarianceOnly(t *testing.T) {
 	s, reg, b := sweepStore(t)
 	ts := httptest.NewServer(NewWithJobs(reg, s))
 	defer ts.Close()
-	doc := runSweepHTTP(t, ts.URL,
+	got := runSweepHTTP(t, ts.URL,
 		`{"model":"synth","topk":5,"chunk":16,"metrics":[{"name":"conf","model":"synth","variance":true,"minimize":true}]}`)
-	if doc.Status != JobDone {
-		t.Fatalf("variance-only sweep finished %s (%s)", doc.Status, doc.Error)
-	}
 	set, sp, err := sweep.Resolve(sweep.DefaultSpecs([]string{"synth"}),
 		map[string]*bundle.Bundle{"synth": b})
 	if err != nil {
@@ -267,14 +267,13 @@ func TestSweepJobVarianceOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := doc.Result
 	if len(got.TopK) != 1 || len(got.TopK[0]) != len(want.TopK[1]) {
 		t.Fatalf("variance-only leaderboards %v, want one of %d points", got.TopK, len(want.TopK[1]))
 	}
 	for i, p := range got.TopK[0] {
 		q := want.TopK[1][i]
 		if p.Index != q.Index || p.Values[0] != q.Values[1] {
-			t.Fatalf("variance rank %d: job has point %d (%v), mean+variance sweep %d (%v)",
+			t.Fatalf("variance rank %d: served sweep has point %d (%v), mean+variance sweep %d (%v)",
 				i, p.Index, p.Values[0], q.Index, q.Values[1])
 		}
 	}
