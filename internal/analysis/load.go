@@ -73,6 +73,10 @@ type Loader struct {
 	meta  map[string]*listPkg
 	roots []string
 	res   *resolver
+	// rebuilt lists, per package under test, the module packages its
+	// external test imports that go test compiles again against the
+	// package's test files, in dependency order.
+	rebuilt map[string][]*listPkg
 }
 
 // NewLoader lists patterns (plus their dependencies and test files)
@@ -93,7 +97,7 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.String())
 	}
-	l := &Loader{Dir: dir, fset: token.NewFileSet(), meta: map[string]*listPkg{}}
+	l := &Loader{Dir: dir, fset: token.NewFileSet(), meta: map[string]*listPkg{}, rebuilt: map[string][]*listPkg{}}
 	dec := json.NewDecoder(&stdout)
 	for {
 		p := new(listPkg)
@@ -107,8 +111,14 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 		}
 		// Skip the synthesized test entries: the plain entry already
 		// carries TestGoFiles/XTestGoFiles, and analyzing the package
-		// once with its test files folded in covers both.
+		// once with its test files folded in covers both. Keep the
+		// packages rebuilt for an external test, which LoadRoots may
+		// have to type-check the same way.
 		if p.ForTest != "" || strings.HasSuffix(p.ImportPath, ".test") {
+			base, _, _ := strings.Cut(p.ImportPath, " ")
+			if p.ForTest != "" && base != p.ForTest && base != p.ForTest+"_test" {
+				l.rebuilt[p.ForTest] = append(l.rebuilt[p.ForTest], p)
+			}
 			continue
 		}
 		l.meta[p.ImportPath] = p
@@ -212,9 +222,7 @@ func (l *Loader) LoadRoots() ([]*Unit, error) {
 			// source-checked unit, which has them.
 			xu, err := l.check(p.ImportPath+"_test", p.Name+"_test", p.Dir, p.XTestGoFiles)
 			if err != nil && u != nil {
-				l.res.mem[p.ImportPath] = u.Pkg
-				xu, err = l.check(p.ImportPath+"_test", p.Name+"_test", p.Dir, p.XTestGoFiles)
-				delete(l.res.mem, p.ImportPath)
+				xu, err = l.checkXTest(p, u)
 			}
 			if err != nil {
 				return nil, err
@@ -225,6 +233,25 @@ func (l *Loader) LoadRoots() ([]*Unit, error) {
 		}
 	}
 	return units, nil
+}
+
+// checkXTest type-checks p's external test package against u, p with
+// its _test.go files, as go test builds it: every module package the
+// xtest reaches p through is checked again from source against u, so
+// all of them see one p.
+func (l *Loader) checkXTest(p *listPkg, u *Unit) (*Unit, error) {
+	l.res.mem[p.ImportPath] = u.Pkg
+	defer delete(l.res.mem, p.ImportPath)
+	for _, r := range l.rebuilt[p.ImportPath] {
+		path, _, _ := strings.Cut(r.ImportPath, " ")
+		ru, err := l.check(path, r.Name, r.Dir, r.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		l.res.mem[path] = ru.Pkg
+		defer delete(l.res.mem, path)
+	}
+	return l.check(p.ImportPath+"_test", p.Name+"_test", p.Dir, p.XTestGoFiles)
 }
 
 // LoadDir parses every .go file directly inside dir as one package and

@@ -26,10 +26,14 @@ func TestConfigValidation(t *testing.T) {
 		name string
 	}{
 		{Config{Inputs: 0, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1}, "Inputs"},
-		{Config{Inputs: 2, Hidden: []int{0}, Outputs: 1, LearningRate: 0.1}, "hidden layer"},
+		{Config{Inputs: 2, Hidden: []int{0}, Outputs: 1, LearningRate: 0.1}, "Hidden[0]"},
+		{Config{Inputs: 2, Hidden: []int{4, -3}, Outputs: 1, LearningRate: 0.1}, "Hidden[1]"},
 		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 0, LearningRate: 0.1}, "Outputs"},
-		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0}, "learning rate"},
-		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, Momentum: 1}, "momentum"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0}, "LearningRate"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, Momentum: 1}, "Momentum"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, Momentum: -0.5}, "Momentum"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, HiddenAct: ReLU + 1}, "HiddenAct"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, OutputAct: 9}, "OutputAct"},
 	}
 	for i, tc := range bad {
 		err := tc.cfg.Validate()

@@ -100,6 +100,19 @@ func transpose(l *layer, all, buf []float64) []float64 {
 	return buf
 }
 
+// untranspose is transpose's inverse: it copies wt, in transpose's
+// layout, back into layer l's unit-major rows of all, bit for bit.
+func untranspose(l *layer, wt, all []float64) {
+	w := all[l.off : l.off+l.out*(l.in+1)]
+	stride := l.in + 1
+	for j := 0; j < l.out; j++ {
+		row := w[j*stride : (j+1)*stride]
+		for i := range row {
+			row[i] = wt[i*l.out+j]
+		}
+	}
+}
+
 // sumBatch computes this layer's pre-activation sums for rows
 // examples. The kernel processes four examples per weight-row pass, so
 // each weight load feeds four independent accumulators — the register

@@ -196,17 +196,25 @@ func TestSigmoidExactKernelLive(t *testing.T) {
 // math.Exp down its non-FMA branch; the vector sigmoid must then stand
 // aside rather than keep the FMA rounding.
 func TestSigmoidExactFollowsGODEBUG(t *testing.T) {
+	runWithoutFMA(t, "TestSigmoidExactEdgeLanes", "TestSigmoidExactGrid", "TestExactKernelVectorScalarParity")
+}
+
+// runWithoutFMA reruns the named tests of this package in a child
+// process with GODEBUG=cpu.fma=off and fails unless each one passed.
+func runWithoutFMA(t *testing.T, tests ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns a child test process")
 	}
-	cmd := exec.Command(os.Args[0], "-test.count=1", "-test.v",
-		"-test.run=^(TestSigmoidExactEdgeLanes|TestSigmoidExactGrid|TestExactKernelVectorScalarParity)$")
+	cmd := exec.Command(os.Args[0], "-test.count=1", "-test.v", "-test.run=^("+strings.Join(tests, "|")+")$")
 	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("parity tests under GODEBUG=cpu.fma=off: %v\n%s", err, out)
+		t.Fatalf("%s under GODEBUG=cpu.fma=off: %v\n%s", strings.Join(tests, ", "), err, out)
 	}
-	if !strings.Contains(string(out), "--- PASS: TestExactKernelVectorScalarParity") {
-		t.Fatalf("child process ran no parity test:\n%s", out)
+	for _, name := range tests {
+		if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+			t.Fatalf("child process did not pass %s:\n%s", name, out)
+		}
 	}
 }

@@ -71,6 +71,9 @@ var badLoadInputs = map[string]struct{ payload, field string }{
 	"output width":  {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0]]}`, "Hidden[0]"},
 	"output rows":   {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":2,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`, "Outputs"},
 	"max int input": {`{"version":1,"config":{"Inputs":9223372036854775807,"Hidden":[1],"Outputs":1,"LearningRate":0.1},"weights":[[0],[0,0]]}`, "Inputs"},
+	// Activations past ReLU would predict through a silently linear layer.
+	"unknown hidden act": {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"HiddenAct":9,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`, "HiddenAct"},
+	"unknown output act": {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"OutputAct":4,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`, "OutputAct"},
 }
 
 func TestLoadRejectsBadInput(t *testing.T) {

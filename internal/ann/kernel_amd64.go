@@ -12,6 +12,16 @@ import "repro/internal/cpufeat"
 //go:noescape
 func hidden16AVX2f64(wt *float64, xs *float64, rows, in int, dst *float64)
 
+// update16AVX2 applies one example's momentum update to a 16-unit
+// layer held input-major (transpose's layout): for each input i and
+// unit j, dw = lrd[j]·xs[i] + mom·mt[i][j], wt[i][j] += dw, mt[i][j] = dw,
+// and for the bias row dw = lrd[j] + mom·mt[in][j]. Every multiply and
+// add is rounded on its own, as in layer.update (asserted by
+// TestTrainStepVectorScalarParity). lrd holds the 16 values -lr·δ_j.
+//
+//go:noescape
+func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64)
+
 // sigmoidAVX2 applies the exact sigmoid in place to ys, four elements
 // at a time for at most groups groups, stopping before the first group
 // that needs the scalar path, and returns the number of elements it
@@ -23,6 +33,12 @@ func sigmoidAVX2(ys *float64, groups int) int
 // kernelAsm16 reports whether the AVX2 16-unit layer kernel applies.
 func kernelAsm16(l *layer, rows int) bool {
 	return cpufeat.AVX2 && l.out == 16 && l.in > 0 && rows > 0
+}
+
+// trainAsm16 reports whether TrainEarlyStopping trains n with the
+// vector step (step16): one 16-unit hidden layer on an AVX2 CPU.
+func trainAsm16(n *Network) bool {
+	return cpufeat.AVX2 && len(n.layers) == 2 && n.layers[0].out == 16
 }
 
 // sigmoidAsm reports whether the vector sigmoid runs. It repeats the

@@ -54,6 +54,65 @@ done64:
 	VZEROUPPER
 	RET
 
+// UPDATE16 updates four units of one input row at byte offset off:
+// dw = G·x_i + mom·prev (G holds -lr·δ for the four units, Y4 the
+// broadcast x_i, Y15 mom), then w += dw and prev = dw. Each VMULPD and
+// VADDPD rounds once, as Train's dw := g*xi + mom*prevIn[i] and
+// wIn[i] += dw do.
+#define UPDATE16(off, G) \
+	VMULPD Y4, G, Y5; \
+	VMULPD off(DI), Y15, Y6; \
+	VADDPD Y6, Y5, Y5; \
+	VADDPD off(SI), Y5, Y6; \
+	VMOVUPD Y6, off(SI); \
+	VMOVUPD Y5, off(DI)
+
+// BIAS16 is UPDATE16 for the bias row, whose input is 1: dw = G +
+// mom·prev, as Train's g + mom*prev[l.in].
+#define BIAS16(off, G) \
+	VMULPD off(DI), Y15, Y6; \
+	VADDPD Y6, G, Y5; \
+	VADDPD off(SI), Y5, Y6; \
+	VMOVUPD Y6, off(SI); \
+	VMOVUPD Y5, off(DI)
+
+// func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64)
+//
+// The momentum update of a 16-unit layer whose weights wt and previous
+// updates mt are input-major rows of 16 (transpose's layout, bias row
+// last): in input rows, then the bias row. in must be >= 1 (every
+// network has an input).
+TEXT ·update16AVX2(SB), NOSPLIT, $0-48
+	MOVQ wt+0(FP), SI
+	MOVQ mt+8(FP), DI
+	MOVQ xs+16(FP), BX
+	MOVQ in+24(FP), CX
+	MOVQ lrd+32(FP), DX
+	VBROADCASTSD mom+40(FP), Y15
+	VMOVUPD (DX), Y0         // -lr·δ[0:4]
+	VMOVUPD 32(DX), Y1       // -lr·δ[4:8]
+	VMOVUPD 64(DX), Y2       // -lr·δ[8:12]
+	VMOVUPD 96(DX), Y3       // -lr·δ[12:16]
+
+updloop:
+	VBROADCASTSD (BX), Y4    // x_i
+	UPDATE16(0, Y0)
+	UPDATE16(32, Y1)
+	UPDATE16(64, Y2)
+	UPDATE16(96, Y3)
+	ADDQ $8, BX
+	ADDQ $128, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ updloop
+
+	BIAS16(0, Y0)
+	BIAS16(32, Y1)
+	BIAS16(64, Y2)
+	BIAS16(96, Y3)
+	VZEROUPPER
+	RET
+
 // Constants of the vector sigmoid, four lanes each. The floating-point
 // literals are those of $GOROOT/src/math/exp_amd64.s, so the assembler
 // rounds them to the same bits.

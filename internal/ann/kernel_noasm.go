@@ -17,3 +17,11 @@ const sigmoidAsm = false
 func sigmoidAVX2(ys *float64, groups int) int {
 	panic("ann: sigmoidAVX2 is amd64-only")
 }
+
+// trainAsm16 is always false without a vector kernel; TrainEarlyStopping
+// trains with Network.Train.
+func trainAsm16(n *Network) bool { return false }
+
+func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64) {
+	panic("ann: update16AVX2 is amd64-only")
+}

@@ -20,7 +20,11 @@
 // stay as the reference: a 16-unit layer MAC (cpufeat.AVX2) and a
 // 4-lane sigmoid (cpufeat.AVX2 and cpufeat.FMA) that Forward, Train
 // and ForwardBatch all reach through the activation step. See
-// ForwardBatch.
+// ForwardBatch. TrainEarlyStopping trains a network with one 16-unit
+// hidden layer on an AVX2 CPU with a vector step (step16): that layer's
+// forward pass through the layer kernel, its momentum update four
+// units per register, and the same bits as Train, which stays as the
+// portable step and the reference.
 //
 // The package is self-contained and generic over input/output
 // dimensions; the design-space-specific encoding and the
@@ -48,6 +52,11 @@ const (
 	Linear
 	ReLU
 )
+
+// known reports whether a is one of the four supported activations;
+// applyBatch and derivFromOutput would treat any other value as
+// linear, so Config.Validate rejects it.
+func (a Activation) known() bool { return a <= ReLU }
 
 // String names the activation.
 func (a Activation) String() string {
@@ -160,21 +169,28 @@ func PaperConfig(inputs, outputs int) Config {
 	}
 }
 
-// Validate reports structural problems with the configuration.
+// Validate reports structural problems with the configuration. Each
+// error names the offending field.
 func (c Config) Validate() error {
 	if c.Inputs <= 0 || c.Outputs <= 0 {
 		return fmt.Errorf("ann: Config.Inputs and Config.Outputs must both be positive, got %d/%d", c.Inputs, c.Outputs)
 	}
 	for i, h := range c.Hidden {
 		if h <= 0 {
-			return fmt.Errorf("ann: hidden layer %d has non-positive size %d", i, h)
+			return fmt.Errorf("ann: Config.Hidden[%d] is %d, but a hidden layer needs at least one unit", i, h)
 		}
 	}
+	if !c.HiddenAct.known() {
+		return fmt.Errorf("ann: Config.HiddenAct %d is not sigmoid (0), tanh (1), linear (2) or relu (3)", c.HiddenAct)
+	}
+	if !c.OutputAct.known() {
+		return fmt.Errorf("ann: Config.OutputAct %d is not sigmoid (0), tanh (1), linear (2) or relu (3)", c.OutputAct)
+	}
 	if c.LearningRate <= 0 {
-		return fmt.Errorf("ann: learning rate must be positive, got %g", c.LearningRate)
+		return fmt.Errorf("ann: Config.LearningRate must be positive, got %g", c.LearningRate)
 	}
 	if c.Momentum < 0 || c.Momentum >= 1 {
-		return fmt.Errorf("ann: momentum must be in [0,1), got %g", c.Momentum)
+		return fmt.Errorf("ann: Config.Momentum must be in [0,1), got %g", c.Momentum)
 	}
 	return nil
 }
@@ -310,14 +326,29 @@ func (n *Network) Predict(x []float64) []float64 {
 // Train performs one stochastic gradient-descent step on a single
 // example with the given learning rate, backpropagating the squared
 // error between the network output and target (Equations 3.1 and 3.2).
-// It returns the example's squared error before the update.
+// It returns the example's squared error before the update. It is the
+// portable training step and the reference TrainEarlyStopping's vector
+// step (step16) must match bit for bit.
 func (n *Network) Train(x, target []float64, lr float64) float64 {
 	if len(target) != n.cfg.Outputs {
 		panic(fmt.Sprintf("ann: got %d targets, network has %d outputs", len(target), n.cfg.Outputs))
 	}
-	out := n.Forward(x)
+	se := n.outputDeltas(n.Forward(x), target)
+	for li := len(n.layers) - 2; li >= 0; li-- {
+		n.layers[li].backprop(n.layers[li+1])
+	}
+	// Every delta is computed before any weight moves.
+	input := x
+	for _, l := range n.layers {
+		l.update(input, lr, n.cfg.Momentum)
+		input = l.output
+	}
+	return se / 2
+}
 
-	// Output-layer deltas: δ = (o - t) · f'(o).
+// outputDeltas sets the output layer's deltas, δ = (o - t) · f'(o),
+// and returns the example's summed squared error.
+func (n *Network) outputDeltas(out, target []float64) float64 {
 	last := n.layers[len(n.layers)-1]
 	var se float64
 	for j := 0; j < last.out; j++ {
@@ -325,45 +356,43 @@ func (n *Network) Train(x, target []float64, lr float64) float64 {
 		se += e * e
 		last.delta[j] = e * last.act.derivFromOutput(out[j])
 	}
+	return se
+}
 
-	// Hidden-layer deltas, back to front.
-	for li := len(n.layers) - 2; li >= 0; li-- {
-		l, next := n.layers[li], n.layers[li+1]
-		stride := next.in + 1
-		for j := 0; j < l.out; j++ {
-			var sum float64
-			for k := 0; k < next.out; k++ {
-				sum += next.w[k*stride+j] * next.delta[k]
-			}
-			l.delta[j] = sum * l.act.derivFromOutput(l.output[j])
+// backprop sets a hidden layer's deltas from the next layer's:
+// δ_j = (Σ_k w[k][j]·δ_k, summed from zero in ascending k) · f'(y_j).
+func (l *layer) backprop(next *layer) {
+	stride := next.in + 1
+	for j := 0; j < l.out; j++ {
+		var sum float64
+		for k := 0; k < next.out; k++ {
+			sum += next.w[k*stride+j] * next.delta[k]
 		}
+		l.delta[j] = sum * l.act.derivFromOutput(l.output[j])
 	}
+}
 
-	// Weight updates with momentum: Δw = -η ∂E/∂w + α Δw_prev.
-	// g is -lr*d hoisted out of the row: Go evaluates -lr*d*x as
-	// (-lr*d)*x, so every update keeps its bits. The rows are cut to
-	// the input length so the inner loop runs without bounds checks.
-	mom := n.cfg.Momentum
-	input := x
-	for _, l := range n.layers {
-		stride := l.in + 1
-		for j, d := range l.delta {
-			g := -lr * d
-			w := l.w[j*stride : j*stride+stride]
-			prev := l.dwPrev[j*stride : j*stride+stride]
-			wIn, prevIn := w[:len(input)], prev[:len(input)]
-			for i, xi := range input {
-				dw := g*xi + mom*prevIn[i]
-				wIn[i] += dw
-				prevIn[i] = dw
-			}
-			dw := g + mom*prev[l.in] // bias input is 1
-			w[l.in] += dw
-			prev[l.in] = dw
+// update applies the layer's weight updates with momentum for the
+// given input: Δw = -η ∂E/∂w + α Δw_prev. g is -lr*d hoisted out of
+// the row: Go evaluates -lr*d*x as (-lr*d)*x, so every update keeps
+// its bits. The rows are cut to the input length so the inner loop
+// runs without bounds checks.
+func (l *layer) update(input []float64, lr, mom float64) {
+	stride := l.in + 1
+	for j, d := range l.delta {
+		g := -lr * d
+		w := l.w[j*stride : j*stride+stride]
+		prev := l.dwPrev[j*stride : j*stride+stride]
+		wIn, prevIn := w[:len(input)], prev[:len(input)]
+		for i, xi := range input {
+			dw := g*xi + mom*prevIn[i]
+			wIn[i] += dw
+			prevIn[i] = dw
 		}
-		input = l.output
+		dw := g + mom*prev[l.in] // bias input is 1
+		w[l.in] += dw
+		prev[l.in] = dw
 	}
-	return se / 2
 }
 
 // SnapshotInto copies all weights into dst, reusing its capacity when

@@ -186,6 +186,7 @@ func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainO
 	if alias == nil {
 		permBuf = make([]int, tr.n)
 	}
+	step, sync := trainStep(n)
 
 	// presentEpoch runs one epoch of per-example gradient updates over
 	// the training set in the configured presentation order.
@@ -199,7 +200,7 @@ func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainO
 		}
 		for k := 0; k < tr.n; k++ {
 			i := order(k)
-			n.Train(tr.xRow(i), tr.yRow(i), lr)
+			step(tr.xRow(i), tr.yRow(i), lr)
 		}
 	}
 
@@ -213,6 +214,7 @@ func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainO
 
 	for epoch := 1; epoch <= opts.MaxEpochs; epoch++ {
 		presentEpoch(lr)
+		sync()
 		esErr := meanPercentErrorPacked(n, esSet, un, scratch)
 		if esErr < best.BestESErr*(1-opts.MinImprove) || !haveBest {
 			best.BestESErr = esErr
@@ -235,6 +237,61 @@ func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainO
 	best.Epochs = opts.MaxEpochs
 	n.RestoreFlat(bestW)
 	return best, nil
+}
+
+// trainStep returns the per-example step TrainEarlyStopping runs on n,
+// and a sync that writes whatever state the step keeps apart back into
+// n's buffers, bit for bit, before anything reads them. Where
+// trainAsm16 holds that is step16's vector step; elsewhere it is
+// Train, with nothing to sync. Both leave the same bits.
+func trainStep(n *Network) (step func(x, target []float64, lr float64), sync func()) {
+	if trainAsm16(n) {
+		s := newStep16(n)
+		return s.step, s.sync
+	}
+	return func(x, target []float64, lr float64) { n.Train(x, target, lr) }, func() {}
+}
+
+// step16 is the training step of a network with one 16-unit hidden
+// layer on an AVX2 CPU. For a whole training run it holds the hidden
+// layer's weights and momentum input-major (transpose's layout, bias
+// row last), so the hidden forward pass is hidden16AVX2f64 over one
+// row and the hidden update is update16AVX2, four units per register.
+// The output layer's forward pass, every delta and the output layer's
+// update run in Go on the network's own buffers, all deltas before any
+// update, as in Train. Each value gets the operations Train gives it
+// in the same order (docs/ARCHITECTURE.md, "The training step").
+type step16 struct {
+	n      *Network
+	wT, mT []float64   // hidden weights and momentum, input-major
+	lrd    [16]float64 // -lr·δ_j of the current example
+}
+
+func newStep16(n *Network) *step16 {
+	hid := n.layers[0]
+	return &step16{n: n, wT: transpose(hid, n.w, nil), mT: transpose(hid, n.dwPrev, nil)}
+}
+
+// step is Train for one example, without its squared error.
+func (s *step16) step(x, target []float64, lr float64) {
+	hid, out := s.n.layers[0], s.n.layers[1]
+	hidden16AVX2f64(&s.wT[0], &x[0], 1, hid.in, &hid.output[0])
+	hid.act.applyBatch(hid.output)
+	s.n.outputDeltas(out.forward(hid.output), target)
+	hid.backprop(out)
+	for j, d := range hid.delta {
+		s.lrd[j] = -lr * d
+	}
+	update16AVX2(&s.wT[0], &s.mT[0], &x[0], hid.in, &s.lrd[0], s.n.cfg.Momentum)
+	out.update(hid.output, lr, s.n.cfg.Momentum)
+}
+
+// sync copies the hidden layer's weights and momentum back into the
+// network's unit-major buffers.
+func (s *step16) sync() {
+	hid := s.n.layers[0]
+	untranspose(hid, s.wT, s.n.w)
+	untranspose(hid, s.mT, s.n.dwPrev)
 }
 
 // meanPercentErrorPacked is the batched early-stopping evaluation: one

@@ -242,6 +242,30 @@ func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// badModelEdits turn a saved checkpoint's stored model config into one
+// a resumed run cannot train (ann.New panics on the first two; the
+// third would train through a silently linear hidden layer); field is
+// what LoadCheckpoint's refusal must name. The config precedes the
+// nested ensemble, so the first match of old is the config's.
+var badModelEdits = []struct{ field, old, new string }{
+	{"Momentum", `"Momentum":0.5`, `"Momentum":1.5`},
+	{"Hidden[0]", `"Hidden":[16]`, `"Hidden":[-3,16]`},
+	{"HiddenAct", `"HiddenAct":0`, `"HiddenAct":9`},
+}
+
+func TestCheckpointLoadRejectsBadModel(t *testing.T) {
+	saved := resave(t, sampleCheckpoint(t).Save)
+	for _, e := range badModelEdits {
+		doc := bytes.Replace(saved, []byte(e.old), []byte(e.new), 1)
+		if bytes.Equal(doc, saved) {
+			t.Fatalf("saved checkpoint holds no %s", e.old)
+		}
+		if _, err := LoadCheckpoint(bytes.NewReader(doc)); err == nil || !strings.Contains(err.Error(), e.field) {
+			t.Errorf("stored model with %s: LoadCheckpoint returned %v, want an error naming %s", e.new, err, e.field)
+		}
+	}
+}
+
 // FuzzLoadCheckpoint: no input panics LoadCheckpoint; an accepted
 // checkpoint saves to bytes that load and save again unchanged, and its
 // ensemble, when it has one, predicts one encoded design point.
@@ -257,6 +281,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(widenMember1(f, saved))
 	f.Add(saved[:len(saved)/2])
 	f.Add(bytes.Replace(saved, []byte(`"version":2`), []byte(`"version":3`), 1))
+	for _, e := range badModelEdits {
+		f.Add(bytes.Replace(saved, []byte(e.old), []byte(e.new), 1))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		c, err := LoadCheckpoint(bytes.NewReader(doc))
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,10 +106,11 @@ func TestHypervolumeOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestParseAcquireSpec covers the grammar: happy paths round-trip
-// through Spec(), malformed clauses error.
-func TestParseAcquireSpec(t *testing.T) {
-	good := []string{
+// acquireSpecs are ParseAcquireSpec's documented forms, each in its
+// canonical spelling; badAcquireSpecs are rejected forms with the text
+// the error must mention.
+var (
+	acquireSpecs = []string{
 		"hvi",
 		"frontier",
 		"variance",
@@ -118,7 +120,23 @@ func TestParseAcquireSpec(t *testing.T) {
 		"frontier:min=out1:out0>=1.2",
 		"hvi:max=out0:min=out1:out2<=0.05",
 	}
-	for _, spec := range good {
+	badAcquireSpecs = map[string]string{
+		"":                     "unknown acquisition strategy",
+		"entropy":              "unknown acquisition strategy",
+		"hvi:best=out0":        "not max=outN",
+		"hvi:max=0":            "form outN",
+		"hvi:max=out-1":        "form outN",
+		"variance:out0>=x":     "finite number",
+		"variance:out0>=nan":   "finite number",
+		"hvi:out0==1":          "not max=outN",
+		"frontier:maxvar=out0": "not max=outN",
+	}
+)
+
+// TestParseAcquireSpec covers the grammar: happy paths round-trip
+// through Spec(), malformed clauses error.
+func TestParseAcquireSpec(t *testing.T) {
+	for _, spec := range acquireSpecs {
 		cfg, err := ParseAcquireSpec(spec)
 		if err != nil {
 			t.Errorf("%q: %v", spec, err)
@@ -132,18 +150,7 @@ func TestParseAcquireSpec(t *testing.T) {
 			t.Errorf("%q: canonical form unstable (%v)", spec, err)
 		}
 	}
-	bad := map[string]string{
-		"":                     "unknown acquisition strategy",
-		"entropy":              "unknown acquisition strategy",
-		"hvi:best=out0":        "not max=outN",
-		"hvi:max=0":            "form outN",
-		"hvi:max=out-1":        "form outN",
-		"variance:out0>=x":     "finite number",
-		"variance:out0>=nan":   "finite number",
-		"hvi:out0==1":          "not max=outN",
-		"frontier:maxvar=out0": "not max=outN",
-	}
-	for spec, want := range bad {
+	for spec, want := range badAcquireSpecs {
 		_, err := ParseAcquireSpec(spec)
 		if err == nil {
 			t.Errorf("%q accepted", spec)
@@ -152,6 +159,59 @@ func TestParseAcquireSpec(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("%q: err %q, want mention of %q", spec, err, want)
 		}
+	}
+}
+
+// FuzzParseAcquireSpec: no spec panics ParseAcquireSpec; a rejection
+// quotes the offending clause (or the part of it at fault) as it
+// appears in the spec; an accepted configuration passes
+// AcquireConfig.Validate and its Spec() parses back to an equal value.
+func FuzzParseAcquireSpec(f *testing.F) {
+	for _, spec := range acquireSpecs {
+		f.Add(spec)
+	}
+	for spec := range badAcquireSpecs {
+		f.Add(spec)
+	}
+	f.Add(" hvi : max=out0 : out1 <= 2 ")
+	f.Add("variance:out0>=1e400")
+	f.Add("frontier:out0<=>=1")
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseAcquireSpec(spec)
+		if err != nil {
+			if !quotesClause(err.Error(), spec) {
+				t.Fatalf("ParseAcquireSpec(%q): error %q quotes no clause of the spec", spec, err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("ParseAcquireSpec(%q) accepted a config Validate rejects: %v", spec, err)
+		}
+		again, err := ParseAcquireSpec(cfg.Spec())
+		if err != nil || !reflect.DeepEqual(again, cfg) {
+			t.Fatalf("ParseAcquireSpec(%q): canonical form %q parses to %+v (%v), want %+v", spec, cfg.Spec(), again, err, cfg)
+		}
+	})
+}
+
+// quotesClause reports whether msg quotes, in %q form, text that occurs
+// in spec within one colon-separated clause.
+func quotesClause(msg, spec string) bool {
+	for {
+		i := strings.IndexByte(msg, '"')
+		if i < 0 {
+			return false
+		}
+		msg = msg[i:]
+		q, err := strconv.QuotedPrefix(msg)
+		if err != nil {
+			msg = msg[1:]
+			continue
+		}
+		if text, _ := strconv.Unquote(q); strings.Contains(spec, text) && !strings.Contains(text, ":") {
+			return true
+		}
+		msg = msg[len(q):]
 	}
 }
 

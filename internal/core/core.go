@@ -114,7 +114,26 @@ func PaperConfig() ModelConfig {
 	return c
 }
 
-// Validate reports structural problems.
+// NetConfig returns the configuration of the networks the model trains
+// on inputs-wide encodings with outputs targets; TrainEnsemble gives
+// each member its own Seed.
+func (c ModelConfig) NetConfig(inputs, outputs int) ann.Config {
+	return ann.Config{
+		Inputs:       inputs,
+		Hidden:       c.Hidden,
+		Outputs:      outputs,
+		HiddenAct:    c.HiddenAct,
+		OutputAct:    c.OutputAct,
+		LearningRate: c.LearningRate,
+		Momentum:     c.Momentum,
+		InitRange:    c.InitRange,
+	}
+}
+
+// Validate reports structural problems. The network's own rules (layer
+// sizes, activations, learning rate, momentum) are ann.Config.Validate's,
+// checked on the configuration NetConfig implies; the widths are the
+// data's and are checked when it arrives.
 func (c ModelConfig) Validate() error {
 	if c.Folds < 3 {
 		return fmt.Errorf("core: need at least 3 folds (train/ES/test), got %d", c.Folds)
@@ -122,8 +141,8 @@ func (c ModelConfig) Validate() error {
 	if len(c.Hidden) == 0 {
 		return fmt.Errorf("core: need at least one hidden layer")
 	}
-	if c.LearningRate <= 0 {
-		return fmt.Errorf("core: learning rate must be positive")
+	if err := c.NetConfig(1, 1).Validate(); err != nil {
+		return fmt.Errorf("core: ModelConfig network: %w", err)
 	}
 	return nil
 }

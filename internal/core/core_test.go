@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/encoding"
@@ -65,6 +66,38 @@ func TestModelConfigValidate(t *testing.T) {
 	bad.LearningRate = 0
 	if bad.Validate() == nil {
 		t.Fatal("zero learning rate accepted")
+	}
+	// The network rules are ann.Config's. Each of these would make
+	// ann.New panic inside a fold goroutine, or train through a
+	// silently linear layer; the error must name the field.
+	for field, edit := range map[string]func(*ModelConfig){
+		"Momentum":  func(c *ModelConfig) { c.Momentum = 1.5 },
+		"Hidden[0]": func(c *ModelConfig) { c.Hidden = []int{-3, 16} },
+		"HiddenAct": func(c *ModelConfig) { c.HiddenAct = 9 },
+		"OutputAct": func(c *ModelConfig) { c.OutputAct = 4 },
+	} {
+		bad = good
+		edit(&bad)
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("bad %s: Validate returned %v, want an error naming it", field, err)
+		}
+	}
+}
+
+// TestTrainEnsembleRejectsBadNetwork: a model config ann.New would
+// panic on is an error from TrainEnsemble, not a crashed process.
+func TestTrainEnsembleRejectsBadNetwork(t *testing.T) {
+	cfg := fastModel()
+	cfg.Momentum = 1.5
+	x := make([][]float64, 12)
+	y := make([][]float64, 12)
+	for i := range x {
+		x[i] = []float64{float64(i) / 12}
+		y[i] = []float64{1 + float64(i)}
+	}
+	if _, err := TrainEnsemble(x, y, cfg); err == nil || !strings.Contains(err.Error(), "Momentum") {
+		t.Fatalf("TrainEnsemble with momentum 1.5: %v, want an error naming Momentum", err)
 	}
 }
 

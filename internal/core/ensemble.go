@@ -167,17 +167,8 @@ func TrainEnsemble(x [][]float64, raws [][]float64, cfg ModelConfig) (*Ensemble,
 			es := full.Subset(folds[esFold])
 			test := full.Subset(folds[testFold])
 
-			netCfg := ann.Config{
-				Inputs:       len(x[0]),
-				Hidden:       cfg.Hidden,
-				Outputs:      outputs,
-				HiddenAct:    cfg.HiddenAct,
-				OutputAct:    cfg.OutputAct,
-				LearningRate: cfg.LearningRate,
-				Momentum:     cfg.Momentum,
-				InitRange:    cfg.InitRange,
-				Seed:         cfg.Seed + uint64(m)*0x9E37,
-			}
+			netCfg := cfg.NetConfig(len(x[0]), outputs)
+			netCfg.Seed = cfg.Seed + uint64(m)*0x9E37
 			net := ann.New(netCfg)
 			opts := cfg.Train
 			opts.Seed = cfg.Seed + uint64(m)*0x51ED + 1

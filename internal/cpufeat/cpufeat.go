@@ -4,10 +4,11 @@
 // construction (see internal/ann), so detection can never change
 // results — only speed.
 //
-// AVX2 selects the 16-unit layer kernel. AVX2 together with FMA
-// selects the vector sigmoid, which repeats the fused multiply-adds of
-// math.Exp's FMA branch and so is bit-identical to it only where that
-// branch runs.
+// AVX2 selects the 16-unit layer kernel and the training step of
+// networks with one 16-unit hidden layer, neither of which fuses a
+// multiply-add. AVX2 together with FMA selects the vector sigmoid,
+// which repeats the fused multiply-adds of math.Exp's FMA branch and
+// so is bit-identical to it only where that branch runs.
 package cpufeat
 
 // AVX2 reports whether the CPU supports AVX2 and the OS saves the YMM

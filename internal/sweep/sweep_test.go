@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -431,6 +433,9 @@ func TestResolveValidation(t *testing.T) {
 	}
 }
 
+// badMetricSpecs are metric lists ParseSpecs rejects.
+var badMetricSpecs = []string{"", "a,,b", "=perf", "perf:bogus", "perf:out-1", "perf:min:max"}
+
 // TestParseSpecs covers the CLI metric grammar.
 func TestParseSpecs(t *testing.T) {
 	specs, err := ParseSpecs("ipc=perf, conf=perf:var ,energy:min,mt:out2:max")
@@ -446,10 +451,75 @@ func TestParseSpecs(t *testing.T) {
 	if !reflect.DeepEqual(specs, want) {
 		t.Fatalf("specs = %+v, want %+v", specs, want)
 	}
-	for _, bad := range []string{"", "a,,b", "=perf", "perf:bogus", "perf:out-1", "perf:min:max"} {
+	for _, bad := range badMetricSpecs {
 		if _, err := ParseSpecs(bad); err == nil {
 			t.Errorf("ParseSpecs(%q) accepted", bad)
 		}
+	}
+}
+
+// FuzzParseSpecs: no list panics ParseSpecs; a rejection quotes the
+// offending entry (or the whole list, for an empty entry) as it
+// appears in the list; an accepted list yields one spec per entry,
+// each with Output >= 0 and minimized exactly when it says :min, or
+// says neither :min nor :max and ranks a variance.
+func FuzzParseSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"perf,energy:min", "ipc=perf,conf=perf:var", "mt:out2:min",
+		"ipc=perf, conf=perf:var ,energy:min,mt:out2:max", "perf:var:max", "a=b=c:out007",
+	} {
+		f.Add(seed)
+	}
+	for _, bad := range badMetricSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, arg string) {
+		specs, err := ParseSpecs(arg)
+		if err != nil {
+			if !quotesEntry(err.Error(), arg) {
+				t.Fatalf("ParseSpecs(%q): error %q quotes no entry of the list", arg, err)
+			}
+			return
+		}
+		entries := strings.Split(arg, ",")
+		if len(specs) != len(entries) {
+			t.Fatalf("ParseSpecs(%q): %d specs for %d entries", arg, len(specs), len(entries))
+		}
+		for i, spec := range specs {
+			if spec.Output < 0 {
+				t.Fatalf("ParseSpecs(%q): entry %d has output %d", arg, i, spec.Output)
+			}
+			entry := strings.TrimSpace(entries[i])
+			if _, rest, ok := strings.Cut(entry, "="); ok {
+				entry = rest
+			}
+			flags := strings.Split(entry, ":")[1:]
+			minimize := slices.Contains(flags, "min") || (!slices.Contains(flags, "max") && spec.Variance)
+			if spec.Minimize != minimize {
+				t.Fatalf("ParseSpecs(%q): entry %d (flags %q) has Minimize %v, want %v", arg, i, flags, spec.Minimize, minimize)
+			}
+		}
+	})
+}
+
+// quotesEntry reports whether msg quotes, in %q form, text that occurs
+// in arg within one comma-separated entry, or the whole of arg.
+func quotesEntry(msg, arg string) bool {
+	for {
+		i := strings.IndexByte(msg, '"')
+		if i < 0 {
+			return false
+		}
+		msg = msg[i:]
+		q, err := strconv.QuotedPrefix(msg)
+		if err != nil {
+			msg = msg[1:]
+			continue
+		}
+		if text, _ := strconv.Unquote(q); text == arg || strings.Contains(arg, text) && !strings.Contains(text, ",") {
+			return true
+		}
+		msg = msg[len(q):]
 	}
 }
 
