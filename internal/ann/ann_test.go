@@ -34,6 +34,12 @@ func TestConfigValidation(t *testing.T) {
 		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, Momentum: -0.5}, "Momentum"},
 		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, HiddenAct: ReLU + 1}, "HiddenAct"},
 		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, OutputAct: 9}, "OutputAct"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: math.NaN()}, "LearningRate"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: math.Inf(1)}, "LearningRate"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, Momentum: math.NaN()}, "Momentum"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, InitRange: math.NaN()}, "InitRange"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, InitRange: -1}, "InitRange"},
+		{Config{Inputs: 2, Hidden: []int{4}, Outputs: 1, LearningRate: 0.1, InitRange: 1e308}, "InitRange"},
 	}
 	for i, tc := range bad {
 		err := tc.cfg.Validate()

@@ -62,13 +62,21 @@ func (n *Network) ForwardBatch(xs []float64, rows int, s *Scratch) []float64 {
 	in := xs
 	for li, l := range n.layers {
 		out := s.acts[li]
-		if kernelAsm16(l, rows) {
+		switch {
+		case kernelAsm16(l, rows):
 			// AVX2 path: the multiply-then-add sequence of sumBatch,
 			// vectorized across the 16 units, fed by an input-major
 			// repack of the layer's weights.
 			s.wT = transpose(l, n.w, s.wT)
 			hidden16AVX2f64(&s.wT[0], &in[0], rows, l.in, &out[0])
-		} else {
+		case outputAsm16(l, rows):
+			// AVX2 path for a 1-unit layer over 16 inputs: the same
+			// sequence with one row per lane; sumBatch takes the 1–3-row
+			// tail.
+			v := rows / 4 * 4
+			output16AVX2(&l.w[0], &in[0], v/4, &out[0])
+			l.sumBatch(in[v*16:], rows-v, out[v:])
+		default:
 			l.sumBatch(in, rows, out)
 		}
 		l.act.applyBatch(out[:rows*l.out])

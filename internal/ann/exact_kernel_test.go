@@ -12,10 +12,10 @@ import (
 	"repro/internal/stats"
 )
 
-// The forward pass's vector kernels (sigmoidAVX2 and hidden16AVX2f64 on
-// amd64) must reproduce the scalar definitions bit for bit. On machines
-// where they do not run, these tests compare the scalar path with
-// itself and always pass.
+// The forward pass's vector kernels (sigmoidAVX2, expAVX2,
+// hidden16AVX2f64 and output16AVX2 on amd64) must reproduce the scalar
+// definitions bit for bit. On machines where they do not run, these
+// tests compare the scalar path with itself and always pass.
 
 // checkSigmoidExact runs Sigmoid.applyBatch over a copy of ys and
 // compares every element with the scalar apply reference, bit for bit.
@@ -32,18 +32,32 @@ func checkSigmoidExact(t *testing.T, ys []float64) {
 	}
 }
 
-// TestSigmoidExactEdgeLanes places every edge input at each lane of a
+// checkExpExact runs ExpBatch over a copy of xs and compares every
+// element with math.Exp, bit for bit.
+func checkExpExact(t *testing.T, xs []float64) {
+	t.Helper()
+	got := append([]float64(nil), xs...)
+	ExpBatch(got)
+	for i, x := range xs {
+		want := math.Exp(x)
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("exp(%g) (bits %x) at %d of %d: ExpBatch %g (bits %x), math.Exp %g (bits %x)",
+				x, math.Float64bits(x), i, len(xs), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// edgeLanes calls check with every edge input placed at each lane of a
 // 4-group between ordinary groups, and at each position of a 1–3
-// element tail, so the vector kernel's scalar hand-off runs mid-slice
-// and the tail loop sees the same values.
-func TestSigmoidExactEdgeLanes(t *testing.T) {
+// element tail, so a vector kernel's scalar hand-off runs mid-slice and
+// the tail loop sees the same values.
+func edgeLanes(check func(ys []float64)) {
 	ordinary := []float64{0.5, -1.25, 3, -7, 0.1, 2.5, -3, 40}
 	for _, e := range edgeInputs {
 		for lane := 0; lane < 4; lane++ {
 			group := []float64{-0.75, 1.5, 6, -12}
 			group[lane] = e
-			ys := append(append(append([]float64(nil), ordinary...), group...), ordinary...)
-			checkSigmoidExact(t, ys)
+			check(append(append(append([]float64(nil), ordinary...), group...), ordinary...))
 		}
 		for tail := 1; tail <= 3; tail++ {
 			for pos := 0; pos < tail; pos++ {
@@ -52,20 +66,30 @@ func TestSigmoidExactEdgeLanes(t *testing.T) {
 					ys = append(ys, -0.3*float64(i+1))
 				}
 				ys[len(ordinary)+pos] = e
-				checkSigmoidExact(t, ys)
+				check(ys)
 			}
 		}
 	}
 }
 
-// TestSigmoidExactGrid sweeps [-746, 746] densely, then walks a few
-// thousand consecutive float64 values across every point where the
-// exp argument x = -y changes branch: where round(x·log2e) crosses the
-// edges of the kernel's one-multiply range (x near -708.76 and
-// 709.44), math.Exp's subnormal-result and underflow edges (near
-// -708.4 and -745.1), and its overflow edge (near 709.78). Both signs
-// of each are walked.
-func TestSigmoidExactGrid(t *testing.T) {
+// TestSigmoidExactEdgeLanes runs the sigmoid over edgeLanes' slices.
+func TestSigmoidExactEdgeLanes(t *testing.T) {
+	edgeLanes(func(ys []float64) { checkSigmoidExact(t, ys) })
+}
+
+// TestExpExactEdgeLanes runs exp over edgeLanes' slices.
+func TestExpExactEdgeLanes(t *testing.T) {
+	edgeLanes(func(xs []float64) { checkExpExact(t, xs) })
+}
+
+// exponentGrid sweeps [-746, 746] densely, then walks a few thousand
+// consecutive float64 values across every point where an exp argument
+// x changes branch: where round(x·log2e) crosses the edges of the
+// kernels' one-multiply range (x near -708.76 and 709.44), math.Exp's
+// subnormal-result and underflow edges (near -708.4 and -745.1), and
+// its overflow edge (near 709.78). Both signs of each are walked, so
+// the grid serves exp's argument x and the sigmoid's y = -x alike.
+func exponentGrid() []float64 {
 	var ys []float64
 	for y := -746.0; y <= 746; y += 1.0 / 128 {
 		ys = append(ys, y)
@@ -87,22 +111,34 @@ func TestSigmoidExactGrid(t *testing.T) {
 			}
 		}
 	}
-	checkSigmoidExact(t, ys)
+	return ys
 }
 
-// TestSigmoidExactRandomBits compares 2^20 uniformly random float64 bit
-// patterns (every exponent, both signs, NaN payloads) and 2^20 random
-// values in [-750, 750].
-func TestSigmoidExactRandomBits(t *testing.T) {
-	rng := stats.NewRNG(0x5164)
+// TestSigmoidExactGrid runs the sigmoid over exponentGrid.
+func TestSigmoidExactGrid(t *testing.T) { checkSigmoidExact(t, exponentGrid()) }
+
+// TestExpExactGrid runs exp over exponentGrid.
+func TestExpExactGrid(t *testing.T) { checkExpExact(t, exponentGrid()) }
+
+// randomBits holds 2^20 uniformly random float64 bit patterns (every
+// exponent, both signs, NaN payloads) and 2^20 random values in
+// [-750, 750].
+func randomBits(seed uint64) []float64 {
+	rng := stats.NewRNG(seed)
 	const n = 1 << 20
 	ys := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
 		ys[i] = math.Float64frombits(rng.Uint64())
 		ys[n+i] = rng.Range(-750, 750)
 	}
-	checkSigmoidExact(t, ys)
+	return ys
 }
+
+// TestSigmoidExactRandomBits runs the sigmoid over randomBits.
+func TestSigmoidExactRandomBits(t *testing.T) { checkSigmoidExact(t, randomBits(0x5164)) }
+
+// TestExpExactRandomBits runs exp over randomBits.
+func TestExpExactRandomBits(t *testing.T) { checkExpExact(t, randomBits(0xE8B)) }
 
 // TestExactKernelVectorScalarParity compares ForwardBatch of 16-hidden-
 // unit networks with the scalar reference — sumBatch's MAC loop and
@@ -130,17 +166,7 @@ func TestExactKernelVectorScalarParity(t *testing.T) {
 					xs[i] = scale * rng.Range(-1, 2)
 				}
 				got := n.ForwardBatch(xs, rows, s)
-
-				in := xs
-				for _, l := range n.layers {
-					out := make([]float64, rows*l.out)
-					l.sumBatch(in, rows, out)
-					for i, v := range out {
-						out[i] = l.act.apply(v)
-					}
-					in = out
-				}
-				for i, want := range in {
+				for i, want := range scalarForward(n, xs, rows) {
 					if math.Float64bits(got[i]) != math.Float64bits(want) {
 						t.Fatalf("inputs=%d rows=%d output act %s: output %d: kernel %g (bits %x), scalar %g (bits %x)",
 							inputs, rows, outAct, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
@@ -149,6 +175,68 @@ func TestExactKernelVectorScalarParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOutputKernelVectorScalarParity compares ForwardBatch of networks
+// with one output unit over 16 hidden units — the output kernel's
+// shape — with the scalar reference, layer by layer, for 0–13 rows and
+// 1–12 inputs. With a sigmoid hidden layer every fourth row is scaled
+// up, so its hidden sums take the sigmoid's scalar hand-off and reach
+// the output layer as exact 0s and 1s; with a linear hidden layer the
+// scaled rows feed the output layer values up to 1e300, whose products
+// and sums overflow to ±Inf and NaN.
+func TestOutputKernelVectorScalarParity(t *testing.T) {
+	rng := stats.NewRNG(0x0E7)
+	s := NewScratch()
+	for inputs := 1; inputs <= 12; inputs++ {
+		for _, hidAct := range []Activation{Sigmoid, Linear} {
+			for _, outAct := range []Activation{Linear, Sigmoid} {
+				n := New(Config{
+					Inputs: inputs, Hidden: []int{16}, Outputs: 1,
+					HiddenAct: hidAct, OutputAct: outAct,
+					LearningRate: 0.1, Momentum: 0.5, InitRange: 4,
+					Seed: rng.Uint64(),
+				})
+				huge := 300.0
+				if hidAct == Linear {
+					huge = 1e300
+				}
+				for rows := 0; rows <= 13; rows++ {
+					xs := make([]float64, rows*inputs)
+					for i := range xs {
+						scale := 1.0
+						if (i/inputs)%4 == 3 {
+							scale = huge
+						}
+						xs[i] = scale * rng.Range(-1, 2)
+					}
+					got := n.ForwardBatch(xs, rows, s)
+					want := scalarForward(n, xs, rows)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("inputs=%d rows=%d hidden %s output %s: row %d: kernel %g (bits %x), scalar %g (bits %x)",
+								inputs, rows, hidAct, outAct, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// scalarForward is the portable reference for ForwardBatch: sumBatch's
+// MAC loop and the per-element apply, layer by layer.
+func scalarForward(n *Network, xs []float64, rows int) []float64 {
+	in := xs
+	for _, l := range n.layers {
+		out := make([]float64, rows*l.out)
+		l.sumBatch(in, rows, out)
+		for i, v := range out {
+			out[i] = l.act.apply(v)
+		}
+		in = out
+	}
+	return in
 }
 
 // FuzzSigmoidExact decodes 4–9 little-endian float64 values and
@@ -178,6 +266,31 @@ func FuzzSigmoidExact(f *testing.F) {
 	})
 }
 
+// FuzzExpExact decodes 4–9 little-endian float64 values and compares
+// ExpBatch over them with math.Exp, bit for bit. Its seed corpus
+// (testdata/fuzz/FuzzExpExact) holds the edge inputs at assorted lanes
+// and slice lengths.
+func FuzzExpExact(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 8
+		if n < 4 || n > 9 {
+			return
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		got := append([]float64(nil), xs...)
+		ExpBatch(got)
+		for i, x := range xs {
+			if want := math.Exp(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("exp(%g) (bits %x) at %d of %d: ExpBatch bits %x, math.Exp bits %x",
+					x, math.Float64bits(x), i, n, math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+	})
+}
+
 // TestSigmoidExactKernelLive fails when the start-up probe rejects the
 // vector sigmoid on a CPU that has AVX2 and FMA: the kernel has then
 // drifted from math.Exp, and the parity tests above would be comparing
@@ -193,10 +306,11 @@ func TestSigmoidExactKernelLive(t *testing.T) {
 
 // TestSigmoidExactFollowsGODEBUG reruns the parity tests in a child
 // process with GODEBUG=cpu.fma=off, which (below GOAMD64=v3) sends
-// math.Exp down its non-FMA branch; the vector sigmoid must then stand
-// aside rather than keep the FMA rounding.
+// math.Exp down its non-FMA branch; the vector sigmoid and exp must
+// then stand aside rather than keep the FMA rounding.
 func TestSigmoidExactFollowsGODEBUG(t *testing.T) {
-	runWithoutFMA(t, "TestSigmoidExactEdgeLanes", "TestSigmoidExactGrid", "TestExactKernelVectorScalarParity")
+	runWithoutFMA(t, "TestSigmoidExactEdgeLanes", "TestSigmoidExactGrid", "TestExactKernelVectorScalarParity",
+		"TestExpExactEdgeLanes", "TestExpExactGrid", "TestOutputKernelVectorScalarParity")
 }
 
 // runWithoutFMA reruns the named tests of this package in a child

@@ -74,6 +74,11 @@ var badLoadInputs = map[string]struct{ payload, field string }{
 	// Activations past ReLU would predict through a silently linear layer.
 	"unknown hidden act": {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"HiddenAct":9,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`, "HiddenAct"},
 	"unknown output act": {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"OutputAct":4,"LearningRate":0.1},"weights":[[0,0,0,0],[0,0,0]]}`, "OutputAct"},
+	// Out-of-range hyperparameters; JSON has no NaN, and the decoder
+	// itself refuses a number past the float64 range.
+	"negative init range": {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1,"InitRange":-1},"weights":[[0,0,0,0],[0,0,0]]}`, "InitRange"},
+	"huge init range":     {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":0.1,"InitRange":1e308},"weights":[[0,0,0,0],[0,0,0]]}`, "InitRange"},
+	"infinite rate":       {`{"version":1,"config":{"Inputs":1,"Hidden":[2],"Outputs":1,"LearningRate":1e309},"weights":[[0,0,0,0],[0,0,0]]}`, "LearningRate"},
 }
 
 func TestLoadRejectsBadInput(t *testing.T) {

@@ -25,14 +25,35 @@ func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64)
 // sigmoidAVX2 applies the exact sigmoid in place to ys, four elements
 // at a time for at most groups groups, stopping before the first group
 // that needs the scalar path, and returns the number of elements it
-// stored (see sigmoidExact).
+// stored (see exactAVX2).
 //
 //go:noescape
 func sigmoidAVX2(ys *float64, groups int) int
 
+// expAVX2 is sigmoidAVX2 for math.Exp: the same exp sequence without
+// the negate before it and the 1+e and divide after it.
+//
+//go:noescape
+func expAVX2(ys *float64, groups int) int
+
+// output16AVX2 computes the pre-activation sums of a 1-unit layer over
+// 16 inputs for 4·groups rows of xs: dst[r] = bias + Σ_i w[i]·xs[r*16+i]
+// in ascending input order, one rounding per multiply and per add, as
+// in sumBatch (asserted by TestOutputKernelVectorScalarParity). w is the
+// layer's own row: 16 weights, then the bias.
+//
+//go:noescape
+func output16AVX2(w *float64, xs *float64, groups int, dst *float64)
+
 // kernelAsm16 reports whether the AVX2 16-unit layer kernel applies.
 func kernelAsm16(l *layer, rows int) bool {
 	return cpufeat.AVX2 && l.out == 16 && l.in > 0 && rows > 0
+}
+
+// outputAsm16 reports whether the AVX2 output kernel applies to the
+// first rows/4·4 rows; sumBatch does the rest.
+func outputAsm16(l *layer, rows int) bool {
+	return cpufeat.AVX2 && l.out == 1 && l.in == 16 && rows >= 4
 }
 
 // trainAsm16 reports whether TrainEarlyStopping trains n with the
@@ -41,16 +62,17 @@ func trainAsm16(n *Network) bool {
 	return cpufeat.AVX2 && len(n.layers) == 2 && n.layers[0].out == 16
 }
 
-// sigmoidAsm reports whether the vector sigmoid runs. It repeats the
-// fused multiply-adds of math.Exp's avxfma branch, which the runtime
-// takes when the CPU has AVX and FMA (cpufeat.FMA) unless GODEBUG
-// (cpu.fma=off, cpu.avx=off or cpu.all=off) turns them off for it.
-// sigmoidProbe catches that case.
+// sigmoidAsm reports whether the vector sigmoid and exp run. They
+// repeat the fused multiply-adds of math.Exp's avxfma branch, which the
+// runtime takes when the CPU has AVX and FMA (cpufeat.FMA) unless
+// GODEBUG (cpu.fma=off, cpu.avx=off or cpu.all=off) turns them off for
+// it. sigmoidProbe catches that case.
 var sigmoidAsm = cpufeat.AVX2 && cpufeat.FMA && sigmoidProbe()
 
 // sigmoidProbe reports whether the vector sigmoid matches the scalar
 // expression on four inputs where math.Exp's FMA and non-FMA branches
-// round differently.
+// round differently. The exp kernel runs the same sequence (EXP4 in
+// kernel_amd64.s), so the probe speaks for both.
 func sigmoidProbe() bool {
 	ys := [4]float64{-7.25, -6.375, -3.625, -2.375}
 	want := ys

@@ -156,20 +156,84 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $496
 #define MAXU sigc<>+464(SB)
 #define BIAS1023 sigc<>+480(SB)
 
+// EXP4 replaces the four lanes of Y0 with exp(Y0), or jumps to fail,
+// before anything is stored, when some lane leaves the range in which
+// math.Exp's avxfma branch ($GOROOT/src/math/exp_amd64.s) finishes with
+// one 2^k multiply. It is that branch lane for lane, with the same ops
+// in the same order: k = round(x·log2e), two Cody-Waite FNMADD steps,
+// the 1/16 reduction, the 8-term Horner FMA chain, four e = e·(e+2)
+// doublings (the last multiply fused with the final +1) and the 2^k
+// scale. The branch's ldexp scales by one multiply only when
+// 0 < k+1023 < 2047; every other case (NaN, ±Inf, overflow, subnormal
+// results) takes a different sequence and is left to the caller's
+// scalar code. Clobbers Y1–Y6 and DX.
+#define EXP4(fail) \
+	VMULPD LOG2E, Y0, Y1; \
+	VCVTPD2DQY Y1, X4; \
+	VPADDD BIAS1022, X4, X5; \
+	VPMINUD MAXU, X5, X6; \
+	VPCMPEQD X5, X6, X6; \
+	VMOVMSKPS X6, DX; \
+	CMPL DX, $15; \
+	JNE fail; \
+	VCVTDQ2PD X4, Y1; \
+	VFNMADD231PD LN2U, Y1, Y0; \
+	VFNMADD231PD LN2L, Y1, Y0; \
+	VMULPD SIXTEENTH, Y0, Y0; \
+	VMOVUPD C8, Y2; \
+	VFMADD213PD C7, Y0, Y2; \
+	VFMADD213PD C6, Y0, Y2; \
+	VFMADD213PD C5, Y0, Y2; \
+	VFMADD213PD C4, Y0, Y2; \
+	VFMADD213PD C3, Y0, Y2; \
+	VFMADD213PD HALF, Y0, Y2; \
+	VFMADD213PD ONE, Y0, Y2; \
+	VMULPD Y2, Y0, Y0; \
+	VADDPD TWO, Y0, Y2; \
+	VMULPD Y2, Y0, Y0; \
+	VADDPD TWO, Y0, Y2; \
+	VMULPD Y2, Y0, Y0; \
+	VADDPD TWO, Y0, Y2; \
+	VMULPD Y2, Y0, Y0; \
+	VADDPD TWO, Y0, Y2; \
+	VFMADD213PD ONE, Y2, Y0; \
+	VPADDD BIAS1023, X4, X4; \
+	VPMOVZXDQ X4, Y3; \
+	VPSLLQ $52, Y3, Y3; \
+	VMULPD Y3, Y0, Y0
+
+// func expAVX2(ys *float64, groups int) int
+//
+// Applies math.Exp in place to groups 4-element groups of ys and
+// returns the number of elements done: it stops before the first group
+// EXP4 leaves to the scalar path.
+TEXT ·expAVX2(SB), NOSPLIT, $0-24
+	MOVQ ys+0(FP), SI
+	MOVQ groups+8(FP), CX
+	XORQ AX, AX
+
+exploop:
+	CMPQ AX, CX
+	JGE expdone
+	VMOVUPD (SI), Y0
+	EXP4(expdone)
+	VMOVUPD Y0, (SI)
+	ADDQ $32, SI
+	INCQ AX
+	JMP exploop
+
+expdone:
+	SHLQ $2, AX
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
 // func sigmoidAVX2(ys *float64, groups int) int
 //
 // Applies 1/(1+exp(-y)) in place to groups 4-element groups of ys and
-// returns the number of elements done. exp is math.Exp's avxfma branch
-// ($GOROOT/src/math/exp_amd64.s) lane for lane, with the same ops in
-// the same order: k = round(x·log2e), two Cody-Waite FNMADD steps, the
-// 1/16 reduction, the 8-term Horner FMA chain, four e = e·(e+2)
-// doublings (the last multiply fused with the final +1) and the 2^k
-// scale; then 1+e and the divide of the scalar expression. That
-// branch's ldexp scales by one multiply only when 0 < k+1023 < 2047;
-// every other case (NaN, ±Inf, overflow, subnormal results) takes a
-// different sequence. Such a group is detected before anything is
-// stored: the kernel stops there and returns, and the caller finishes
-// the group in scalar code.
+// returns the number of elements done: the negate, EXP4, then 1+e and
+// the divide of the scalar expression. It stops before the first group
+// EXP4 leaves to the scalar path.
 TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-24
 	MOVQ ys+0(FP), SI
 	MOVQ groups+8(FP), CX
@@ -181,39 +245,7 @@ sigloop:
 	JGE sigdone
 	VMOVUPD (SI), Y0
 	VXORPD SIGN, Y0, Y0              // x = -y
-	VMULPD LOG2E, Y0, Y1             // x·log2e
-	VCVTPD2DQY Y1, X4                // k = round to nearest
-	VPADDD BIAS1022, X4, X5          // k+1022
-	VPMINUD MAXU, X5, X6
-	VPCMPEQD X5, X6, X6              // 0 <= k+1022 <= 2045, unsigned
-	VMOVMSKPS X6, DX
-	CMPL DX, $15
-	JNE sigdone                      // some lane leaves the one-multiply range
-	VCVTDQ2PD X4, Y1                 // float64(k)
-	VFNMADD231PD LN2U, Y1, Y0        // x -= k·ln2u  (fused)
-	VFNMADD231PD LN2L, Y1, Y0        // x -= k·ln2l  (fused)
-	VMULPD SIXTEENTH, Y0, Y0         // r = x/16
-	VMOVUPD C8, Y2
-	VFMADD213PD C7, Y0, Y2           // p = p·r + c
-	VFMADD213PD C6, Y0, Y2
-	VFMADD213PD C5, Y0, Y2
-	VFMADD213PD C4, Y0, Y2
-	VFMADD213PD C3, Y0, Y2
-	VFMADD213PD HALF, Y0, Y2
-	VFMADD213PD ONE, Y0, Y2
-	VMULPD Y2, Y0, Y0                // e = r·p
-	VADDPD TWO, Y0, Y2               // e = e·(e+2), four times
-	VMULPD Y2, Y0, Y0
-	VADDPD TWO, Y0, Y2
-	VMULPD Y2, Y0, Y0
-	VADDPD TWO, Y0, Y2
-	VMULPD Y2, Y0, Y0
-	VADDPD TWO, Y0, Y2
-	VFMADD213PD ONE, Y2, Y0          // e·(e+2) + 1  (fused)
-	VPADDD BIAS1023, X4, X4          // k+1023
-	VPMOVZXDQ X4, Y3
-	VPSLLQ $52, Y3, Y3               // 2^k
-	VMULPD Y3, Y0, Y0
+	EXP4(sigdone)
 	VADDPD Y7, Y0, Y0                // 1 + exp(-y)
 	VDIVPD Y0, Y7, Y0                // 1 / (1 + exp(-y))
 	VMOVUPD Y0, (SI)
@@ -224,5 +256,66 @@ sigloop:
 sigdone:
 	SHLQ $2, AX
 	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// OUT16Q adds the products of one quarter of a 1-unit layer's 16
+// inputs, the quarter at byte offset off of each of four rows, to the
+// row sums in Y0. W holds the quarter's four weights. The four rows'
+// products (one row per register, rounded once each as in sumBatch's
+// w * x) are transposed 4×4 by unpacks and 128-bit permutes, which only
+// move bits, into one register per input with one row per lane; those
+// are then added to the sums in ascending input order, each VADDPD
+// rounded on its own, never fused.
+#define OUT16Q(off, W) \
+	VMULPD off(DI), W, Y1; \
+	VMULPD 128+off(DI), W, Y2; \
+	VMULPD 256+off(DI), W, Y3; \
+	VMULPD 384+off(DI), W, Y4; \
+	VUNPCKLPD Y2, Y1, Y5; \
+	VUNPCKHPD Y2, Y1, Y6; \
+	VUNPCKLPD Y4, Y3, Y7; \
+	VUNPCKHPD Y4, Y3, Y8; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x20, Y8, Y6, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3; \
+	VPERM2F128 $0x31, Y8, Y6, Y4; \
+	VADDPD Y1, Y0, Y0; \
+	VADDPD Y2, Y0, Y0; \
+	VADDPD Y3, Y0, Y0; \
+	VADDPD Y4, Y0, Y0
+
+// func output16AVX2(w *float64, xs *float64, groups int, dst *float64)
+//
+// The pre-activation sums of a 1-unit layer over 16 inputs for groups
+// groups of four rows: dst[r] = bias + Σ_i w[i]·xs[r*16+i], summed in
+// ascending input order from the bias, as in sumBatch. w holds the 16
+// weights, then the bias (the layer's unit-major row as it is).
+TEXT ·output16AVX2(SB), NOSPLIT, $0-32
+	MOVQ w+0(FP), SI
+	MOVQ xs+8(FP), DI
+	MOVQ groups+16(FP), CX
+	MOVQ dst+24(FP), DX
+	VMOVUPD (SI), Y12                // w[0:4]
+	VMOVUPD 32(SI), Y13              // w[4:8]
+	VMOVUPD 64(SI), Y14              // w[8:12]
+	VMOVUPD 96(SI), Y15              // w[12:16]
+	VBROADCASTSD 128(SI), Y11        // bias
+
+outloop:
+	TESTQ CX, CX
+	JZ outdone
+	VMOVAPD Y11, Y0                  // four row sums = bias
+	OUT16Q(0, Y12)
+	OUT16Q(32, Y13)
+	OUT16Q(64, Y14)
+	OUT16Q(96, Y15)
+	VMOVUPD Y0, (DX)
+	ADDQ $512, DI                    // four rows × 16 doubles
+	ADDQ $32, DX
+	DECQ CX
+	JMP outloop
+
+outdone:
 	VZEROUPPER
 	RET

@@ -10,12 +10,24 @@ func hidden16AVX2f64(wt *float64, xs *float64, rows, in int, dst *float64) {
 	panic("ann: hidden16AVX2f64 is amd64-only")
 }
 
-// sigmoidAsm is false without a vector sigmoid; sigmoidExact runs the
-// scalar loop.
+// outputAsm16 is always false without a vector kernel; ForwardBatch
+// runs sumBatch.
+func outputAsm16(l *layer, rows int) bool { return false }
+
+func output16AVX2(w *float64, xs *float64, groups int, dst *float64) {
+	panic("ann: output16AVX2 is amd64-only")
+}
+
+// sigmoidAsm is false without a vector sigmoid and exp; exactAVX2 runs
+// the scalar loops.
 const sigmoidAsm = false
 
 func sigmoidAVX2(ys *float64, groups int) int {
 	panic("ann: sigmoidAVX2 is amd64-only")
+}
+
+func expAVX2(ys *float64, groups int) int {
+	panic("ann: expAVX2 is amd64-only")
 }
 
 // trainAsm16 is always false without a vector kernel; TrainEarlyStopping

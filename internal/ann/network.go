@@ -93,28 +93,56 @@ func (a Activation) applyBatch(ys []float64) {
 	}
 }
 
-// sigmoidExact sets ys[i] = 1/(1+math.Exp(-ys[i])). Where sigmoidAsm
-// holds, sigmoidAVX2 does four elements per step and stops at any
-// group that math.Exp would not finish with a single 2^k multiply
-// (NaN, ±Inf, overflow, subnormal results); that group goes to the
-// scalar expression whole.
-func sigmoidExact(ys []float64) {
+// sigmoidExact sets ys[i] = 1/(1+math.Exp(-ys[i])) (see exactAVX2).
+func sigmoidExact(ys []float64) { exactAVX2(ys, false) }
+
+// ExpBatch sets ys[i] = math.Exp(ys[i]), bit for bit, four elements per
+// step where the vector kernel runs (see exactAVX2).
+func ExpBatch(ys []float64) { exactAVX2(ys, true) }
+
+// exactAVX2 is the scalar hand-off the sigmoid and exp kernels share:
+// it applies the sigmoid, or math.Exp where exp is set, to ys in place.
+// Where sigmoidAsm holds, the kernel does four elements per step and
+// stops at any group that math.Exp would not finish with a single 2^k
+// multiply (NaN, ±Inf, overflow, subnormal results); that group goes
+// to the scalar loop whole, and so does the 1–3-element tail.
+func exactAVX2(ys []float64, exp bool) {
 	if sigmoidAsm {
 		for len(ys) >= 4 {
-			ys = ys[sigmoidAVX2(&ys[0], len(ys)/4):]
+			var done int
+			if exp {
+				done = expAVX2(&ys[0], len(ys)/4)
+			} else {
+				done = sigmoidAVX2(&ys[0], len(ys)/4)
+			}
+			ys = ys[done:]
 			if len(ys) < 4 {
 				break
 			}
-			sigmoidScalar(ys[:4])
+			exactScalar(ys[:4], exp)
 			ys = ys[4:]
 		}
 	}
-	sigmoidScalar(ys)
+	exactScalar(ys, exp)
+}
+
+func exactScalar(ys []float64, exp bool) {
+	if exp {
+		expScalar(ys)
+	} else {
+		sigmoidScalar(ys)
+	}
 }
 
 func sigmoidScalar(ys []float64) {
 	for i, y := range ys {
 		ys[i] = 1 / (1 + math.Exp(-y))
+	}
+}
+
+func expScalar(ys []float64) {
+	for i, y := range ys {
+		ys[i] = math.Exp(y)
 	}
 }
 
@@ -147,11 +175,19 @@ type Config struct {
 	HiddenAct Activation
 	OutputAct Activation
 
-	LearningRate float64 // η in Equation 3.1
-	Momentum     float64 // α in Equation 3.2
-	InitRange    float64 // weights start uniform on [-InitRange, +InitRange]
-	Seed         uint64
+	LearningRate float64 // η in Equation 3.1; positive and finite
+	Momentum     float64 // α in Equation 3.2; in [0,1)
+	// InitRange r starts every weight uniform on [-r, +r]; r must lie in
+	// [0, MaxInitRange].
+	InitRange float64
+	Seed      uint64
 }
+
+// MaxInitRange caps Config.InitRange. The paper starts weights on
+// [-0.01, +0.01] and this repo's tests use at most 4; at 10 a hidden
+// unit's sum over a handful of [0,1] inputs already saturates the
+// sigmoid, and a range near the float64 limit draws infinite weights.
+const MaxInitRange = 10
 
 // PaperConfig returns the exact hyperparameters of §3.1: one hidden
 // layer of 16 sigmoid units, learning rate 0.001, momentum 0.5, and
@@ -186,11 +222,15 @@ func (c Config) Validate() error {
 	if !c.OutputAct.known() {
 		return fmt.Errorf("ann: Config.OutputAct %d is not sigmoid (0), tanh (1), linear (2) or relu (3)", c.OutputAct)
 	}
-	if c.LearningRate <= 0 {
-		return fmt.Errorf("ann: Config.LearningRate must be positive, got %g", c.LearningRate)
+	// Each bound is written so that NaN fails it.
+	if !(c.LearningRate > 0 && c.LearningRate <= math.MaxFloat64) {
+		return fmt.Errorf("ann: Config.LearningRate must be positive and finite, got %g", c.LearningRate)
 	}
-	if c.Momentum < 0 || c.Momentum >= 1 {
+	if !(c.Momentum >= 0 && c.Momentum < 1) {
 		return fmt.Errorf("ann: Config.Momentum must be in [0,1), got %g", c.Momentum)
+	}
+	if !(c.InitRange >= 0 && c.InitRange <= MaxInitRange) {
+		return fmt.Errorf("ann: Config.InitRange must be in [0,%g], got %g", float64(MaxInitRange), c.InitRange)
 	}
 	return nil
 }

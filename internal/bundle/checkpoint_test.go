@@ -244,13 +244,15 @@ func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 
 // badModelEdits turn a saved checkpoint's stored model config into one
 // a resumed run cannot train (ann.New panics on the first two; the
-// third would train through a silently linear hidden layer); field is
+// third would train through a silently linear hidden layer, the fourth
+// draw infinite weights and predict NaN); field is
 // what LoadCheckpoint's refusal must name. The config precedes the
 // nested ensemble, so the first match of old is the config's.
 var badModelEdits = []struct{ field, old, new string }{
 	{"Momentum", `"Momentum":0.5`, `"Momentum":1.5`},
 	{"Hidden[0]", `"Hidden":[16]`, `"Hidden":[-3,16]`},
 	{"HiddenAct", `"HiddenAct":0`, `"HiddenAct":9`},
+	{"InitRange", `"InitRange":0.01`, `"InitRange":1e308`},
 }
 
 func TestCheckpointLoadRejectsBadModel(t *testing.T) {

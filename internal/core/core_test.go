@@ -75,6 +75,7 @@ func TestModelConfigValidate(t *testing.T) {
 		"Hidden[0]": func(c *ModelConfig) { c.Hidden = []int{-3, 16} },
 		"HiddenAct": func(c *ModelConfig) { c.HiddenAct = 9 },
 		"OutputAct": func(c *ModelConfig) { c.OutputAct = 4 },
+		"InitRange": func(c *ModelConfig) { c.InitRange = 1e308 },
 	} {
 		bad = good
 		edit(&bad)
@@ -86,18 +87,24 @@ func TestModelConfigValidate(t *testing.T) {
 }
 
 // TestTrainEnsembleRejectsBadNetwork: a model config ann.New would
-// panic on is an error from TrainEnsemble, not a crashed process.
+// panic on, or one whose weights would start infinite and predict NaN,
+// is an error from TrainEnsemble, not a crashed process or a NaN model.
 func TestTrainEnsembleRejectsBadNetwork(t *testing.T) {
-	cfg := fastModel()
-	cfg.Momentum = 1.5
 	x := make([][]float64, 12)
 	y := make([][]float64, 12)
 	for i := range x {
 		x[i] = []float64{float64(i) / 12}
 		y[i] = []float64{1 + float64(i)}
 	}
-	if _, err := TrainEnsemble(x, y, cfg); err == nil || !strings.Contains(err.Error(), "Momentum") {
-		t.Fatalf("TrainEnsemble with momentum 1.5: %v, want an error naming Momentum", err)
+	for field, edit := range map[string]func(*ModelConfig){
+		"Momentum":  func(c *ModelConfig) { c.Momentum = 1.5 },
+		"InitRange": func(c *ModelConfig) { c.InitRange = 1e308 },
+	} {
+		cfg := fastModel()
+		edit(&cfg)
+		if _, err := TrainEnsemble(x, y, cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("TrainEnsemble with a bad %s: %v, want an error naming it", field, err)
+		}
 	}
 }
 

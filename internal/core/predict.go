@@ -63,12 +63,18 @@ func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mean, varian
 	members := len(e.nets)
 	e.forEachChunk(rows, func(start, end int, s *ann.Scratch, preds []float64) {
 		cnt := end - start
-		// preds[m*cnt+r] is member m's prediction for row start+r.
+		// preds[m*cnt+r] is member m's prediction for row start+r: the
+		// unscaled output column, then untransform's math.Exp over the
+		// whole column at once (ann.ExpBatch keeps its bits).
+		sc := e.scalers[output]
 		for m, n := range e.nets {
 			outM := n.ForwardBatch(xs[start*e.Inputs():end*e.Inputs()], cnt, s)
 			dst := preds[m*cnt : (m+1)*cnt]
 			for r := range dst {
-				dst[r] = e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
+				dst[r] = sc.Unscale(outM[r*e.outputs+output])
+			}
+			if e.logT {
+				ann.ExpBatch(dst)
 			}
 		}
 		// Same accumulation order as the per-point PredictVariance:

@@ -21,33 +21,83 @@ type Encoder struct {
 	lo    []float64 // per numeric param: range min
 	hi    []float64 // per numeric param: range max
 	off   []int     // per param: first input index
+	axes  []axis    // per param: the input values Encode looks up
+}
+
+// axis holds one numeric or boolean parameter's input values, computed
+// once: vals[c*card+k] is the input at own choice k and controller
+// choice c, where the controller is parameter ctl (c is 0 when ctl is
+// -1). vals is nil for a nominal parameter, which is one-hot encoded.
+type axis struct {
+	ctl, card int
+	vals      []float64
 }
 
 // NewEncoder builds an encoder for sp. Ranges for minimax normalization
 // come from the space definition itself (the study's min/max values),
-// which is what the paper normalizes by.
+// which is what the paper normalizes by. It tabulates each numeric or
+// boolean parameter's input value for every setting (for a dependent
+// parameter, every controller setting and setting), so that Encode
+// looks values up instead of normalizing per point.
 func NewEncoder(sp *space.Space) *Encoder {
+	n := sp.NumParams()
 	e := &Encoder{
-		sp:  sp,
-		lo:  make([]float64, sp.NumParams()),
-		hi:  make([]float64, sp.NumParams()),
-		off: make([]int, sp.NumParams()),
+		sp:   sp,
+		lo:   make([]float64, n),
+		hi:   make([]float64, n),
+		off:  make([]int, n),
+		axes: make([]axis, n),
 	}
 	w := 0
-	for i := 0; i < sp.NumParams(); i++ {
+	choices := make([]int, n)
+	for i := 0; i < n; i++ {
 		e.off[i] = w
 		p := &sp.Params[i]
-		switch p.Kind {
-		case space.Nominal:
-			w += p.Card()
-		default:
-			lo, hi := sp.ValueRange(i)
-			e.lo[i], e.hi[i] = lo, hi
-			w++
+		a := axis{ctl: -1, card: p.Card()}
+		if p.Kind == space.Nominal {
+			e.axes[i] = a
+			w += a.card
+			continue
 		}
+		e.lo[i], e.hi[i] = sp.ValueRange(i)
+		ctlCard := 1
+		if p.DependsOn != "" {
+			for j := range i {
+				if sp.Params[j].Name == p.DependsOn {
+					a.ctl = j
+				}
+			}
+			ctlCard = sp.Params[a.ctl].Card()
+		}
+		a.vals = make([]float64, ctlCard*a.card)
+		for c := range ctlCard {
+			if a.ctl >= 0 {
+				choices[a.ctl] = c
+			}
+			for k := range a.card {
+				choices[i] = k
+				a.vals[c*a.card+k] = e.input(i, sp.Value(choices, i))
+			}
+		}
+		e.axes[i] = a
+		w++
 	}
 	e.width = w
 	return e
+}
+
+// input is the network input of numeric or boolean parameter i at
+// setting v: a boolean's 0/1 as it is, any other value minimax-normalized
+// to [0,1].
+func (e *Encoder) input(i int, v float64) float64 {
+	switch {
+	case e.sp.Params[i].Kind == space.Boolean:
+		return v
+	case e.hi[i] > e.lo[i]:
+		return (v - e.lo[i]) / (e.hi[i] - e.lo[i])
+	default:
+		return 0.5 // single-valued axis carries no information
+	}
 }
 
 // Width returns the number of network inputs the encoding produces.
@@ -111,23 +161,15 @@ func (e *Encoder) Encode(choices []int, dst []float64) []float64 {
 	if len(dst) != e.width {
 		panic("encoding: destination has wrong width")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < e.sp.NumParams(); i++ {
-		p := &e.sp.Params[i]
-		switch p.Kind {
-		case space.Nominal:
+	clear(dst)
+	for i, a := range e.axes {
+		switch {
+		case a.vals == nil:
 			dst[e.off[i]+choices[i]] = 1
-		case space.Boolean:
-			dst[e.off[i]] = e.sp.Value(choices, i)
+		case a.ctl >= 0:
+			dst[e.off[i]] = a.vals[choices[a.ctl]*a.card+choices[i]]
 		default:
-			v := e.sp.Value(choices, i)
-			if e.hi[i] > e.lo[i] {
-				dst[e.off[i]] = (v - e.lo[i]) / (e.hi[i] - e.lo[i])
-			} else {
-				dst[e.off[i]] = 0.5 // single-valued axis carries no information
-			}
+			dst[e.off[i]] = a.vals[choices[i]]
 		}
 	}
 	return dst

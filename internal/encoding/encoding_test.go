@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/space"
+	"repro/internal/studies"
 )
 
 func demoSpace() *space.Space {
@@ -222,6 +223,53 @@ func TestEncodeRangeMatchesEncodeIndex(t *testing.T) {
 						t.Fatalf("chunk %d@%d row %d input %d: %v != %v",
 							chunk, start, r, j, got[r*e.Width()+j], want[j])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeRangeMatchesFormula compares EncodeRange over both
+// studies' whole spaces (23,040 × 10 and 20,736 × 12 inputs, the
+// processor study's dependent Register File axis included) with a
+// direct transcription of the §3.3 encoding, bit for bit: one-hot
+// nominal levels, boolean values as they are, and every other value
+// (v−lo)/(hi−lo) over the space's range, computed per point from
+// Space.Value and Space.ValueRange rather than read from the encoder's
+// tables.
+func TestEncodeRangeMatchesFormula(t *testing.T) {
+	for _, st := range studies.All() {
+		sp := st.Space
+		e := NewEncoder(sp)
+		got := e.EncodeRange(0, sp.Size(), nil)
+		want := make([]float64, e.Width())
+		for idx := 0; idx < sp.Size(); idx++ {
+			c := sp.Choices(idx)
+			clear(want)
+			at := 0
+			for i := range sp.Params {
+				switch p := &sp.Params[i]; p.Kind {
+				case space.Nominal:
+					want[at+c[i]] = 1
+					at += p.Card()
+					continue
+				case space.Boolean:
+					want[at] = sp.Value(c, i)
+				default:
+					lo, hi := sp.ValueRange(i)
+					if hi > lo {
+						want[at] = (sp.Value(c, i) - lo) / (hi - lo)
+					} else {
+						want[at] = 0.5
+					}
+				}
+				at++
+			}
+			row := got[idx*e.Width() : (idx+1)*e.Width()]
+			for j, w := range want {
+				if math.Float64bits(row[j]) != math.Float64bits(w) {
+					t.Fatalf("%s point %d input %d: EncodeRange %v (bits %x), formula %v (bits %x)",
+						st.Name, idx, j, row[j], math.Float64bits(row[j]), w, math.Float64bits(w))
 				}
 			}
 		}
