@@ -47,10 +47,11 @@ func (s *Scratch) ensure(n *Network, rows int) {
 // definitions (the sigmoid is 1/(1+math.Exp(-y))), the same operations
 // in the same order as the per-point pass. The batched kernel only
 // reorders independent examples, so any split of a batch yields the
-// same bits. On amd64, 16-unit layers (with AVX2) and the sigmoid (with
-// AVX2 and FMA) run in vector kernels that repeat those operations
-// lane for lane, math.Exp's own FMA sequence included; the argument is
-// set out in docs/ARCHITECTURE.md, "The forward kernel".
+// same bits. On amd64, 16-unit layers and 1-unit layers over 16 inputs
+// (with AVX2) and the sigmoid (with AVX2 and FMA) run in vector kernels
+// that repeat those operations lane for lane, math.Exp's own FMA
+// sequence included; the argument is set out in docs/ARCHITECTURE.md,
+// "The forward kernel".
 func (n *Network) ForwardBatch(xs []float64, rows int, s *Scratch) []float64 {
 	if rows < 0 || len(xs) != rows*n.cfg.Inputs {
 		panic(fmt.Sprintf("ann: batch of %d values is not %d rows × %d inputs", len(xs), rows, n.cfg.Inputs))

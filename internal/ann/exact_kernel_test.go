@@ -12,10 +12,22 @@ import (
 	"repro/internal/stats"
 )
 
-// The forward pass's vector kernels (sigmoidAVX2, expAVX2,
-// hidden16AVX2f64 and output16AVX2 on amd64) must reproduce the scalar
-// definitions bit for bit. On machines where they do not run, these
-// tests compare the scalar path with itself and always pass.
+// The forward pass's vector kernels (sigmoidAVX512, sigmoidAVX2,
+// expAVX2, hidden16AVX2f64 and output16AVX2 on amd64) must reproduce
+// the scalar definitions bit for bit. On machines where they do not
+// run, these tests compare the scalar path with itself and always pass.
+
+// eachSigmoidWidth runs check with the sigmoid kernel the CPU selects
+// and, where that is the 8-lane one, again with it off, so that the
+// 4-lane kernel is checked on whole groups and not only in tails.
+func eachSigmoidWidth(check func()) {
+	check()
+	if sigmoid512 {
+		sigmoid512 = false
+		defer func() { sigmoid512 = true }()
+		check()
+	}
+}
 
 // checkSigmoidExact runs Sigmoid.applyBatch over a copy of ys and
 // compares every element with the scalar apply reference, bit for bit.
@@ -26,8 +38,8 @@ func checkSigmoidExact(t *testing.T, ys []float64) {
 	for i, y := range ys {
 		want := Sigmoid.apply(y)
 		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("sigmoid(%g) (bits %x) at %d of %d: applyBatch %g (bits %x), apply %g (bits %x)",
-				y, math.Float64bits(y), i, len(ys), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			t.Fatalf("sigmoid(%g) (bits %x) at %d of %d, 8-lane kernel %v: applyBatch %g (bits %x), apply %g (bits %x)",
+				y, math.Float64bits(y), i, len(ys), sigmoid512, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
 }
@@ -48,16 +60,19 @@ func checkExpExact(t *testing.T, xs []float64) {
 }
 
 // edgeLanes calls check with every edge input placed at each lane of a
-// 4-group between ordinary groups, and at each position of a 1–3
+// 4-group between ordinary values, and at each position of a 1–3
 // element tail, so a vector kernel's scalar hand-off runs mid-slice and
-// the tail loop sees the same values.
+// the tail loop sees the same values. The 4-group starts after 8 or 12
+// ordinary values, so it fills either half of an 8-lane group.
 func edgeLanes(check func(ys []float64)) {
 	ordinary := []float64{0.5, -1.25, 3, -7, 0.1, 2.5, -3, 40}
 	for _, e := range edgeInputs {
 		for lane := 0; lane < 4; lane++ {
 			group := []float64{-0.75, 1.5, 6, -12}
 			group[lane] = e
-			check(append(append(append([]float64(nil), ordinary...), group...), ordinary...))
+			for _, prefix := range [][]float64{ordinary, append(ordinary[:4:4], ordinary...)} {
+				check(append(append(append([]float64(nil), prefix...), group...), ordinary...))
+			}
 		}
 		for tail := 1; tail <= 3; tail++ {
 			for pos := 0; pos < tail; pos++ {
@@ -72,9 +87,10 @@ func edgeLanes(check func(ys []float64)) {
 	}
 }
 
-// TestSigmoidExactEdgeLanes runs the sigmoid over edgeLanes' slices.
+// TestSigmoidExactEdgeLanes runs the sigmoid over edgeLanes' slices,
+// at each kernel width.
 func TestSigmoidExactEdgeLanes(t *testing.T) {
-	edgeLanes(func(ys []float64) { checkSigmoidExact(t, ys) })
+	eachSigmoidWidth(func() { edgeLanes(func(ys []float64) { checkSigmoidExact(t, ys) }) })
 }
 
 // TestExpExactEdgeLanes runs exp over edgeLanes' slices.
@@ -114,8 +130,11 @@ func exponentGrid() []float64 {
 	return ys
 }
 
-// TestSigmoidExactGrid runs the sigmoid over exponentGrid.
-func TestSigmoidExactGrid(t *testing.T) { checkSigmoidExact(t, exponentGrid()) }
+// TestSigmoidExactGrid runs the sigmoid over exponentGrid, at each
+// kernel width.
+func TestSigmoidExactGrid(t *testing.T) {
+	eachSigmoidWidth(func() { checkSigmoidExact(t, exponentGrid()) })
+}
 
 // TestExpExactGrid runs exp over exponentGrid.
 func TestExpExactGrid(t *testing.T) { checkExpExact(t, exponentGrid()) }
@@ -134,8 +153,11 @@ func randomBits(seed uint64) []float64 {
 	return ys
 }
 
-// TestSigmoidExactRandomBits runs the sigmoid over randomBits.
-func TestSigmoidExactRandomBits(t *testing.T) { checkSigmoidExact(t, randomBits(0x5164)) }
+// TestSigmoidExactRandomBits runs the sigmoid over randomBits, at each
+// kernel width.
+func TestSigmoidExactRandomBits(t *testing.T) {
+	eachSigmoidWidth(func() { checkSigmoidExact(t, randomBits(0x5164)) })
+}
 
 // TestExpExactRandomBits runs exp over randomBits.
 func TestExpExactRandomBits(t *testing.T) { checkExpExact(t, randomBits(0xE8B)) }
@@ -146,6 +168,10 @@ func TestExpExactRandomBits(t *testing.T) { checkExpExact(t, randomBits(0xE8B)) 
 // inputs. Every fourth row is scaled up so some hidden sums leave the
 // vector sigmoid's range and take its scalar hand-off.
 func TestExactKernelVectorScalarParity(t *testing.T) {
+	eachSigmoidWidth(func() { layerParity(t) })
+}
+
+func layerParity(t *testing.T) {
 	rng := stats.NewRNG(0xE4AC7)
 	s := NewScratch()
 	for inputs := 1; inputs <= 20; inputs++ {
@@ -186,6 +212,10 @@ func TestExactKernelVectorScalarParity(t *testing.T) {
 // scaled rows feed the output layer values up to 1e300, whose products
 // and sums overflow to ±Inf and NaN.
 func TestOutputKernelVectorScalarParity(t *testing.T) {
+	eachSigmoidWidth(func() { outputParity(t) })
+}
+
+func outputParity(t *testing.T) {
 	rng := stats.NewRNG(0x0E7)
 	s := NewScratch()
 	for inputs := 1; inputs <= 12; inputs++ {
@@ -254,15 +284,17 @@ func FuzzSigmoidExact(f *testing.F) {
 		for i := range ys {
 			ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		got := append([]float64(nil), ys...)
-		Sigmoid.applyBatch(got)
-		for i, y := range ys {
-			want := 1 / (1 + math.Exp(-y))
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("sigmoid(%g) (bits %x) at %d of %d: applyBatch bits %x, scalar bits %x",
-					y, math.Float64bits(y), i, n, math.Float64bits(got[i]), math.Float64bits(want))
+		eachSigmoidWidth(func() {
+			got := append([]float64(nil), ys...)
+			Sigmoid.applyBatch(got)
+			for i, y := range ys {
+				want := 1 / (1 + math.Exp(-y))
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("sigmoid(%g) (bits %x) at %d of %d, 8-lane kernel %v: applyBatch bits %x, scalar bits %x",
+						y, math.Float64bits(y), i, n, sigmoid512, math.Float64bits(got[i]), math.Float64bits(want))
+				}
 			}
-		}
+		})
 	})
 }
 
@@ -301,6 +333,19 @@ func TestSigmoidExactKernelLive(t *testing.T) {
 	}
 	if cpufeat.AVX2 && cpufeat.FMA && !sigmoidAsm {
 		t.Fatal("the vector sigmoid disagrees with math.Exp on its probe inputs")
+	}
+}
+
+// TestSigmoidExact512Live fails when a CPU with AVX-512, AVX2 and FMA
+// does not run the sigmoid through the 8-lane kernel: sweeps would
+// then take the 4-lane one, and the parity tests' first pass would not
+// check the kernel that runs.
+func TestSigmoidExact512Live(t *testing.T) {
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("GODEBUG overrides CPU features")
+	}
+	if cpufeat.AVX512 && cpufeat.AVX2 && cpufeat.FMA && !sigmoid512 {
+		t.Fatal("an AVX-512 CPU runs the sigmoid on the 4-lane kernel")
 	}
 }
 

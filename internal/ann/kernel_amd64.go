@@ -30,6 +30,12 @@ func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64)
 //go:noescape
 func sigmoidAVX2(ys *float64, groups int) int
 
+// sigmoidAVX512 is sigmoidAVX2 on eight lanes, for groups 8-element
+// groups.
+//
+//go:noescape
+func sigmoidAVX512(ys *float64, groups int) int
+
 // expAVX2 is sigmoidAVX2 for math.Exp: the same exp sequence without
 // the negate before it and the 1+e and divide after it.
 //
@@ -68,6 +74,12 @@ func trainAsm16(n *Network) bool {
 // GODEBUG (cpu.fma=off, cpu.avx=off or cpu.all=off) turns them off for
 // it. sigmoidProbe catches that case.
 var sigmoidAsm = cpufeat.AVX2 && cpufeat.FMA && sigmoidProbe()
+
+// sigmoid512 reports whether exactAVX2 runs the sigmoid through the
+// 8-lane kernel before the 4-lane one: the same ops on twice the lanes,
+// on a CPU with AVX-512 (cpufeat.AVX512) where sigmoidAsm holds. Tests
+// turn it off to reach the 4-lane kernel on such a CPU.
+var sigmoid512 = sigmoidAsm && cpufeat.AVX512
 
 // sigmoidProbe reports whether the vector sigmoid matches the scalar
 // expression on four inputs where math.Exp's FMA and non-FMA branches

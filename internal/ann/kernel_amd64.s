@@ -113,51 +113,52 @@ updloop:
 	VZEROUPPER
 	RET
 
-// Constants of the vector sigmoid, four lanes each. The floating-point
-// literals are those of $GOROOT/src/math/exp_amd64.s, so the assembler
-// rounds them to the same bits.
-#define SPLAT8(off, v) DATA sigc<>+(off)(SB)/8, v; DATA sigc<>+(off+8)(SB)/8, v; DATA sigc<>+(off+16)(SB)/8, v; DATA sigc<>+(off+24)(SB)/8, v
-#define SPLAT4(off, v) DATA sigc<>+(off)(SB)/4, v; DATA sigc<>+(off+4)(SB)/4, v; DATA sigc<>+(off+8)(SB)/4, v; DATA sigc<>+(off+12)(SB)/4, v
+// Constants of the vector sigmoid and exp, eight lanes each (the 4-lane
+// kernels read the first half). The floating-point literals are those
+// of $GOROOT/src/math/exp_amd64.s, so the assembler rounds them to the
+// same bits.
+#define SPLAT8(off, v) DATA sigc<>+(off)(SB)/8, v; DATA sigc<>+(off+8)(SB)/8, v; DATA sigc<>+(off+16)(SB)/8, v; DATA sigc<>+(off+24)(SB)/8, v; DATA sigc<>+(off+32)(SB)/8, v; DATA sigc<>+(off+40)(SB)/8, v; DATA sigc<>+(off+48)(SB)/8, v; DATA sigc<>+(off+56)(SB)/8, v
+#define SPLAT4(off, v) DATA sigc<>+(off)(SB)/4, v; DATA sigc<>+(off+4)(SB)/4, v; DATA sigc<>+(off+8)(SB)/4, v; DATA sigc<>+(off+12)(SB)/4, v; DATA sigc<>+(off+16)(SB)/4, v; DATA sigc<>+(off+20)(SB)/4, v; DATA sigc<>+(off+24)(SB)/4, v; DATA sigc<>+(off+28)(SB)/4, v
 
 SPLAT8(0, $0x8000000000000000)                          // sign bit
-SPLAT8(32, $1.4426950408889634073599246810018920)       // log2(e)
-SPLAT8(64, $0.69314718055966295651160180568695068359375) // ln 2, upper half
-SPLAT8(96, $0.28235290563031577122588448175013436025525412068e-12) // ln 2, lower half
-SPLAT8(128, $0.0625)
-SPLAT8(160, $2.4801587301587301587e-5)
-SPLAT8(192, $1.9841269841269841270e-4)
-SPLAT8(224, $1.3888888888888888889e-3)
-SPLAT8(256, $8.3333333333333333333e-3)
-SPLAT8(288, $4.1666666666666666667e-2)
-SPLAT8(320, $1.6666666666666666667e-1)
-SPLAT8(352, $0.5)
-SPLAT8(384, $1.0)
-SPLAT8(416, $2.0)
-SPLAT4(448, $1022)
-SPLAT4(464, $2045)
-SPLAT4(480, $1023)
-GLOBL sigc<>(SB), RODATA|NOPTR, $496
+SPLAT8(64, $1.4426950408889634073599246810018920)       // log2(e)
+SPLAT8(128, $0.69314718055966295651160180568695068359375) // ln 2, upper half
+SPLAT8(192, $0.28235290563031577122588448175013436025525412068e-12) // ln 2, lower half
+SPLAT8(256, $0.0625)
+SPLAT8(320, $2.4801587301587301587e-5)
+SPLAT8(384, $1.9841269841269841270e-4)
+SPLAT8(448, $1.3888888888888888889e-3)
+SPLAT8(512, $8.3333333333333333333e-3)
+SPLAT8(576, $4.1666666666666666667e-2)
+SPLAT8(640, $1.6666666666666666667e-1)
+SPLAT8(704, $0.5)
+SPLAT8(768, $1.0)
+SPLAT8(832, $2.0)
+SPLAT4(896, $1022)
+SPLAT4(928, $2045)
+SPLAT4(960, $1023)
+GLOBL sigc<>(SB), RODATA|NOPTR, $992
 
 #define SIGN sigc<>+0(SB)
-#define LOG2E sigc<>+32(SB)
-#define LN2U sigc<>+64(SB)
-#define LN2L sigc<>+96(SB)
-#define SIXTEENTH sigc<>+128(SB)
-#define C8 sigc<>+160(SB)
-#define C7 sigc<>+192(SB)
-#define C6 sigc<>+224(SB)
-#define C5 sigc<>+256(SB)
-#define C4 sigc<>+288(SB)
-#define C3 sigc<>+320(SB)
-#define HALF sigc<>+352(SB)
-#define ONE sigc<>+384(SB)
-#define TWO sigc<>+416(SB)
-#define BIAS1022 sigc<>+448(SB)
-#define MAXU sigc<>+464(SB)
-#define BIAS1023 sigc<>+480(SB)
+#define LOG2E sigc<>+64(SB)
+#define LN2U sigc<>+128(SB)
+#define LN2L sigc<>+192(SB)
+#define SIXTEENTH sigc<>+256(SB)
+#define C8 sigc<>+320(SB)
+#define C7 sigc<>+384(SB)
+#define C6 sigc<>+448(SB)
+#define C5 sigc<>+512(SB)
+#define C4 sigc<>+576(SB)
+#define C3 sigc<>+640(SB)
+#define HALF sigc<>+704(SB)
+#define ONE sigc<>+768(SB)
+#define TWO sigc<>+832(SB)
+#define BIAS1022 sigc<>+896(SB)
+#define MAXU sigc<>+928(SB)
+#define BIAS1023 sigc<>+960(SB)
 
-// EXP4 replaces the four lanes of Y0 with exp(Y0), or jumps to fail,
-// before anything is stored, when some lane leaves the range in which
+// EXPV replaces every lane of V0 with exp(V0), or jumps to fail, before
+// anything is stored, when some lane leaves the range in which
 // math.Exp's avxfma branch ($GOROOT/src/math/exp_amd64.s) finishes with
 // one 2^k multiply. It is that branch lane for lane, with the same ops
 // in the same order: k = round(x·log2e), two Cody-Waite FNMADD steps,
@@ -166,41 +167,48 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $496
 // scale. The branch's ldexp scales by one multiply only when
 // 0 < k+1023 < 2047; every other case (NaN, ±Inf, overflow, subnormal
 // results) takes a different sequence and is left to the caller's
-// scalar code. Clobbers Y1–Y6 and DX.
-#define EXP4(fail) \
-	VMULPD LOG2E, Y0, Y1; \
-	VCVTPD2DQY Y1, X4; \
-	VPADDD BIAS1022, X4, X5; \
-	VPMINUD MAXU, X5, X6; \
-	VPCMPEQD X5, X6, X6; \
-	VMOVMSKPS X6, DX; \
-	CMPL DX, $15; \
+// scalar code. V0–V3 are double vectors, I4–I6 the int32 vectors of
+// the same lane count, ALL the mask of every lane, CVT the conversion
+// from V to I. Clobbers V1–V3, I4–I6 and DX.
+#define EXPV(V0, V1, V2, V3, I4, I5, I6, ALL, CVT, fail) \
+	VMULPD LOG2E, V0, V1; \
+	CVT V1, I4; \
+	VPADDD BIAS1022, I4, I5; \
+	VPMINUD MAXU, I5, I6; \
+	VPCMPEQD I5, I6, I6; \
+	VMOVMSKPS I6, DX; \
+	CMPL DX, ALL; \
 	JNE fail; \
-	VCVTDQ2PD X4, Y1; \
-	VFNMADD231PD LN2U, Y1, Y0; \
-	VFNMADD231PD LN2L, Y1, Y0; \
-	VMULPD SIXTEENTH, Y0, Y0; \
-	VMOVUPD C8, Y2; \
-	VFMADD213PD C7, Y0, Y2; \
-	VFMADD213PD C6, Y0, Y2; \
-	VFMADD213PD C5, Y0, Y2; \
-	VFMADD213PD C4, Y0, Y2; \
-	VFMADD213PD C3, Y0, Y2; \
-	VFMADD213PD HALF, Y0, Y2; \
-	VFMADD213PD ONE, Y0, Y2; \
-	VMULPD Y2, Y0, Y0; \
-	VADDPD TWO, Y0, Y2; \
-	VMULPD Y2, Y0, Y0; \
-	VADDPD TWO, Y0, Y2; \
-	VMULPD Y2, Y0, Y0; \
-	VADDPD TWO, Y0, Y2; \
-	VMULPD Y2, Y0, Y0; \
-	VADDPD TWO, Y0, Y2; \
-	VFMADD213PD ONE, Y2, Y0; \
-	VPADDD BIAS1023, X4, X4; \
-	VPMOVZXDQ X4, Y3; \
-	VPSLLQ $52, Y3, Y3; \
-	VMULPD Y3, Y0, Y0
+	VCVTDQ2PD I4, V1; \
+	VFNMADD231PD LN2U, V1, V0; \
+	VFNMADD231PD LN2L, V1, V0; \
+	VMULPD SIXTEENTH, V0, V0; \
+	VMOVUPD C8, V2; \
+	VFMADD213PD C7, V0, V2; \
+	VFMADD213PD C6, V0, V2; \
+	VFMADD213PD C5, V0, V2; \
+	VFMADD213PD C4, V0, V2; \
+	VFMADD213PD C3, V0, V2; \
+	VFMADD213PD HALF, V0, V2; \
+	VFMADD213PD ONE, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD TWO, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD TWO, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD TWO, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD TWO, V0, V2; \
+	VFMADD213PD ONE, V2, V0; \
+	VPADDD BIAS1023, I4, I4; \
+	VPMOVZXDQ I4, V3; \
+	VPSLLQ $52, V3, V3; \
+	VMULPD V3, V0, V0
+
+// EXP4 is EXPV on four lanes in YMM registers, EXP8 on eight in ZMM
+// registers (AVX-512F; VMOVMSKPS reads the eight k lanes from a YMM).
+#define EXP4(fail) EXPV(Y0, Y1, Y2, Y3, X4, X5, X6, $15, VCVTPD2DQY, fail)
+#define EXP8(fail) EXPV(Z0, Z1, Z2, Z3, Y4, Y5, Y6, $255, VCVTPD2DQ, fail)
 
 // func expAVX2(ys *float64, groups int) int
 //
@@ -255,6 +263,35 @@ sigloop:
 
 sigdone:
 	SHLQ $2, AX
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func sigmoidAVX512(ys *float64, groups int) int
+//
+// sigmoidAVX2 on eight lanes: the same ops in ZMM registers (EXP8 for
+// EXP4), for groups 8-element groups.
+TEXT ·sigmoidAVX512(SB), NOSPLIT, $0-24
+	MOVQ ys+0(FP), SI
+	MOVQ groups+8(FP), CX
+	XORQ AX, AX
+	VMOVUPD ONE, Z7
+
+sig8loop:
+	CMPQ AX, CX
+	JGE sig8done
+	VMOVUPD (SI), Z0
+	VXORPD SIGN, Z0, Z0              // x = -y
+	EXP8(sig8done)
+	VADDPD Z7, Z0, Z0                // 1 + exp(-y)
+	VDIVPD Z0, Z7, Z0                // 1 / (1 + exp(-y))
+	VMOVUPD Z0, (SI)
+	ADDQ $64, SI
+	INCQ AX
+	JMP sig8loop
+
+sig8done:
+	SHLQ $3, AX
 	MOVQ AX, ret+16(FP)
 	VZEROUPPER
 	RET

@@ -26,6 +26,13 @@ func sigmoidAVX2(ys *float64, groups int) int {
 	panic("ann: sigmoidAVX2 is amd64-only")
 }
 
+// sigmoid512 is false without a vector sigmoid.
+var sigmoid512 = false
+
+func sigmoidAVX512(ys *float64, groups int) int {
+	panic("ann: sigmoidAVX512 is amd64-only")
+}
+
 func expAVX2(ys *float64, groups int) int {
 	panic("ann: expAVX2 is amd64-only")
 }

@@ -15,12 +15,15 @@
 // leans on: the ensemble's candidate-pool scoring and full-space sweeps
 // go through ForwardBatch rather than per-point calls.
 //
-// On amd64 the forward pass has two AVX2 kernels, chosen at run time
+// On amd64 the forward pass has three AVX2 kernels, chosen at run time
 // by internal/cpufeat and bit-identical to the portable loops, which
-// stay as the reference: a 16-unit layer MAC (cpufeat.AVX2) and a
-// 4-lane sigmoid (cpufeat.AVX2 and cpufeat.FMA) that Forward, Train
-// and ForwardBatch all reach through the activation step. See
-// ForwardBatch. TrainEarlyStopping trains a network with one 16-unit
+// stay as the reference: a 16-unit layer MAC and a 1-unit output layer
+// over 16 inputs, four rows at a time (cpufeat.AVX2), and a 4-lane
+// sigmoid (cpufeat.AVX2 and cpufeat.FMA) that Forward, Train and
+// ForwardBatch all reach through the activation step. See
+// ForwardBatch. The sigmoid's exp core also runs alone as ExpBatch,
+// math.Exp over a slice, which the ensemble uses to undo log-space
+// targets. TrainEarlyStopping trains a network with one 16-unit
 // hidden layer on an AVX2 CPU with a vector step (step16): that layer's
 // forward pass through the layer kernel, its momentum update four
 // units per register, and the same bits as Train, which stays as the
@@ -105,9 +108,14 @@ func ExpBatch(ys []float64) { exactAVX2(ys, true) }
 // Where sigmoidAsm holds, the kernel does four elements per step and
 // stops at any group that math.Exp would not finish with a single 2^k
 // multiply (NaN, ±Inf, overflow, subnormal results); that group goes
-// to the scalar loop whole, and so does the 1–3-element tail.
+// to the scalar loop whole, and so does the 1–3-element tail. Where
+// sigmoid512 holds, the 8-lane sigmoid goes first and stops the same
+// way; the 4-lane loop takes over from there.
 func exactAVX2(ys []float64, exp bool) {
 	if sigmoidAsm {
+		if !exp && sigmoid512 && len(ys) >= 8 {
+			ys = ys[sigmoidAVX512(&ys[0], len(ys)/8):]
+		}
 		for len(ys) >= 4 {
 			var done int
 			if exp {

@@ -34,3 +34,16 @@ func hasFMA() bool {
 	const fma, avx = 1 << 12, 1 << 28
 	return ecx1&fma != 0 && ecx1&avx != 0 && osSavesYMM()
 }
+
+func hasAVX512() bool {
+	if !hasAVX2() {
+		return false
+	}
+	const opmask, zmmHi256, hi16ZMM = 1 << 5, 1 << 6, 1 << 7
+	if xcr0, _ := xgetbv(); xcr0&(opmask|zmmHi256|hi16ZMM) != opmask|zmmHi256|hi16ZMM {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512f, avx512dq = 1 << 16, 1 << 17
+	return ebx7&avx512f != 0 && ebx7&avx512dq != 0
+}

@@ -5,3 +5,5 @@ package cpufeat
 func hasAVX2() bool { return false }
 
 func hasFMA() bool { return false }
+
+func hasAVX512() bool { return false }
