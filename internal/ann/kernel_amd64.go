@@ -25,7 +25,7 @@ func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64)
 // sigmoidAVX2 applies the exact sigmoid in place to ys, four elements
 // at a time for at most groups groups, stopping before the first group
 // that needs the scalar path, and returns the number of elements it
-// stored (see exactAVX2).
+// stored (see exactBatch).
 //
 //go:noescape
 func sigmoidAVX2(ys *float64, groups int) int
@@ -75,7 +75,7 @@ func trainAsm16(n *Network) bool {
 // it. sigmoidProbe catches that case.
 var sigmoidAsm = cpufeat.AVX2 && cpufeat.FMA && sigmoidProbe()
 
-// sigmoid512 reports whether exactAVX2 runs the sigmoid through the
+// sigmoid512 reports whether exactBatch runs the sigmoid through the
 // 8-lane kernel before the 4-lane one: the same ops on twice the lanes,
 // on a CPU with AVX-512 (cpufeat.AVX512) where sigmoidAsm holds. Tests
 // turn it off to reach the 4-lane kernel on such a CPU.
@@ -83,8 +83,9 @@ var sigmoid512 = sigmoidAsm && cpufeat.AVX512
 
 // sigmoidProbe reports whether the vector sigmoid matches the scalar
 // expression on four inputs where math.Exp's FMA and non-FMA branches
-// round differently. The exp kernel runs the same sequence (EXP4 in
-// kernel_amd64.s), so the probe speaks for both.
+// round differently. The exp kernel and the 8-lane sigmoid run the
+// same sequence (EXPV in kernel_amd64.s), so the probe speaks for them
+// too.
 func sigmoidProbe() bool {
 	ys := [4]float64{-7.25, -6.375, -3.625, -2.375}
 	want := ys

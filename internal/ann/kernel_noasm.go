@@ -18,7 +18,7 @@ func output16AVX2(w *float64, xs *float64, groups int, dst *float64) {
 	panic("ann: output16AVX2 is amd64-only")
 }
 
-// sigmoidAsm is false without a vector sigmoid and exp; exactAVX2 runs
+// sigmoidAsm is false without a vector sigmoid and exp; exactBatch runs
 // the scalar loops.
 const sigmoidAsm = false
 

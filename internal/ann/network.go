@@ -20,7 +20,8 @@
 // stay as the reference: a 16-unit layer MAC and a 1-unit output layer
 // over 16 inputs, four rows at a time (cpufeat.AVX2), and a 4-lane
 // sigmoid (cpufeat.AVX2 and cpufeat.FMA) that Forward, Train and
-// ForwardBatch all reach through the activation step. See
+// ForwardBatch all reach through the activation step, preceded by an
+// 8-lane one with the same ops on CPUs with cpufeat.AVX512. See
 // ForwardBatch. The sigmoid's exp core also runs alone as ExpBatch,
 // math.Exp over a slice, which the ensemble uses to undo log-space
 // targets. TrainEarlyStopping trains a network with one 16-unit
@@ -96,14 +97,14 @@ func (a Activation) applyBatch(ys []float64) {
 	}
 }
 
-// sigmoidExact sets ys[i] = 1/(1+math.Exp(-ys[i])) (see exactAVX2).
-func sigmoidExact(ys []float64) { exactAVX2(ys, false) }
+// sigmoidExact sets ys[i] = 1/(1+math.Exp(-ys[i])) (see exactBatch).
+func sigmoidExact(ys []float64) { exactBatch(ys, false) }
 
 // ExpBatch sets ys[i] = math.Exp(ys[i]), bit for bit, four elements per
-// step where the vector kernel runs (see exactAVX2).
-func ExpBatch(ys []float64) { exactAVX2(ys, true) }
+// step where the vector kernel runs (see exactBatch).
+func ExpBatch(ys []float64) { exactBatch(ys, true) }
 
-// exactAVX2 is the scalar hand-off the sigmoid and exp kernels share:
+// exactBatch is the scalar hand-off the sigmoid and exp kernels share:
 // it applies the sigmoid, or math.Exp where exp is set, to ys in place.
 // Where sigmoidAsm holds, the kernel does four elements per step and
 // stops at any group that math.Exp would not finish with a single 2^k
@@ -111,7 +112,7 @@ func ExpBatch(ys []float64) { exactAVX2(ys, true) }
 // to the scalar loop whole, and so does the 1–3-element tail. Where
 // sigmoid512 holds, the 8-lane sigmoid goes first and stops the same
 // way; the 4-lane loop takes over from there.
-func exactAVX2(ys []float64, exp bool) {
+func exactBatch(ys []float64, exp bool) {
 	if sigmoidAsm {
 		if !exp && sigmoid512 && len(ys) >= 8 {
 			ys = ys[sigmoidAVX512(&ys[0], len(ys)/8):]
@@ -186,16 +187,16 @@ type Config struct {
 	LearningRate float64 // η in Equation 3.1; positive and finite
 	Momentum     float64 // α in Equation 3.2; in [0,1)
 	// InitRange r starts every weight uniform on [-r, +r]; r must lie in
-	// [0, MaxInitRange].
+	// [0, 10] (maxInitRange).
 	InitRange float64
 	Seed      uint64
 }
 
-// MaxInitRange caps Config.InitRange. The paper starts weights on
-// [-0.01, +0.01] and this repo's tests use at most 4; at 10 a hidden
+// maxInitRange caps Config.InitRange. The paper starts weights on
+// [-0.01, +0.01] and the tests here use at most 4; at 10 a hidden
 // unit's sum over a handful of [0,1] inputs already saturates the
 // sigmoid, and a range near the float64 limit draws infinite weights.
-const MaxInitRange = 10
+const maxInitRange = 10
 
 // PaperConfig returns the exact hyperparameters of §3.1: one hidden
 // layer of 16 sigmoid units, learning rate 0.001, momentum 0.5, and
@@ -237,8 +238,8 @@ func (c Config) Validate() error {
 	if !(c.Momentum >= 0 && c.Momentum < 1) {
 		return fmt.Errorf("ann: Config.Momentum must be in [0,1), got %g", c.Momentum)
 	}
-	if !(c.InitRange >= 0 && c.InitRange <= MaxInitRange) {
-		return fmt.Errorf("ann: Config.InitRange must be in [0,%g], got %g", float64(MaxInitRange), c.InitRange)
+	if !(c.InitRange >= 0 && c.InitRange <= maxInitRange) {
+		return fmt.Errorf("ann: Config.InitRange must be in [0,%g], got %g", float64(maxInitRange), c.InitRange)
 	}
 	return nil
 }
