@@ -12,8 +12,9 @@ import "fmt"
 // it, so many goroutines may score the same network concurrently with
 // separate Scratches).
 type Scratch struct {
-	acts [][]float64 // per layer: rows × layer.out activations
-	wT   []float64   // input-major weight repack for the vector kernel
+	acts [][]float64  // per layer: rows × layer.out activations
+	wT   []float64    // input-major weight repack for the vector kernel
+	lvl  [2][]float64 // ForwardRange's prefix sums, alternate levels
 }
 
 // NewScratch returns an empty scratch; buffers are sized lazily by the
@@ -60,8 +61,15 @@ func (n *Network) ForwardBatch(xs []float64, rows int, s *Scratch) []float64 {
 		s = NewScratch()
 	}
 	s.ensure(n, rows)
-	in := xs
-	for li, l := range n.layers {
+	return n.forwardFrom(0, xs, rows, s)
+}
+
+// forwardFrom runs layers first.. of the network over in, the rows ×
+// layers[first].in matrix of that layer's inputs, and returns the
+// output activations (see ForwardBatch). s must be sized for rows.
+func (n *Network) forwardFrom(first int, in []float64, rows int, s *Scratch) []float64 {
+	for li := first; li < len(n.layers); li++ {
+		l := n.layers[li]
 		out := s.acts[li]
 		switch {
 		case kernelAsm16(l, rows):

@@ -351,11 +351,13 @@ func TestSigmoidExact512Live(t *testing.T) {
 
 // TestSigmoidExactFollowsGODEBUG reruns the parity tests in a child
 // process with GODEBUG=cpu.fma=off, which (below GOAMD64=v3) sends
-// math.Exp down its non-FMA branch; the vector sigmoid and exp must
-// then stand aside rather than keep the FMA rounding.
+// math.Exp down its non-FMA branch; the vector sigmoid and exp, and
+// with them the range path's fused kernel, must then stand aside
+// rather than keep the FMA rounding.
 func TestSigmoidExactFollowsGODEBUG(t *testing.T) {
 	runWithoutFMA(t, "TestSigmoidExactEdgeLanes", "TestSigmoidExactGrid", "TestExactKernelVectorScalarParity",
-		"TestExpExactEdgeLanes", "TestExpExactGrid", "TestOutputKernelVectorScalarParity")
+		"TestExpExactEdgeLanes", "TestExpExactGrid", "TestOutputKernelVectorScalarParity",
+		"TestRangeForwardParity")
 }
 
 // runWithoutFMA reruns the named tests of this package in a child

@@ -10,3 +10,8 @@ var TrainsWithVectorStep = trainAsm16
 func ScoresWithOutputKernel(n *Network, rows int) bool {
 	return outputAsm16(n.layers[len(n.layers)-1], rows)
 }
+
+// RangeFused reports whether ForwardRange writes r's layer 0 through
+// the fused AVX-512 kernel; it exports RangeNet.fused to the external
+// tests.
+func RangeFused(r *RangeNet) bool { return r.fused }

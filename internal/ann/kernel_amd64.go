@@ -51,6 +51,61 @@ func expAVX2(ys *float64, groups int) int
 //go:noescape
 func output16AVX2(w *float64, xs *float64, groups int, dst *float64)
 
+// gatherAdd16AVX2 writes rows of layer-0 sums for RangeNet: dst row r
+// is the 16 sums of parent (k+r)/card (par's row of that number) plus
+// the cols product rows of setting (k+r) mod card in prods, added in
+// ascending column order with the sums as the first operand, one
+// rounding per add, as in sumBatch (asserted by
+// TestRangeForwardParity). rows and cols must be >= 1.
+//
+//go:noescape
+func gatherAdd16AVX2(par, prods *float64, card, cols, k, rows int, dst *float64)
+
+// gatherSigmoid16AVX512 is gatherAdd16AVX2 followed by the sigmoid of
+// sigmoidAVX512 on both 8-unit halves of each row, one EXPV chain per
+// half. It returns the number of rows stored: it stops before the first
+// row with a lane that needs the scalar path (see sigmoidRows).
+//
+//go:noescape
+func gatherSigmoid16AVX512(par, prods *float64, card, cols, k, rows int, dst *float64) int
+
+// affineAVX2 sets ys[i] = lo + ys[i]·span for groups 4-element groups,
+// one rounding per multiply and per add (see AffineBatch).
+//
+//go:noescape
+func affineAVX2(ys *float64, groups int, lo, span float64)
+
+// affineAVX512 is affineAVX2 on eight lanes, for groups 8-element
+// groups.
+//
+//go:noescape
+func affineAVX512(ys *float64, groups int, lo, span float64)
+
+// momentsAVX2 computes Moments for groups groups of four rows, one row
+// per lane; mean and variance may each be nil.
+//
+//go:noescape
+func momentsAVX2(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
+
+// momentsAVX512 is momentsAVX2 on eight lanes, for groups groups of
+// eight rows.
+//
+//go:noescape
+func momentsAVX512(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
+
+// reduceLanes is the number of rows per register of the affine and
+// moments kernels: 8 on an AVX-512 CPU, 4 on an AVX2 CPU, 0 (the scalar
+// loops only) elsewhere.
+var reduceLanes = func() int {
+	switch {
+	case cpufeat.AVX512:
+		return 8
+	case cpufeat.AVX2:
+		return 4
+	}
+	return 0
+}()
+
 // kernelAsm16 reports whether the AVX2 16-unit layer kernel applies.
 func kernelAsm16(l *layer, rows int) bool {
 	return cpufeat.AVX2 && l.out == 16 && l.in > 0 && rows > 0

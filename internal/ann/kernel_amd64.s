@@ -169,8 +169,13 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $992
 // results) takes a different sequence and is left to the caller's
 // scalar code. V0–V3 are double vectors, I4–I6 the int32 vectors of
 // the same lane count, ALL the mask of every lane, CVT the conversion
-// from V to I. Clobbers V1–V3, I4–I6 and DX.
+// from V to I. Clobbers V1–V3, I4–I6 and DX. It is EXPK, the range
+// check with its one compare-and-branch, then EXPR, the rest.
 #define EXPV(V0, V1, V2, V3, I4, I5, I6, ALL, CVT, fail) \
+	EXPK(V0, V1, I4, I5, I6, ALL, CVT, fail); \
+	EXPR(V0, V1, V2, V3, I4)
+
+#define EXPK(V0, V1, I4, I5, I6, ALL, CVT, fail) \
 	VMULPD LOG2E, V0, V1; \
 	CVT V1, I4; \
 	VPADDD BIAS1022, I4, I5; \
@@ -178,7 +183,9 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $992
 	VPCMPEQD I5, I6, I6; \
 	VMOVMSKPS I6, DX; \
 	CMPL DX, ALL; \
-	JNE fail; \
+	JNE fail
+
+#define EXPR(V0, V1, V2, V3, I4) \
 	VCVTDQ2PD I4, V1; \
 	VFNMADD231PD LN2U, V1, V0; \
 	VFNMADD231PD LN2L, V1, V0; \
@@ -354,5 +361,273 @@ outloop:
 	JMP outloop
 
 outdone:
+	VZEROUPPER
+	RET
+
+// func gatherAdd16AVX2(par, prods *float64, card, cols, k, rows int, dst *float64)
+//
+// The layer-0 sums of rows consecutive prefixes of one axis's level
+// (see RangeNet): row r is setting (k+r) mod card under parent
+// (k+r)/card, whose 16 sums are par's row of that number, and dst's row
+// r is the parent's sums plus the setting's cols product rows (prods
+// holds card settings of cols rows of 16), added in ascending column
+// order with the sums as the first operand, each VADDPD rounded on its
+// own: the adds of sumBatch and hidden16AVX2f64 for those columns.
+// rows and cols must be >= 1.
+TEXT ·gatherAdd16AVX2(SB), NOSPLIT, $0-56
+	MOVQ par+0(FP), SI
+	MOVQ prods+8(FP), DI
+	MOVQ card+16(FP), R8
+	MOVQ cols+24(FP), R9
+	MOVQ k+32(FP), R10
+	MOVQ rows+40(FP), CX
+	MOVQ dst+48(FP), DX
+	MOVQ R9, R11
+	SHLQ $7, R11             // bytes per setting: cols rows × 16 doubles
+	MOVQ R10, BX
+	IMULQ R11, BX
+	ADDQ DI, BX              // setting k's products
+
+garow:
+	VMOVUPD (SI), Y0         // the parent's sums
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	MOVQ R9, R12
+
+gacol:
+	VADDPD (BX), Y0, Y0      // sums += products (rounded)
+	VADDPD 32(BX), Y1, Y1
+	VADDPD 64(BX), Y2, Y2
+	VADDPD 96(BX), Y3, Y3
+	ADDQ $128, BX
+	DECQ R12
+	JNZ gacol
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	ADDQ $128, DX
+	INCQ R10
+	CMPQ R10, R8
+	JLT ganext
+	XORQ R10, R10            // the next parent's setting 0
+	MOVQ DI, BX
+	ADDQ $128, SI
+
+ganext:
+	DECQ CX
+	JNZ garow
+	VZEROUPPER
+	RET
+
+// func gatherSigmoid16AVX512(par, prods *float64, card, cols, k, rows int, dst *float64) int
+//
+// gatherAdd16AVX2 in two ZMM halves of eight units, then the sigmoid of
+// sigmoidAVX512 on both halves: the negate, EXPK on each half, each
+// with its own compare-and-branch, EXPR on each half, then 1+e and the
+// divide. It returns the number of rows stored, stopping before the
+// first row with a lane EXPK leaves to the scalar path.
+TEXT ·gatherSigmoid16AVX512(SB), NOSPLIT, $0-64
+	MOVQ par+0(FP), SI
+	MOVQ prods+8(FP), DI
+	MOVQ card+16(FP), R8
+	MOVQ cols+24(FP), R9
+	MOVQ k+32(FP), R10
+	MOVQ rows+40(FP), CX
+	MOVQ dst+48(FP), R13
+	MOVQ R9, R11
+	SHLQ $7, R11
+	MOVQ R10, BX
+	IMULQ R11, BX
+	ADDQ DI, BX
+	XORQ AX, AX
+	VMOVUPD ONE, Z7
+
+gsrow:
+	CMPQ AX, CX
+	JGE gsdone
+	VMOVUPD (SI), Z0         // units 0–7: the parent's sums
+	VMOVUPD 64(SI), Z8       // units 8–15
+	MOVQ BX, R14
+	MOVQ R9, R12
+
+gscol:
+	VADDPD (R14), Z0, Z0     // sums += products (rounded)
+	VADDPD 64(R14), Z8, Z8
+	ADDQ $128, R14
+	DECQ R12
+	JNZ gscol
+
+	VXORPD SIGN, Z0, Z0      // x = -y
+	VXORPD SIGN, Z8, Z8
+	EXPK(Z0, Z1, Y4, Y5, Y6, $255, VCVTPD2DQ, gsdone)
+	EXPK(Z8, Z9, Y12, Y13, Y14, $255, VCVTPD2DQ, gsdone)
+	EXPR(Z0, Z1, Z2, Z3, Y4)
+	EXPR(Z8, Z9, Z10, Z11, Y12)
+	VADDPD Z7, Z0, Z0        // 1 + exp(-y)
+	VADDPD Z7, Z8, Z8
+	VDIVPD Z0, Z7, Z0        // 1 / (1 + exp(-y))
+	VDIVPD Z8, Z7, Z8
+	VMOVUPD Z0, (R13)
+	VMOVUPD Z8, 64(R13)
+	ADDQ $128, R13
+	INCQ AX
+	MOVQ R14, BX             // the next setting's products
+	INCQ R10
+	CMPQ R10, R8
+	JLT gsrow
+	XORQ R10, R10
+	MOVQ DI, BX
+	ADDQ $128, SI
+	JMP gsrow
+
+gsdone:
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func affineAVX2(ys *float64, groups int, lo, span float64)
+//
+// ys[i] = lo + ys[i]·span for groups 4-element groups: one VMULPD and
+// one VADDPD with lo as the first operand, each rounded on its own,
+// never fused, as encoding.Scaler.Unscale's Lo + v*(Hi-Lo).
+TEXT ·affineAVX2(SB), NOSPLIT, $0-32
+	MOVQ ys+0(FP), SI
+	MOVQ groups+8(FP), CX
+	VBROADCASTSD lo+16(FP), Y1
+	VBROADCASTSD span+24(FP), Y2
+
+afloop:
+	TESTQ CX, CX
+	JZ afdone
+	VMULPD (SI), Y2, Y0      // y·span (rounded)
+	VADDPD Y0, Y1, Y0        // lo + y·span (rounded)
+	VMOVUPD Y0, (SI)
+	ADDQ $32, SI
+	DECQ CX
+	JMP afloop
+
+afdone:
+	VZEROUPPER
+	RET
+
+// func affineAVX512(ys *float64, groups int, lo, span float64)
+//
+// affineAVX2 on eight ZMM lanes, for groups 8-element groups.
+TEXT ·affineAVX512(SB), NOSPLIT, $0-32
+	MOVQ ys+0(FP), SI
+	MOVQ groups+8(FP), CX
+	VBROADCASTSD lo+16(FP), Z1
+	VBROADCASTSD span+24(FP), Z2
+
+af8loop:
+	TESTQ CX, CX
+	JZ af8done
+	VMULPD (SI), Z2, Z0
+	VADDPD Z0, Z1, Z0
+	VMOVUPD Z0, (SI)
+	ADDQ $64, SI
+	DECQ CX
+	JMP af8loop
+
+af8done:
+	VZEROUPPER
+	RET
+
+// MOMENTS is the body of momentsAVX2 and momentsAVX512 for one group
+// of rows, one row per lane of V0–V3, at SI: the member-order sum from
+// +0 (the sum as each VADDPD's first operand), one VDIVPD by the member
+// count M for the mean, stored at DX unless DX is nil, then, unless DI
+// is nil, the member-order sum of squared deviations (p − mean, its
+// square, then the add, each rounded on its own, never fused) from +0
+// and one VDIVPD by M, stored at DI. R8 holds the member count, R9 the
+// byte stride between members. sum, dev, nomean and next are the
+// group's labels.
+#define MOMENTS(V0, V1, V2, V3, M, bytes, sum, dev, nomean, next) \
+	VXORPD V0, V0, V0; \
+	MOVQ SI, R10; \
+	MOVQ R8, R11; \
+sum: \
+	VADDPD (R10), V0, V0; \
+	ADDQ R9, R10; \
+	DECQ R11; \
+	JNZ sum; \
+	VDIVPD M, V0, V1; \
+	TESTQ DX, DX; \
+	JZ nomean; \
+	VMOVUPD V1, (DX); \
+	ADDQ $bytes, DX; \
+nomean: \
+	TESTQ DI, DI; \
+	JZ next; \
+	VXORPD V2, V2, V2; \
+	MOVQ SI, R10; \
+	MOVQ R8, R11; \
+dev: \
+	VMOVUPD (R10), V3; \
+	VSUBPD V1, V3, V3; \
+	VMULPD V3, V3, V3; \
+	VADDPD V3, V2, V2; \
+	ADDQ R9, R10; \
+	DECQ R11; \
+	JNZ dev; \
+	VDIVPD M, V2, V2; \
+	VMOVUPD V2, (DI); \
+	ADDQ $bytes, DI; \
+next: \
+	ADDQ $bytes, SI
+
+// func momentsAVX2(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
+//
+// The ensemble's mean and variance for groups groups of four rows of
+// preds, members × cnt predictions with member m's column at m·cnt:
+// MOMENTS with one row per YMM lane. fm is float64(members); mean and
+// variance may each be nil to skip that store (variance nil skips the
+// deviation pass).
+TEXT ·momentsAVX2(SB), NOSPLIT, $0-56
+	MOVQ preds+0(FP), SI
+	MOVQ members+8(FP), R8
+	MOVQ cnt+16(FP), R9
+	SHLQ $3, R9
+	MOVQ groups+24(FP), CX
+	VBROADCASTSD fm+32(FP), Y15
+	MOVQ mean+40(FP), DX
+	MOVQ variance+48(FP), DI
+
+mo4loop:
+	TESTQ CX, CX
+	JZ mo4done
+	MOMENTS(Y0, Y1, Y2, Y3, Y15, 32, mo4sum, mo4dev, mo4nomean, mo4next)
+	DECQ CX
+	JMP mo4loop
+
+mo4done:
+	VZEROUPPER
+	RET
+
+// func momentsAVX512(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
+//
+// momentsAVX2 with one row per ZMM lane, for groups groups of eight
+// rows.
+TEXT ·momentsAVX512(SB), NOSPLIT, $0-56
+	MOVQ preds+0(FP), SI
+	MOVQ members+8(FP), R8
+	MOVQ cnt+16(FP), R9
+	SHLQ $3, R9
+	MOVQ groups+24(FP), CX
+	VBROADCASTSD fm+32(FP), Z15
+	MOVQ mean+40(FP), DX
+	MOVQ variance+48(FP), DI
+
+mo8loop:
+	TESTQ CX, CX
+	JZ mo8done
+	MOMENTS(Z0, Z1, Z2, Z3, Z15, 64, mo8sum, mo8dev, mo8nomean, mo8next)
+	DECQ CX
+	JMP mo8loop
+
+mo8done:
 	VZEROUPPER
 	RET

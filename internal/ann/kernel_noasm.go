@@ -10,6 +10,16 @@ func hidden16AVX2f64(wt *float64, xs *float64, rows, in int, dst *float64) {
 	panic("ann: hidden16AVX2f64 is amd64-only")
 }
 
+// NewRangeNet returns nil where kernelAsm16 is false, so the range
+// kernels never run.
+func gatherAdd16AVX2(par, prods *float64, card, cols, k, rows int, dst *float64) {
+	panic("ann: gatherAdd16AVX2 is amd64-only")
+}
+
+func gatherSigmoid16AVX512(par, prods *float64, card, cols, k, rows int, dst *float64) int {
+	panic("ann: gatherSigmoid16AVX512 is amd64-only")
+}
+
 // outputAsm16 is always false without a vector kernel; ForwardBatch
 // runs sumBatch.
 func outputAsm16(l *layer, rows int) bool { return false }
@@ -43,4 +53,24 @@ func trainAsm16(n *Network) bool { return false }
 
 func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64) {
 	panic("ann: update16AVX2 is amd64-only")
+}
+
+// reduceLanes is 0 without vector kernels: AffineBatch and Moments run
+// their scalar loops.
+const reduceLanes = 0
+
+func affineAVX2(ys *float64, groups int, lo, span float64) {
+	panic("ann: affineAVX2 is amd64-only")
+}
+
+func affineAVX512(ys *float64, groups int, lo, span float64) {
+	panic("ann: affineAVX512 is amd64-only")
+}
+
+func momentsAVX2(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64) {
+	panic("ann: momentsAVX2 is amd64-only")
+}
+
+func momentsAVX512(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64) {
+	panic("ann: momentsAVX512 is amd64-only")
 }

@@ -24,7 +24,14 @@
 // 8-lane one with the same ops on CPUs with cpufeat.AVX512. See
 // ForwardBatch. The sigmoid's exp core also runs alone as ExpBatch,
 // math.Exp over a slice, which the ensemble uses to undo log-space
-// targets. TrainEarlyStopping trains a network with one 16-unit
+// targets. A RangeNet scores the rows of a mixed-radix input space (a
+// design space's encoding) by flat index: ForwardRange computes layer
+// 0's sums from per-axis product tables and shared prefix sums with a
+// gather-add kernel, fuses the last axis's adds with a two-chain 8-lane
+// sigmoid on AVX-512 CPUs, and runs the later layers through
+// ForwardBatch's loop, with ForwardBatch's bits. AffineBatch and
+// Moments are the ensemble's unscale and mean/variance reduction as
+// vector kernels. TrainEarlyStopping trains a network with one 16-unit
 // hidden layer on an AVX2 CPU with a vector step (step16): that layer's
 // forward pass through the layer kernel, its momentum update four
 // units per register, and the same bits as Train, which stays as the

@@ -20,6 +20,14 @@
 //     Chapter 7: instead of random batches, pick the candidate points on
 //     which the ensemble members disagree most. It is one Acquirer; hvi
 //     and frontier target the predicted Pareto frontier instead.
+//   - MetricSet and RangeEvaluator — the ranking axes a full-space
+//     sweep reads off one or more ensembles (mean or member variance
+//     per output). RangeEvaluator scores design points by flat index,
+//     with each member's first layer computed from per-axis product
+//     tables and shared prefix sums (ann.RangeNet) instead of encoded
+//     rows; its columns are MetricSet.Eval's over EncodeRange, bit for
+//     bit. Both share PredictBatch's chunking and its vectorized
+//     unscale, exp, mean and variance.
 //   - Multi-target support — the multi-task-learning extension of
 //     Chapter 7: oracles may return several correlated metrics (IPC plus
 //     cache miss and branch mispredict rates); one network with several

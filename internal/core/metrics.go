@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/ann"
+	"repro/internal/encoding"
+)
 
 // MetricKind selects what a Metric reads off its ensemble.
 type MetricKind uint8
@@ -136,6 +141,15 @@ func (s *MetricSet) Minimize() []bool {
 // bit-identical to the corresponding single-column PredictBatch call,
 // so sweep results do not depend on which metrics ride along.
 func (s *MetricSet) Eval(xs []float64, rows int, cols [][]float64) {
+	s.eval(rows, cols, func(_ int, g *metricGroup, mean, variance []float64) {
+		g.ens.PredictBatch(g.output, xs, rows, mean, variance)
+	})
+}
+
+// eval checks cols against rows and runs predict once per group, its
+// mean and variance written straight into the first metric asking for
+// each column (nil skips it) and mirrored to the rest.
+func (s *MetricSet) eval(rows int, cols [][]float64, predict func(gi int, g *metricGroup, mean, variance []float64)) {
 	if len(cols) != len(s.metrics) {
 		panic(fmt.Sprintf("core: %d metric columns for %d metrics", len(cols), len(s.metrics)))
 	}
@@ -144,17 +158,64 @@ func (s *MetricSet) Eval(xs []float64, rows int, cols [][]float64) {
 			panic(fmt.Sprintf("core: metric column %d has %d slots for %d rows", m, len(cols[m]), rows))
 		}
 	}
-	for _, g := range s.groups {
-		// One fused sweep per group, written straight into the first
-		// metric asking for each column (nil skips it) and mirrored to
-		// the rest.
-		g.ens.PredictBatch(g.output, xs, rows, firstCol(cols, g.mean), firstCol(cols, g.variance))
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		predict(gi, g, firstCol(cols, g.mean), firstCol(cols, g.variance))
 		for _, ms := range [][]int{g.mean, g.variance} {
 			for i := 1; i < len(ms); i++ {
 				copy(cols[ms[i]], cols[ms[0]])
 			}
 		}
 	}
+}
+
+// RangeEvaluator scores design points by flat index: Eval(lo, rows,
+// cols) fills cols exactly as MetricSet.Eval does over EncodeRange's
+// rows of points [lo, lo+rows), bit for bit, without encoding them.
+// Each member network scores through its ann.RangeNet, whose layer 0
+// comes from per-axis product tables and shared prefix sums; the layers
+// after it, the unscale, the exp and the mean and variance run as in
+// PredictBatch, chunked over the same worker bound. It is safe for
+// concurrent use.
+type RangeEvaluator struct {
+	set  *MetricSet
+	nets [][]*ann.RangeNet // per group, per member
+}
+
+// NewRangeEvaluator builds every member's product tables over enc's
+// axes (encoding.Encoder.Axes), once per evaluator. It returns nil
+// where the range path does not apply to some member
+// (ann.NewRangeNet): callers then encode rows and call Eval. enc must
+// produce Inputs() inputs.
+func (s *MetricSet) NewRangeEvaluator(enc *encoding.Encoder) *RangeEvaluator {
+	if enc.Width() != s.inputs {
+		panic(fmt.Sprintf("core: encoder produces %d inputs, metric models expect %d", enc.Width(), s.inputs))
+	}
+	var axes []ann.RangeAxis
+	for _, a := range enc.Axes() {
+		axes = append(axes, ann.RangeAxis{Off: a.Off, Cols: a.Cols, Card: a.Card, Ctl: a.Ctl, Inputs: a.Inputs})
+	}
+	ev := &RangeEvaluator{set: s}
+	for _, g := range s.groups {
+		nets := make([]*ann.RangeNet, len(g.ens.nets))
+		for m, n := range g.ens.nets {
+			if nets[m] = ann.NewRangeNet(n, axes); nets[m] == nil {
+				return nil
+			}
+		}
+		ev.nets = append(ev.nets, nets)
+	}
+	return ev
+}
+
+// Eval scores points [lo, lo+rows) into cols (see RangeEvaluator).
+func (ev *RangeEvaluator) Eval(lo, rows int, cols [][]float64) {
+	ev.set.eval(rows, cols, func(gi int, g *metricGroup, mean, variance []float64) {
+		nets := ev.nets[gi]
+		g.ens.predict(g.output, rows, mean, variance, func(m, start, end int, s *ann.Scratch) []float64 {
+			return nets[m].ForwardRange(lo+start, end-start, s)
+		})
+	})
 }
 
 // firstCol returns the column of the first metric in ms, or nil when

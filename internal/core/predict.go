@@ -60,46 +60,58 @@ func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mean, varian
 	if (mean != nil && len(mean) != rows) || (variance != nil && len(variance) != rows) {
 		panic(fmt.Sprintf("core: mean/variance buffers have %d/%d slots for %d rows", len(mean), len(variance), rows))
 	}
-	members := len(e.nets)
+	in := e.Inputs()
+	e.predict(output, rows, mean, variance, func(m, start, end int, s *ann.Scratch) []float64 {
+		return e.nets[m].ForwardBatch(xs[start*in:end*in], end-start, s)
+	})
+}
+
+// predict is the body PredictBatch and RangeEvaluator.Eval share: over
+// chunks of [0, rows) on the ensemble's workers, forward runs member m
+// over rows [start, end) and returns its rows × outputs matrix, whose
+// column output goes into the member's column of the chunk's
+// prediction matrix; moments then reduces the matrix into mean and
+// variance.
+func (e *Ensemble) predict(output, rows int, mean, variance []float64, forward func(m, start, end int, s *ann.Scratch) []float64) {
 	e.forEachChunk(rows, func(start, end int, s *ann.Scratch, preds []float64) {
 		cnt := end - start
-		// preds[m*cnt+r] is member m's prediction for row start+r: the
-		// unscaled output column, then untransform's math.Exp over the
-		// whole column at once (ann.ExpBatch keeps its bits).
-		sc := e.scalers[output]
-		for m, n := range e.nets {
-			outM := n.ForwardBatch(xs[start*e.Inputs():end*e.Inputs()], cnt, s)
-			dst := preds[m*cnt : (m+1)*cnt]
-			for r := range dst {
-				dst[r] = sc.Unscale(outM[r*e.outputs+output])
-			}
-			if e.logT {
-				ann.ExpBatch(dst)
-			}
-		}
-		// Same accumulation order as the per-point PredictVariance:
-		// member-order sum and one division for the mean, then
-		// member-order squared deviations.
-		for r := 0; r < cnt; r++ {
-			var sum float64
-			for m := 0; m < members; m++ {
-				sum += preds[m*cnt+r]
-			}
-			mu := sum / float64(members)
-			if mean != nil {
-				mean[start+r] = mu
-			}
-			if variance == nil {
+		for m := range e.nets {
+			out := forward(m, start, end, s)
+			col := preds[m*cnt : (m+1)*cnt]
+			if e.outputs == 1 {
+				copy(col, out)
 				continue
 			}
-			var ss float64
-			for m := 0; m < members; m++ {
-				d := preds[m*cnt+r] - mu
-				ss += d * d
+			for r := range col {
+				col[r] = out[r*e.outputs+output]
 			}
-			variance[start+r] = ss / float64(members)
 		}
+		e.moments(output, preds[:len(e.nets)*cnt], cnt, window(mean, start, end), window(variance, start, end))
 	})
+}
+
+// moments turns preds, each member's column of raw outputs (member m's
+// at preds[m*cnt:]), into predictions — the unscale, then math.Exp where
+// the targets were log-transformed, as untransform(Unscale(v)) — and
+// fills mean and variance (either may be nil) with the member-order
+// mean and variance per row, as PredictVariance does per point. The
+// three loops run as vector kernels (ann.AffineBatch, ann.ExpBatch,
+// ann.Moments) with the scalar loops' bits.
+func (e *Ensemble) moments(output int, preds []float64, cnt int, mean, variance []float64) {
+	sc := e.scalers[output]
+	ann.AffineBatch(preds, sc.Lo, sc.Hi-sc.Lo)
+	if e.logT {
+		ann.ExpBatch(preds)
+	}
+	ann.Moments(preds, len(e.nets), mean, variance)
+}
+
+// window returns buf[start:end], or nil when buf is nil.
+func window(buf []float64, start, end int) []float64 {
+	if buf == nil {
+		return nil
+	}
+	return buf[start:end]
 }
 
 // PredictIndices encodes the design-point indices through enc and

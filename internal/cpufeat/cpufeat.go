@@ -5,12 +5,15 @@
 // results — only speed.
 //
 // AVX2 selects the 16-unit layer kernel, the 1-unit output layer
-// kernel over 16 inputs and the training step of networks with one
-// 16-unit hidden layer, none of which fuses a multiply-add. AVX2
-// together with FMA selects the vector sigmoid and exp, which repeat
-// the fused multiply-adds of math.Exp's FMA branch and so are
-// bit-identical to it only where that branch runs. AVX512 on top of
-// them selects the 8-lane sigmoid, the same ops on twice the lanes.
+// kernel over 16 inputs, the range path's gather-add kernel, the
+// ensemble's unscale and mean/variance kernels and the training step
+// of networks with one 16-unit hidden layer, none of which fuses a
+// multiply-add. AVX2 together with FMA selects the vector sigmoid and
+// exp, which repeat the fused multiply-adds of math.Exp's FMA branch
+// and so are bit-identical to it only where that branch runs. AVX512
+// on top of them selects the 8-lane sigmoid and the range path's fused
+// gather-add and sigmoid kernel, the same ops on twice the lanes; on
+// its own it widens the unscale and mean/variance kernels to 8 lanes.
 package cpufeat
 
 // AVX2 reports whether the CPU supports AVX2 and the OS saves the YMM

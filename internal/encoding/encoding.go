@@ -4,6 +4,12 @@
 // their design-space range, nominal parameters are one-hot encoded (one
 // input per level, exactly one set to 1), and boolean parameters become
 // single 0/1 inputs. Targets use the same minimax treatment via Scaler.
+//
+// An Encoder tabulates every axis's input values once, per setting
+// (and per controller setting for a dependent axis). Encode and
+// EncodeRange look rows up in those tables, and Axes hands them out,
+// so that a full-space sweep can compute each axis's effect on the
+// network once per setting instead of encoding every point.
 package encoding
 
 import (
@@ -102,6 +108,41 @@ func (e *Encoder) input(i int, v float64) float64 {
 
 // Width returns the number of network inputs the encoding produces.
 func (e *Encoder) Width() int { return e.width }
+
+// Axis is one parameter's block of network inputs: the columns Encode
+// writes for it and every value they take there.
+type Axis struct {
+	// Off is the block's first input column; Cols is its width, the
+	// level count of a nominal parameter and 1 otherwise.
+	Off, Cols int
+	// Card is the parameter's number of settings; Ctl is the index of
+	// the parameter it depends on, or -1.
+	Card, Ctl int
+	// Inputs holds the block's Cols values for every setting, row by
+	// row: row c*Card+k is own choice k under controller choice c (c is
+	// 0 when Ctl is -1). A nominal parameter's rows are one-hot.
+	Inputs []float64
+}
+
+// Axes returns every parameter's Axis in parameter order, so that the
+// blocks tile [0, Width()) in ascending column order: the per-axis
+// tables Encode looks its values up in, for a caller that evaluates
+// the inputs' effect once per setting instead of once per point.
+func (e *Encoder) Axes() []Axis {
+	out := make([]Axis, len(e.axes))
+	for i, a := range e.axes {
+		ax := Axis{Off: e.off[i], Cols: 1, Card: a.card, Ctl: a.ctl, Inputs: append([]float64(nil), a.vals...)}
+		if a.vals == nil {
+			ax.Cols = a.card
+			ax.Inputs = make([]float64, a.card*a.card)
+			for k := range a.card {
+				ax.Inputs[k*a.card+k] = 1
+			}
+		}
+		out[i] = ax
+	}
+	return out
+}
 
 // Spec is the serializable description of an Encoder: the input width
 // and the per-parameter normalization ranges and input offsets. An

@@ -97,3 +97,38 @@ func BenchmarkSweepReference(b *testing.B) {
 	}
 	b.ReportMetric(float64(sp.Size())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
+
+// BenchmarkSweepEncoded times the scoring a sweep did before it scored
+// by flat index: EncodeRange plus MetricSet.Eval over BenchmarkSweep's
+// space and bundle in 512-row chunks, without the reduction.
+// BENCH_sweep.json gates BenchmarkSweep/workers=1, reduction included,
+// as a same-run ratio to it.
+func BenchmarkSweepEncoded(b *testing.B) {
+	bd := benchBundle(b)
+	set, sp, err := Resolve(DefaultSpecs([]string{"m"}), map[string]*bundle.Bundle{"m": bd})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const chunk = 512
+	enc := encoding.NewEncoder(sp)
+	width := enc.Width()
+	xs := make([]float64, chunk*width)
+	cols := make([][]float64, set.Len())
+	view := make([][]float64, set.Len())
+	for m := range cols {
+		cols[m] = make([]float64, chunk)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < sp.Size(); lo += chunk {
+			rows := min(chunk, sp.Size()-lo)
+			for m := range cols {
+				view[m] = cols[m][:rows]
+			}
+			enc.EncodeRange(lo, rows, xs[:rows*width])
+			set.Eval(xs[:rows*width], rows, view)
+		}
+	}
+	b.ReportMetric(float64(sp.Size())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+}

@@ -49,6 +49,15 @@ var goldenSweepDigestsNoFMA = map[string]string{
 // prediction goes through the untransform's exp.
 func goldenEnsemble(t *testing.T, inputs int) *core.Ensemble {
 	t.Helper()
+	return scaledGoldenEnsemble(t, inputs, 1)
+}
+
+// scaledGoldenEnsemble is goldenEnsemble with every hidden-layer weight
+// and bias multiplied by scale; at 300 some hidden sums of every study
+// leave the vector sigmoid's one-multiply range in either half of the
+// 16 units, so rows take the scalar hand-off.
+func scaledGoldenEnsemble(t *testing.T, inputs int, scale float64) *core.Ensemble {
+	t.Helper()
 	doc := struct {
 		Version   int               `json:"version"`
 		Outputs   int               `json:"outputs"`
@@ -68,6 +77,29 @@ func goldenEnsemble(t *testing.T, inputs int) *core.Ensemble {
 		var buf bytes.Buffer
 		if err := ann.New(cfg).Save(&buf); err != nil {
 			t.Fatal(err)
+		}
+		if scale != 1 {
+			var net map[string]json.RawMessage
+			var weights [][]float64
+			if err := json.Unmarshal(buf.Bytes(), &net); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(net["weights"], &weights); err != nil {
+				t.Fatal(err)
+			}
+			for i := range weights[0] {
+				weights[0][i] *= scale
+			}
+			raw, err := json.Marshal(weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net["weights"] = raw
+			b, err := json.Marshal(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = *bytes.NewBuffer(b)
 		}
 		doc.Nets = append(doc.Nets, buf.Bytes())
 	}

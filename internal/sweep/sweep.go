@@ -8,10 +8,15 @@
 // as a confidence axis).
 //
 // The engine is streaming: the space is enumerated in fixed-size
-// chunks (never materializing the cross product), each chunk is
-// encoded and scored through the batched core kernels by a worker
-// pool, and per-chunk partial reductions — a bounded top-k heap per
-// metric plus a local Pareto front — merge in chunk order. Chunk
+// chunks of flat indices (never materializing the cross product), a
+// worker pool scores each chunk by its index range through
+// core.RangeEvaluator — layer 0 from per-axis product tables and
+// shared prefix sums, so no point is encoded — and per-chunk partial
+// reductions — a bounded top-k heap per metric plus a local Pareto
+// front, with rows the front point dominates kept out of it — merge in
+// chunk order. Where the range path does not apply, chunks are encoded
+// (encoding.EncodeRange) and scored through core.MetricSet, as
+// Reference always does. Chunk
 // boundaries depend only on ChunkSize and every reduction is a total
 // order (ties break on the lower flat index; exactly equal metric
 // vectors collapse onto the lowest index), so the output is
@@ -170,6 +175,10 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 
 	metrics := set.Metrics()
 	minimize := set.Minimize()
+	// Chunks score by flat index where the range path applies (layer 0
+	// from per-axis product tables, no encoding); elsewhere they encode
+	// rows, as Reference does.
+	ev := set.NewRangeEvaluator(enc)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -181,7 +190,10 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 		go func() {
 			defer wg.Done()
 			width := enc.Width()
-			xs := make([]float64, chunk*width)
+			var xs []float64
+			if ev == nil {
+				xs = make([]float64, chunk*width)
+			}
 			cols := make([][]float64, len(metrics))
 			view := make([][]float64, len(metrics))
 			for m := range cols {
@@ -195,25 +207,37 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 				}
 				lo := c * chunk
 				rows := min(size, lo+chunk) - lo
-				enc.EncodeRange(lo, rows, xs[:rows*width])
 				for m := range cols {
 					view[m] = cols[m][:rows]
 				}
-				set.Eval(xs[:rows*width], rows, view)
+				if ev != nil {
+					ev.Eval(lo, rows, view)
+				} else {
+					enc.EncodeRange(lo, rows, xs[:rows*width])
+					set.Eval(xs[:rows*width], rows, view)
+				}
 				p := chunkPart{id: c, rows: rows, front: newFrontier(minimize)}
 				for m := range metrics {
 					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
 				}
+				var front []float64 // the chunk frontier's front point
 				for r := 0; r < rows; r++ {
 					for m := range vbuf {
 						vbuf[m] = cols[m][r]
 					}
-					// The frontier's offer validates finiteness before
-					// ranking; an unrankable point abandons the chunk
-					// and travels to the reducer as its error.
-					if err := p.front.Offer(lo+r, vbuf); err != nil {
-						p.err = err
-						break
+					// A finite row that the front point weakly dominates
+					// cannot join the frontier (dominance is transitive),
+					// and Offer would stop at that point without a
+					// change, so it skips Offer. Every other row goes to
+					// Offer, which validates finiteness before ranking:
+					// an unrankable point abandons the chunk and travels
+					// to the reducer as its error.
+					if front == nil || !weaklyDominated(minimize, front, vbuf) {
+						if err := p.front.Offer(lo+r, vbuf); err != nil {
+							p.err = err
+							break
+						}
+						front = p.front.Front()
 					}
 					for _, t := range p.tops {
 						t.offer(lo+r, vbuf)
