@@ -43,11 +43,7 @@ func TestRangeKernelLive(t *testing.T) {
 	fused := cpufeat.AVX512 && cpufeat.FMA && !strings.Contains(os.Getenv("GODEBUG"), "cpu.")
 	for _, st := range studies.All() {
 		enc := encoding.NewEncoder(st.Space)
-		var axes []ann.RangeAxis
-		for _, a := range enc.Axes() {
-			axes = append(axes, ann.RangeAxis{Off: a.Off, Cols: a.Cols, Card: a.Card, Ctl: a.Ctl, Inputs: a.Inputs})
-		}
-		r := ann.NewRangeNet(ann.New(core.DefaultModelConfig().NetConfig(enc.Width(), 1)), axes)
+		r := ann.NewRangeNet(ann.New(core.DefaultModelConfig().NetConfig(enc.Width(), 1)), enc.Axes())
 		switch {
 		case r == nil:
 			t.Errorf("%s study: DefaultModelConfig's network gets no range path on an AVX2 CPU", st.Name)

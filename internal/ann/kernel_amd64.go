@@ -75,36 +75,15 @@ func gatherSigmoid16AVX512(par, prods *float64, card, cols, k, rows int, dst *fl
 //go:noescape
 func affineAVX2(ys *float64, groups int, lo, span float64)
 
-// affineAVX512 is affineAVX2 on eight lanes, for groups 8-element
-// groups.
-//
-//go:noescape
-func affineAVX512(ys *float64, groups int, lo, span float64)
-
 // momentsAVX2 computes Moments for groups groups of four rows, one row
 // per lane; mean and variance may each be nil.
 //
 //go:noescape
 func momentsAVX2(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
 
-// momentsAVX512 is momentsAVX2 on eight lanes, for groups groups of
-// eight rows.
-//
-//go:noescape
-func momentsAVX512(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
-
-// reduceLanes is the number of rows per register of the affine and
-// moments kernels: 8 on an AVX-512 CPU, 4 on an AVX2 CPU, 0 (the scalar
-// loops only) elsewhere.
-var reduceLanes = func() int {
-	switch {
-	case cpufeat.AVX512:
-		return 8
-	case cpufeat.AVX2:
-		return 4
-	}
-	return 0
-}()
+// reduceAsm reports whether AffineBatch and Moments run their AVX2
+// kernels before the scalar tail.
+var reduceAsm = cpufeat.AVX2
 
 // kernelAsm16 reports whether the AVX2 16-unit layer kernel applies.
 func kernelAsm16(l *layer, rows int) bool {

@@ -513,79 +513,16 @@ afdone:
 	VZEROUPPER
 	RET
 
-// func affineAVX512(ys *float64, groups int, lo, span float64)
-//
-// affineAVX2 on eight ZMM lanes, for groups 8-element groups.
-TEXT ·affineAVX512(SB), NOSPLIT, $0-32
-	MOVQ ys+0(FP), SI
-	MOVQ groups+8(FP), CX
-	VBROADCASTSD lo+16(FP), Z1
-	VBROADCASTSD span+24(FP), Z2
-
-af8loop:
-	TESTQ CX, CX
-	JZ af8done
-	VMULPD (SI), Z2, Z0
-	VADDPD Z0, Z1, Z0
-	VMOVUPD Z0, (SI)
-	ADDQ $64, SI
-	DECQ CX
-	JMP af8loop
-
-af8done:
-	VZEROUPPER
-	RET
-
-// MOMENTS is the body of momentsAVX2 and momentsAVX512 for one group
-// of rows, one row per lane of V0–V3, at SI: the member-order sum from
-// +0 (the sum as each VADDPD's first operand), one VDIVPD by the member
-// count M for the mean, stored at DX unless DX is nil, then, unless DI
-// is nil, the member-order sum of squared deviations (p − mean, its
-// square, then the add, each rounded on its own, never fused) from +0
-// and one VDIVPD by M, stored at DI. R8 holds the member count, R9 the
-// byte stride between members. sum, dev, nomean and next are the
-// group's labels.
-#define MOMENTS(V0, V1, V2, V3, M, bytes, sum, dev, nomean, next) \
-	VXORPD V0, V0, V0; \
-	MOVQ SI, R10; \
-	MOVQ R8, R11; \
-sum: \
-	VADDPD (R10), V0, V0; \
-	ADDQ R9, R10; \
-	DECQ R11; \
-	JNZ sum; \
-	VDIVPD M, V0, V1; \
-	TESTQ DX, DX; \
-	JZ nomean; \
-	VMOVUPD V1, (DX); \
-	ADDQ $bytes, DX; \
-nomean: \
-	TESTQ DI, DI; \
-	JZ next; \
-	VXORPD V2, V2, V2; \
-	MOVQ SI, R10; \
-	MOVQ R8, R11; \
-dev: \
-	VMOVUPD (R10), V3; \
-	VSUBPD V1, V3, V3; \
-	VMULPD V3, V3, V3; \
-	VADDPD V3, V2, V2; \
-	ADDQ R9, R10; \
-	DECQ R11; \
-	JNZ dev; \
-	VDIVPD M, V2, V2; \
-	VMOVUPD V2, (DI); \
-	ADDQ $bytes, DI; \
-next: \
-	ADDQ $bytes, SI
-
 // func momentsAVX2(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
 //
 // The ensemble's mean and variance for groups groups of four rows of
-// preds, members × cnt predictions with member m's column at m·cnt:
-// MOMENTS with one row per YMM lane. fm is float64(members); mean and
-// variance may each be nil to skip that store (variance nil skips the
-// deviation pass).
+// preds, members × cnt predictions with member m's column at m·cnt, one
+// row per YMM lane: the member-order sum from +0 (the sum as each
+// VADDPD's first operand), one VDIVPD by fm, float64(members), for the
+// mean, stored unless mean is nil, then, unless variance is nil, the
+// member-order sum of squared deviations (p − mean, its square, then
+// the add, each rounded on its own, never fused) from +0 and one VDIVPD
+// by fm. R8 holds the member count, R9 the byte stride between members.
 TEXT ·momentsAVX2(SB), NOSPLIT, $0-56
 	MOVQ preds+0(FP), SI
 	MOVQ members+8(FP), R8
@@ -599,35 +536,45 @@ TEXT ·momentsAVX2(SB), NOSPLIT, $0-56
 mo4loop:
 	TESTQ CX, CX
 	JZ mo4done
-	MOMENTS(Y0, Y1, Y2, Y3, Y15, 32, mo4sum, mo4dev, mo4nomean, mo4next)
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, R10
+	MOVQ R8, R11
+
+mo4sum:
+	VADDPD (R10), Y0, Y0     // sum += p (rounded)
+	ADDQ R9, R10
+	DECQ R11
+	JNZ mo4sum
+	VDIVPD Y15, Y0, Y1       // mean = sum / members
+	TESTQ DX, DX
+	JZ mo4nomean
+	VMOVUPD Y1, (DX)
+	ADDQ $32, DX
+
+mo4nomean:
+	TESTQ DI, DI
+	JZ mo4next
+	VXORPD Y2, Y2, Y2
+	MOVQ SI, R10
+	MOVQ R8, R11
+
+mo4dev:
+	VMOVUPD (R10), Y3
+	VSUBPD Y1, Y3, Y3        // d = p - mean (rounded)
+	VMULPD Y3, Y3, Y3        // d·d (rounded)
+	VADDPD Y3, Y2, Y2        // ss += d·d (rounded)
+	ADDQ R9, R10
+	DECQ R11
+	JNZ mo4dev
+	VDIVPD Y15, Y2, Y2       // variance = ss / members
+	VMOVUPD Y2, (DI)
+	ADDQ $32, DI
+
+mo4next:
+	ADDQ $32, SI
 	DECQ CX
 	JMP mo4loop
 
 mo4done:
-	VZEROUPPER
-	RET
-
-// func momentsAVX512(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64)
-//
-// momentsAVX2 with one row per ZMM lane, for groups groups of eight
-// rows.
-TEXT ·momentsAVX512(SB), NOSPLIT, $0-56
-	MOVQ preds+0(FP), SI
-	MOVQ members+8(FP), R8
-	MOVQ cnt+16(FP), R9
-	SHLQ $3, R9
-	MOVQ groups+24(FP), CX
-	VBROADCASTSD fm+32(FP), Z15
-	MOVQ mean+40(FP), DX
-	MOVQ variance+48(FP), DI
-
-mo8loop:
-	TESTQ CX, CX
-	JZ mo8done
-	MOMENTS(Z0, Z1, Z2, Z3, Z15, 64, mo8sum, mo8dev, mo8nomean, mo8next)
-	DECQ CX
-	JMP mo8loop
-
-mo8done:
 	VZEROUPPER
 	RET

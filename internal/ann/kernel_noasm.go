@@ -55,22 +55,14 @@ func update16AVX2(wt, mt, xs *float64, in int, lrd *float64, mom float64) {
 	panic("ann: update16AVX2 is amd64-only")
 }
 
-// reduceLanes is 0 without vector kernels: AffineBatch and Moments run
-// their scalar loops.
-const reduceLanes = 0
+// reduceAsm is false without vector kernels: AffineBatch and Moments
+// run their scalar loops.
+const reduceAsm = false
 
 func affineAVX2(ys *float64, groups int, lo, span float64) {
 	panic("ann: affineAVX2 is amd64-only")
 }
 
-func affineAVX512(ys *float64, groups int, lo, span float64) {
-	panic("ann: affineAVX512 is amd64-only")
-}
-
 func momentsAVX2(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64) {
 	panic("ann: momentsAVX2 is amd64-only")
-}
-
-func momentsAVX512(preds *float64, members, cnt, groups int, fm float64, mean, variance *float64) {
-	panic("ann: momentsAVX512 is amd64-only")
 }

@@ -1,25 +1,19 @@
 package ann
 
-import "fmt"
+import (
+	"fmt"
 
-// RangeAxis is one axis of a mixed-radix input space: a block of Cols
-// consecutive input columns, starting at Off, whose values depend only
-// on the axis's own setting and, where Ctl >= 0, on the setting of the
-// earlier axis Ctl. Inputs holds the block's values for every setting,
-// row by row: row c*Card+k is own setting k under controller setting c
-// (c is 0 when Ctl is -1). encoding.Encoder.Axes describes a design
-// space's encoding this way.
-type RangeAxis struct {
-	Off, Cols int
-	Card, Ctl int
-	Inputs    []float64
-}
+	"repro/internal/encoding"
+)
 
 // RangeNet scores the rows of a mixed-radix input space by flat index,
-// without the rows: row i is the input vector of the settings that i
-// spells in mixed radix over the axes' Cards, the last axis fastest, as
-// space.Space numbers design points. ForwardRange's outputs are bit
-// for bit ForwardBatch's over the same rows encoded.
+// without the rows: the space is a list of encoding.Axis blocks (each
+// a run of input columns whose values depend only on the axis's own
+// setting and, for a dependent axis, its controller's), and row i is
+// the input vector of the settings that i spells in mixed radix over
+// the axes' Cards, the last axis fastest, as space.Space numbers design
+// points. ForwardRange's outputs are bit for bit ForwardBatch's over
+// the same rows encoded.
 //
 // Layer 0's sums come from product tables instead of multiply-adds: for
 // every axis, setting and column, the 16 products weight × input value,
@@ -60,13 +54,14 @@ type prodAxis struct {
 // encodes rows instead.
 const maxRangeProducts = 1 << 20
 
-// NewRangeNet builds n's product tables over the space axes describe.
+// NewRangeNet builds n's product tables over the space axes describe
+// (encoding.Encoder.Axes for a design space's encoding).
 // It returns nil where the range path does not apply: layer 0 is not a
 // 16-unit layer on an AVX2 CPU (kernelAsm16's gate), or the tables
 // would outgrow maxRangeProducts. It panics when the axes do not tile
 // the network's inputs in ascending column order or a table has the
 // wrong length.
-func NewRangeNet(n *Network, axes []RangeAxis) *RangeNet {
+func NewRangeNet(n *Network, axes []encoding.Axis) *RangeNet {
 	l := n.layers[0]
 	if !kernelAsm16(l, 1) || len(axes) == 0 {
 		return nil

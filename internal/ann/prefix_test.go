@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cpufeat"
+	"repro/internal/encoding"
 	"repro/internal/stats"
 )
 
@@ -17,13 +18,13 @@ type rangeSpec struct {
 	oneHot    bool
 }
 
-// rangeAxes builds the RangeAxis list of specs, drawing each numeric
+// rangeAxes builds the encoding.Axis list of specs, drawing each numeric
 // value from draw.
-func rangeAxes(specs []rangeSpec, draw func() float64) []RangeAxis {
-	var axes []RangeAxis
+func rangeAxes(specs []rangeSpec, draw func() float64) []encoding.Axis {
+	var axes []encoding.Axis
 	off := 0
 	for _, sp := range specs {
-		ax := RangeAxis{Off: off, Cols: 1, Card: sp.card, Ctl: sp.ctl}
+		ax := encoding.Axis{Off: off, Cols: 1, Card: sp.card, Ctl: sp.ctl}
 		ctlCard := 1
 		if sp.ctl >= 0 {
 			ctlCard = specs[sp.ctl].card
@@ -49,7 +50,7 @@ func rangeAxes(specs []rangeSpec, draw func() float64) []RangeAxis {
 // encodeRange writes rows [lo, lo+rows) of the space axes describe as
 // input vectors, the last axis fastest: the rows RangeNet scores
 // without them.
-func encodeRange(axes []RangeAxis, lo, rows int) []float64 {
+func encodeRange(axes []encoding.Axis, lo, rows int) []float64 {
 	width := 0
 	for _, ax := range axes {
 		width += ax.Cols

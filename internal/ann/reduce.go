@@ -4,17 +4,13 @@ import "fmt"
 
 // AffineBatch sets ys[i] = lo + ys[i]*span, one rounding per multiply
 // and per add, never fused: encoding.Scaler.Unscale over a slice when
-// span is Hi-Lo. On amd64 it runs 4 elements per register (8 on an
-// AVX-512 CPU) and the scalar loop takes the tail.
+// span is Hi-Lo. On an AVX2 CPU it runs 4 elements per register and
+// the scalar loop takes the tail.
 func AffineBatch(ys []float64, lo, span float64) {
 	done := 0
-	if w := reduceLanes; w > 0 && len(ys) >= w {
-		done = len(ys) / w * w
-		if w == 8 {
-			affineAVX512(&ys[0], done/8, lo, span)
-		} else {
-			affineAVX2(&ys[0], done/4, lo, span)
-		}
+	if reduceAsm && len(ys) >= 4 {
+		done = len(ys) / 4 * 4
+		affineAVX2(&ys[0], done/4, lo, span)
 	}
 	for i := done; i < len(ys); i++ {
 		ys[i] = lo + ys[i]*span
@@ -27,9 +23,9 @@ func AffineBatch(ys []float64, lo, span float64) {
 // member-order sum of its squared deviations from that mean, from +0,
 // divided by members; the ensemble's PredictVariance per point. Either
 // buffer may be nil to skip it; a non-nil one must hold cnt values. On
-// amd64 the rows run 4 per register (8 on an AVX-512 CPU), in the
-// scalar loop's order with each add, subtract, multiply and divide
-// rounded on its own, never fused; the scalar loop takes the tail.
+// an AVX2 CPU the rows run 4 per register, in the scalar loop's order
+// with each add, subtract, multiply and divide rounded on its own,
+// never fused; the scalar loop takes the tail.
 func Moments(preds []float64, members int, mean, variance []float64) {
 	if members < 1 || len(preds)%members != 0 {
 		panic(fmt.Sprintf("ann: %d predictions are not %d member columns", len(preds), members))
@@ -40,8 +36,8 @@ func Moments(preds []float64, members int, mean, variance []float64) {
 	}
 	fm := float64(members)
 	done := 0
-	if w := reduceLanes; w > 0 && cnt >= w {
-		done = cnt / w * w
+	if reduceAsm && cnt >= 4 {
+		done = cnt / 4 * 4
 		var mp, vp *float64
 		if mean != nil {
 			mp = &mean[0]
@@ -49,11 +45,7 @@ func Moments(preds []float64, members int, mean, variance []float64) {
 		if variance != nil {
 			vp = &variance[0]
 		}
-		if w == 8 {
-			momentsAVX512(&preds[0], members, cnt, done/8, fm, mp, vp)
-		} else {
-			momentsAVX2(&preds[0], members, cnt, done/4, fm, mp, vp)
-		}
+		momentsAVX2(&preds[0], members, cnt, done/4, fm, mp, vp)
 	}
 	for r := done; r < cnt; r++ {
 		var sum float64

@@ -11,7 +11,7 @@ import (
 // definitions, bit for bit: lo + v*span per element, and per row the
 // member-order sum from +0 over members, one division, then the
 // member-order sum of squared deviations from +0 and one division. It
-// covers 0–19 rows (whole 4- and 8-row groups and every tail) of 1–11
+// covers 0–19 rows (whole 4-row groups and every tail) of 1–11
 // members, mean only, variance only and both, with values that include
 // the edge inputs, -0 and magnitudes whose squares overflow.
 func TestMomentsParity(t *testing.T) {

@@ -191,10 +191,7 @@ func (s *MetricSet) NewRangeEvaluator(enc *encoding.Encoder) *RangeEvaluator {
 	if enc.Width() != s.inputs {
 		panic(fmt.Sprintf("core: encoder produces %d inputs, metric models expect %d", enc.Width(), s.inputs))
 	}
-	var axes []ann.RangeAxis
-	for _, a := range enc.Axes() {
-		axes = append(axes, ann.RangeAxis{Off: a.Off, Cols: a.Cols, Card: a.Card, Ctl: a.Ctl, Inputs: a.Inputs})
-	}
+	axes := enc.Axes()
 	ev := &RangeEvaluator{set: s}
 	for _, g := range s.groups {
 		nets := make([]*ann.RangeNet, len(g.ens.nets))

@@ -129,31 +129,15 @@ func (f *Frontier) Offer(index int, values []float64) error {
 			return nil
 		}
 	}
-	// The candidate survives: evict everything it now dominates, and
-	// keep its values in the first evicted point's slice.
-	var spare []float64
+	// The candidate survives: evict everything it now dominates.
 	kept := f.pts[:0]
 	for _, q := range f.pts {
 		if !Dominates(f.minimize, values, q.Values) {
 			kept = append(kept, q)
-		} else if spare == nil {
-			spare = q.Values
 		}
 	}
-	f.pts = append(kept, Point{Index: index, Values: append(spare[:0], values...)})
+	f.pts = append(kept, Point{Index: index, Values: append([]float64(nil), values...)})
 	return nil
-}
-
-// Front returns the metric values of the point Offer compares a
-// candidate with first (where Offer moves each point that dominates a
-// candidate), or nil when the frontier is empty. The slice is the
-// frontier's own, valid until the next Offer or Merge; a caller must
-// not modify it.
-func (f *Frontier) Front() []float64 {
-	if len(f.pts) == 0 {
-		return nil
-	}
-	return f.pts[0].Values
 }
 
 // Merge folds another frontier in.

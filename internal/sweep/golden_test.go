@@ -47,7 +47,7 @@ var goldenSweepDigestsNoFMA = map[string]string{
 // ann.New on U[-2,2] from per-member seeds so that predictions spread
 // widely, and a log-space target scaled to [0.1, 3], so that every
 // prediction goes through the untransform's exp.
-func goldenEnsemble(t *testing.T, inputs int) *core.Ensemble {
+func goldenEnsemble(t testing.TB, inputs int) *core.Ensemble {
 	t.Helper()
 	return scaledGoldenEnsemble(t, inputs, 1)
 }
@@ -56,7 +56,7 @@ func goldenEnsemble(t *testing.T, inputs int) *core.Ensemble {
 // and bias multiplied by scale; at 300 some hidden sums of every study
 // leave the vector sigmoid's one-multiply range in either half of the
 // 16 units, so rows take the scalar hand-off.
-func scaledGoldenEnsemble(t *testing.T, inputs int, scale float64) *core.Ensemble {
+func scaledGoldenEnsemble(t testing.TB, inputs int, scale float64) *core.Ensemble {
 	t.Helper()
 	doc := struct {
 		Version   int               `json:"version"`

@@ -137,9 +137,10 @@ func checkRangeEval(t *testing.T, what string, enc *encoding.Encoder, set *core.
 
 // TestRunRejectsInfVarianceBelowFront: the last point of an 8-point
 // space has a finite mean below every other point's and +Inf variance,
-// so the chunk frontier's front point dominates it on every metric.
-// The pre-filter that skips dominated rows must still let it reach
-// Offer, and the sweep must fail naming it, at workers 1 and 4.
+// so the chunk frontier's front point dominates it on every metric. A
+// reduction that compared it with that point before checking
+// finiteness would drop it silently; the sweep must fail naming it, at
+// workers 1 and 4.
 func TestRunRejectsInfVarianceBelowFront(t *testing.T) {
 	sp := space.New("inf-variance", []space.Param{
 		{Name: "a", Kind: space.Cardinal, Values: []float64{0, 1, 2, 3, 4, 5, 6, 7}},

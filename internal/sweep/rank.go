@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"container/heap"
-	"math"
 	"sort"
 
 	"repro/internal/pareto"
@@ -25,23 +24,6 @@ func dominates(minimize []bool, a, b []float64) bool {
 
 func equalValues(a, b []float64) bool {
 	return pareto.EqualValues(a, b)
-}
-
-// weaklyDominated reports whether values, all finite, are weakly
-// dominated by front: no better on any metric. A non-finite value
-// reports false, so that the row reaches Offer and its error.
-func weaklyDominated(minimize []bool, front, values []float64) bool {
-	for _, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	for m, v := range values {
-		if minimize[m] && v < front[m] || !minimize[m] && v > front[m] {
-			return false
-		}
-	}
-	return true
 }
 
 // newFrontier builds the streaming Pareto reducer (see pareto.Frontier

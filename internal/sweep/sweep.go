@@ -13,15 +13,14 @@
 // core.RangeEvaluator — layer 0 from per-axis product tables and
 // shared prefix sums, so no point is encoded — and per-chunk partial
 // reductions — a bounded top-k heap per metric plus a local Pareto
-// front, with rows the front point dominates kept out of it — merge in
-// chunk order. Where the range path does not apply, chunks are encoded
-// (encoding.EncodeRange) and scored through core.MetricSet, as
-// Reference always does. Chunk
-// boundaries depend only on ChunkSize and every reduction is a total
-// order (ties break on the lower flat index; exactly equal metric
-// vectors collapse onto the lowest index), so the output is
-// bit-identical for any worker count, and parity-tested against the
-// naive materialize-everything Reference.
+// front — merge in chunk order. Where the range path does not apply,
+// chunks are encoded (encoding.EncodeRange) and scored through
+// core.MetricSet, as Reference always does. Chunk boundaries depend
+// only on ChunkSize and every reduction is a total order (ties break on
+// the lower flat index; exactly equal metric vectors collapse onto the
+// lowest index), so the output is bit-identical for any worker count,
+// and parity-tested against the naive materialize-everything
+// Reference.
 package sweep
 
 import (
@@ -220,24 +219,16 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 				for m := range metrics {
 					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
 				}
-				var front []float64 // the chunk frontier's front point
 				for r := 0; r < rows; r++ {
 					for m := range vbuf {
 						vbuf[m] = cols[m][r]
 					}
-					// A finite row that the front point weakly dominates
-					// cannot join the frontier (dominance is transitive),
-					// and Offer would stop at that point without a
-					// change, so it skips Offer. Every other row goes to
-					// Offer, which validates finiteness before ranking:
-					// an unrankable point abandons the chunk and travels
-					// to the reducer as its error.
-					if front == nil || !weaklyDominated(minimize, front, vbuf) {
-						if err := p.front.Offer(lo+r, vbuf); err != nil {
-							p.err = err
-							break
-						}
-						front = p.front.Front()
+					// The frontier's offer validates finiteness before
+					// ranking; an unrankable point abandons the chunk
+					// and travels to the reducer as its error.
+					if err := p.front.Offer(lo+r, vbuf); err != nil {
+						p.err = err
+						break
 					}
 					for _, t := range p.tops {
 						t.offer(lo+r, vbuf)
