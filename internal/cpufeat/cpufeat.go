@@ -12,8 +12,7 @@
 // exp, which repeat the fused multiply-adds of math.Exp's FMA branch
 // and so are bit-identical to it only where that branch runs. AVX512
 // on top of them selects the 8-lane sigmoid and the range path's fused
-// gather-add and sigmoid kernel, the same ops on twice the lanes; on
-// its own it widens the unscale and mean/variance kernels to 8 lanes.
+// gather-add and sigmoid kernel, the same ops on twice the lanes.
 package cpufeat
 
 // AVX2 reports whether the CPU supports AVX2 and the OS saves the YMM
