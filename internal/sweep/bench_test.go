@@ -92,6 +92,7 @@ func BenchmarkSweepReference(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Reference(sp, set, DefaultTopK); err != nil {
 			b.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/pareto"
 )
 
 // fuzzPoints decodes raw fuzz bytes into a small point set over 1–3
@@ -65,8 +67,8 @@ func refFrontier(minimize []bool, pts []Point) []Point {
 			if j == i {
 				continue
 			}
-			if dominates(minimize, pts[j].Values, pts[i].Values) ||
-				(equalValues(pts[j].Values, pts[i].Values) && pts[j].Index < pts[i].Index) {
+			if pareto.Dominates(minimize, pts[j].Values, pts[i].Values) ||
+				(pareto.EqualValues(pts[j].Values, pts[i].Values) && pts[j].Index < pts[i].Index) {
 				keep = false
 				break
 			}
@@ -109,7 +111,7 @@ func FuzzParetoDominance(f *testing.F) {
 			}
 		}
 		for _, p := range bad {
-			fr := newFrontier(minimize)
+			fr := pareto.NewFrontier(minimize)
 			err := fr.Offer(p.Index, p.Values)
 			if err == nil {
 				t.Fatalf("offer of non-finite point %d (%v) succeeded", p.Index, p.Values)
@@ -126,19 +128,19 @@ func FuzzParetoDominance(f *testing.F) {
 			return
 		}
 		for i := range pts {
-			if dominates(minimize, pts[i].Values, pts[i].Values) {
+			if pareto.Dominates(minimize, pts[i].Values, pts[i].Values) {
 				t.Fatalf("point %d dominates itself", i)
 			}
 			for j := range pts {
-				if dominates(minimize, pts[i].Values, pts[j].Values) &&
-					dominates(minimize, pts[j].Values, pts[i].Values) {
+				if pareto.Dominates(minimize, pts[i].Values, pts[j].Values) &&
+					pareto.Dominates(minimize, pts[j].Values, pts[i].Values) {
 					t.Fatalf("points %d and %d dominate each other", i, j)
 				}
 			}
 		}
 		want := refFrontier(minimize, pts)
 		offer := func(order []int) []Point {
-			fr := newFrontier(minimize)
+			fr := pareto.NewFrontier(minimize)
 			for _, i := range order {
 				if err := fr.Offer(pts[i].Index, pts[i].Values); err != nil {
 					t.Fatal(err)

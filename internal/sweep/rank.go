@@ -11,27 +11,6 @@ import (
 // so sweep result documents are unchanged by the algebra's extraction.
 type Point = pareto.Point
 
-// better, dominates and equalValues delegate to the shared dominance
-// algebra in internal/pareto; the local names keep the sweep reducers
-// reading as before the extraction.
-func better(minimize bool, a, b float64, ai, bi int) bool {
-	return pareto.Better(minimize, a, b, ai, bi)
-}
-
-func dominates(minimize []bool, a, b []float64) bool {
-	return pareto.Dominates(minimize, a, b)
-}
-
-func equalValues(a, b []float64) bool {
-	return pareto.EqualValues(a, b)
-}
-
-// newFrontier builds the streaming Pareto reducer (see pareto.Frontier
-// for the membership rules and the bit-identity argument).
-func newFrontier(minimize []bool) *pareto.Frontier {
-	return pareto.NewFrontier(minimize)
-}
-
 // topK is the bounded per-metric leaderboard: a k-element heap whose
 // root is the weakest kept point, so a full-space stream reduces in
 // O(size·log k) with O(k) memory. offer copies values only when the
@@ -53,7 +32,7 @@ func newTopK(metric int, minimize bool, k int) *topK {
 // heap.Interface: the root is the point every candidate must beat.
 func (t *topK) Len() int { return len(t.pts) }
 func (t *topK) Less(i, j int) bool {
-	return better(t.minimize, t.pts[j].Values[t.metric], t.pts[i].Values[t.metric], t.pts[j].Index, t.pts[i].Index)
+	return pareto.Better(t.minimize, t.pts[j].Values[t.metric], t.pts[i].Values[t.metric], t.pts[j].Index, t.pts[i].Index)
 }
 func (t *topK) Swap(i, j int) { t.pts[i], t.pts[j] = t.pts[j], t.pts[i] }
 func (t *topK) Push(x any)    { t.pts = append(t.pts, x.(Point)) }
@@ -72,7 +51,7 @@ func (t *topK) offer(index int, values []float64) {
 	}
 	if len(t.pts) == t.k {
 		root := &t.pts[0]
-		if !better(t.minimize, values[t.metric], root.Values[t.metric], index, root.Index) {
+		if !pareto.Better(t.minimize, values[t.metric], root.Values[t.metric], index, root.Index) {
 			return
 		}
 		root.Index = index
@@ -94,7 +73,7 @@ func (t *topK) merge(o *topK) {
 // afterwards.
 func (t *topK) ranked() []Point {
 	sort.Slice(t.pts, func(i, j int) bool {
-		return better(t.minimize, t.pts[i].Values[t.metric], t.pts[j].Values[t.metric], t.pts[i].Index, t.pts[j].Index)
+		return pareto.Better(t.minimize, t.pts[i].Values[t.metric], t.pts[j].Values[t.metric], t.pts[i].Index, t.pts[j].Index)
 	})
 	return t.pts
 }

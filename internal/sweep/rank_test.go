@@ -4,11 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/pareto"
 	"repro/internal/stats"
 )
 
 func frontierOf(minimize []bool, pts []Point) []Point {
-	f := newFrontier(minimize)
+	f := pareto.NewFrontier(minimize)
 	for _, p := range pts {
 		if err := f.Offer(p.Index, p.Values); err != nil {
 			panic(err)
@@ -127,9 +128,9 @@ func TestFrontierMergeEqualsSequential(t *testing.T) {
 	}
 	want := frontierOf(dir, pts)
 	for _, shard := range []int{1, 3, 64, 400} {
-		merged := newFrontier(dir)
+		merged := pareto.NewFrontier(dir)
 		for lo := 0; lo < len(pts); lo += shard {
-			local := newFrontier(dir)
+			local := pareto.NewFrontier(dir)
 			for _, p := range pts[lo:min(lo+shard, len(pts))] {
 				if err := local.Offer(p.Index, p.Values); err != nil {
 					t.Fatal(err)

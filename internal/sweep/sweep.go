@@ -215,7 +215,7 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 					enc.EncodeRange(lo, rows, xs[:rows*width])
 					set.Eval(xs[:rows*width], rows, view)
 				}
-				p := chunkPart{id: c, rows: rows, front: newFrontier(minimize)}
+				p := chunkPart{id: c, rows: rows, front: pareto.NewFrontier(minimize)}
 				for m := range metrics {
 					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
 				}
@@ -246,7 +246,7 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 	// Ordered reduction: chunk pieces may arrive in any order, but
 	// merge strictly by chunk id, so progress is monotone and the merge
 	// sequence is one fixed function of the space — not of scheduling.
-	front := newFrontier(minimize)
+	front := pareto.NewFrontier(minimize)
 	var tops []*topK
 	for m := range metrics {
 		tops = append(tops, newTopK(m, minimize[m], topk))
@@ -381,8 +381,8 @@ func Reference(sp *space.Space, set *core.MetricSet, topk int) (*Result, error) 
 			if j == i {
 				continue
 			}
-			if dominates(minimize, pts[j].Values, pts[i].Values) ||
-				(equalValues(pts[j].Values, pts[i].Values) && pts[j].Index < pts[i].Index) {
+			if pareto.Dominates(minimize, pts[j].Values, pts[i].Values) ||
+				(pareto.EqualValues(pts[j].Values, pts[i].Values) && pts[j].Index < pts[i].Index) {
 				keep = false
 				break
 			}
@@ -398,6 +398,6 @@ func Reference(sp *space.Space, set *core.MetricSet, topk int) (*Result, error) 
 func sortByMetric(order []int, pts []Point, m int, minimize bool) {
 	sort.Slice(order, func(i, j int) bool {
 		a, b := pts[order[i]], pts[order[j]]
-		return better(minimize, a.Values[m], b.Values[m], a.Index, b.Index)
+		return pareto.Better(minimize, a.Values[m], b.Values[m], a.Index, b.Index)
 	})
 }
