@@ -246,41 +246,28 @@ func ParseAcquireSpec(spec string) (*AcquireConfig, error) {
 	return cfg, nil
 }
 
-// Acquirer is a pluggable batch-acquisition function: given the
-// current ensemble and the encoded inputs of every already-simulated
-// point, it selects the next batch from sel's drawable pool. All
-// implementations hold the repo invariant — selection is bit-identical
-// for any ensemble worker count and consumes the selection RNG only
-// through the selector's candidate draw, so checkpoint resume replays
-// it exactly.
-type Acquirer interface {
-	// Strategy names the acquisition function.
-	Strategy() AcquireStrategy
-	// Select draws up to n points. trainXs are the encoded inputs of
-	// the simulated set (the predicted-frontier reference); pool sizes
-	// the scored candidate pool (<=0 means 20×n).
-	Select(sel *BatchSelector, ens *Ensemble, trainXs [][]float64, n, pool int) ([]int, error)
+// Acquirer is the batch-acquisition function a configuration names:
+// given the current ensemble and the encoded inputs of every
+// already-simulated point, it selects the next batch from a selector's
+// drawable pool. All three strategies share one pipeline: draw pool →
+// batched predictions → constraint feasibility → strategy score →
+// bounded top-n selection. Selection is bit-identical for any ensemble
+// worker count and consumes the selection RNG only through the
+// selector's candidate draw, so checkpoint resume replays it exactly.
+type Acquirer struct {
+	cfg AcquireConfig
 }
 
 // NewAcquirer builds the acquirer the configuration names.
-func NewAcquirer(cfg *AcquireConfig) (Acquirer, error) {
+func NewAcquirer(cfg *AcquireConfig) (*Acquirer, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("core: nil acquisition config")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &acquirer{cfg: *cfg}, nil
+	return &Acquirer{cfg: *cfg}, nil
 }
-
-// acquirer implements all three strategies over one shared pipeline:
-// draw pool → batched predictions → constraint feasibility → strategy
-// score → bounded top-n selection.
-type acquirer struct {
-	cfg AcquireConfig
-}
-
-func (a *acquirer) Strategy() AcquireStrategy { return a.cfg.Strategy }
 
 // poolPredictions holds the per-candidate batched predictions for the
 // distinct output columns acquisition touches.
@@ -317,7 +304,7 @@ func predictOutputs(ens *Ensemble, outputs []int, xs []float64, rows int) *poolP
 
 // neededOutputs lists the distinct output columns the objectives and
 // constraints touch, objectives first in declaration order.
-func (a *acquirer) neededOutputs(objs []Objective) []int {
+func (a *Acquirer) neededOutputs(objs []Objective) []int {
 	p := &poolPredictions{}
 	for _, o := range objs {
 		p.column(o.Output)
@@ -330,7 +317,7 @@ func (a *acquirer) neededOutputs(objs []Objective) []int {
 
 // checkWidth validates every referenced output column against the
 // trained ensemble.
-func (a *acquirer) checkWidth(objs []Objective, ens *Ensemble) error {
+func (a *Acquirer) checkWidth(objs []Objective, ens *Ensemble) error {
 	for _, o := range objs {
 		if o.Output >= ens.Outputs() {
 			return fmt.Errorf("core: acquisition objective out%d: ensemble has %d outputs", o.Output, ens.Outputs())
@@ -344,8 +331,10 @@ func (a *acquirer) checkWidth(objs []Objective, ens *Ensemble) error {
 	return nil
 }
 
-// Select implements Acquirer.
-func (a *acquirer) Select(sel *BatchSelector, ens *Ensemble, trainXs [][]float64, n, pool int) ([]int, error) {
+// Select draws up to n points. trainXs are the encoded inputs of the
+// simulated set (the predicted-frontier reference); pool sizes the
+// scored candidate pool (<=0 means 20×n).
+func (a *Acquirer) Select(sel *BatchSelector, ens *Ensemble, trainXs [][]float64, n, pool int) ([]int, error) {
 	if ens == nil {
 		return nil, fmt.Errorf("core: acquisition needs a trained ensemble")
 	}
@@ -443,7 +432,7 @@ func objectiveValue(preds *poolPredictions, obj Objective, r int) float64 {
 // frontierScores computes the hvi and frontier-uncertainty scores: both
 // need the predicted frontier of the already-simulated (and predicted
 // feasible) set over the objective axes.
-func (a *acquirer) frontierScores(ens *Ensemble, trainXs [][]float64, objs []Objective, preds *poolPredictions, violations []int) ([]float64, error) {
+func (a *Acquirer) frontierScores(ens *Ensemble, trainXs [][]float64, objs []Objective, preds *poolPredictions, violations []int) ([]float64, error) {
 	pool := len(violations)
 	// Predict the simulated set on the same output columns.
 	var ref *poolPredictions

@@ -18,8 +18,9 @@
 //     itself is explore.Driver.
 //   - AcquireVariance — the active-learning extension sketched in
 //     Chapter 7: instead of random batches, pick the candidate points on
-//     which the ensemble members disagree most. It is one Acquirer; hvi
-//     and frontier target the predicted Pareto frontier instead.
+//     which the ensemble members disagree most. It is one of the
+//     Acquirer's three strategies; hvi and frontier target the
+//     predicted Pareto frontier instead.
 //   - MetricSet and RangeEvaluator — the ranking axes a full-space
 //     sweep reads off one or more ensembles (mean or member variance
 //     per output). RangeEvaluator scores design points by flat index,

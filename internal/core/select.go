@@ -7,12 +7,12 @@ import (
 )
 
 // BatchSelector draws batches from one design space, tracking which
-// points remain drawable: Random is the paper's §3.3 sampling, and
-// every Acquirer scores a candidate pool it draws. Both consume the
-// selection RNG in a fixed order, which is what makes a run replay
-// bit-identically from its seed or checkpoint. It is not safe for
-// concurrent use; explore.Driver serializes selection on its
-// orchestration goroutine.
+// points remain drawable: Random is the paper's §3.3 sampling, and an
+// Acquirer scores a candidate pool it draws. Both consume the selection
+// RNG in a fixed order, which is what makes a run replay bit-identically
+// from its seed or checkpoint. It is not safe for concurrent use;
+// explore.Driver selects between rounds, on the goroutine running the
+// loop.
 type BatchSelector struct {
 	sp       *space.Space
 	enc      *encoding.Encoder

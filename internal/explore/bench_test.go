@@ -39,7 +39,7 @@ func BenchmarkOracleFanout(b *testing.B) {
 			oracle := &slowOracle{inner: &synthOracle{sp: sp}, latency: latency}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results := launchEval(context.Background(), oracle, batch, workers, 1).await()
+				results := evalBatch(context.Background(), oracle, batch, workers, 1)
 				for _, r := range results {
 					if r.err != nil {
 						b.Fatal(r.err)
@@ -52,10 +52,9 @@ func BenchmarkOracleFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkDriverRound measures a full pipelined round — selection,
-// fan-out simulation, training — against the strictly sequential
-// setting on the same latency-bound oracle, capturing the
-// train/simulate overlap win as well.
+// BenchmarkDriverRound measures a whole two-round run — selection,
+// fan-out simulation, training — on a latency-bound oracle at one and
+// at eight oracle workers.
 func BenchmarkDriverRound(b *testing.B) {
 	const latency = 1 * time.Millisecond
 	cfg := core.ExploreConfig{
@@ -68,7 +67,6 @@ func BenchmarkDriverRound(b *testing.B) {
 		name string
 		pipe Pipeline
 	}{
-		{"sequential", Pipeline{Workers: -1, Sequential: true}},
 		{"driver/workers=1", Pipeline{Workers: 1}},
 		{"driver/workers=8", Pipeline{Workers: 8}},
 	} {

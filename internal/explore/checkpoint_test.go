@@ -144,8 +144,8 @@ func TestKillMidRoundResumeBitIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	inner := &synthOracle{sp: sp}
 	killing := core.OracleFunc(func(indices []int) ([][]float64, error) {
-		// 15 evaluations = round 1 done; die partway through the next
-		// fan-out (which may be round 2's speculative flight).
+		// 15 evaluations = round 1 done; die partway through round
+		// 2's fan-out.
 		if inner.evaluations() >= 22 {
 			cancel()
 			return nil, ctx.Err()

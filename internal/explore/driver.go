@@ -1,7 +1,7 @@
 // Package explore runs the paper's §3.3 select→simulate→train→estimate
-// loop as overlapping stages that are durable, concurrent and
-// cancellable. It is the repo's one exploration loop: CLIs, examples,
-// experiments and the HTTP job API (internal/serve) all run a Driver.
+// loop, durable and cancellable. It is the repo's one exploration loop:
+// CLIs, examples, experiments and the HTTP job API (internal/serve) all
+// run a Driver.
 //
 //   - Oracle evaluation fans each batch out over a worker pool,
 //     per-point, with order-preserving reassembly — the cycle-level
@@ -11,20 +11,14 @@
 //   - Per-point oracle failures are retried and then quarantined (the
 //     point is recorded and never drawn again) instead of aborting a
 //     run that may have hours of simulation behind it.
-//   - Under random selection, training on round N overlaps with the
-//     speculative selection and simulation of round N+1: selection
-//     draws from the RNG exactly where the sequential loop would, and
-//     training never touches the selection stream, so the overlap is
-//     invisible in the outputs. If round N meets the error target, the
-//     speculative simulations are discarded. (Acquisition, variance
-//     included, needs round N's ensemble to choose round N+1, so it runs
-//     the stages in lockstep; the within-batch fan-out still applies.)
 //   - After every completed round the driver can write a versioned
 //     bundle.Checkpoint — kill the process anywhere and Resume
 //     reproduces the uninterrupted run bit-identically.
 //
-// Pipeline{Workers: -1, Sequential: true} runs the stages strictly one
-// after another; every other setting must reproduce it bit for bit.
+// Rounds run one after another, as in the paper: a batch is simulated,
+// then the ensemble trains on everything recorded, then the next batch
+// is chosen. Pipeline{Workers: -1} evaluates one point at a time; every
+// other setting must reproduce it bit for bit.
 package explore
 
 import (
@@ -51,8 +45,11 @@ type Pipeline struct {
 	// Retries is how many extra attempts a failing point gets before
 	// quarantine (0 = DefaultRetries, negative = none).
 	Retries int
-	// Sequential disables the speculative overlap of round-N training
-	// with round-N+1 simulation.
+	// Sequential is ignored: every round simulates its batch, then
+	// trains.
+	//
+	// Deprecated: the driver runs one sequential loop, so there is no
+	// overlap left to disable.
 	Sequential bool
 	// CheckpointPath, when non-empty, makes the driver atomically write
 	// a resumable snapshot there after every completed round.
@@ -61,8 +58,8 @@ type Pipeline struct {
 	// length), so a resume can rebuild the matching oracle.
 	Meta bundle.Meta
 	// OnStep, when non-nil, observes each completed round — live
-	// progress for CLIs and the job API. It runs on the driver's
-	// orchestration goroutine.
+	// progress for CLIs and the job API. It runs on the goroutine that
+	// called Run or Step.
 	OnStep func(core.Step)
 }
 
@@ -73,16 +70,17 @@ type Config struct {
 	Pipeline
 }
 
-// Driver runs the exploration pipeline over one design space and
-// oracle. Methods must not be called concurrently; the concurrency is
-// inside (oracle fan-out, train/simulate overlap), not on the API.
+// Driver runs the exploration loop over one design space and oracle.
+// Methods must not be called concurrently; the concurrency is inside
+// (the oracle fan-out, and fold training in core.TrainEnsemble), not on
+// the API.
 type Driver struct {
 	sp     *space.Space
 	enc    *encoding.Encoder
 	oracle core.Oracle
 	cfg    Config
 	sel    *core.BatchSelector
-	acq    core.Acquirer // non-nil iff cfg.Acquire is
+	acq    *core.Acquirer // non-nil iff cfg.Acquire is
 
 	indices []int       // simulated design points, in sampling order
 	inputs  [][]float64 // encoded inputs, aligned with indices
@@ -93,9 +91,10 @@ type Driver struct {
 	steps      []core.Step
 	quarantine []bundle.QuarantinedPoint
 
-	// cpRNG is the selection RNG's state as of the last record() —
-	// i.e. before any speculative draws for the next round — which is
-	// exactly the state a resumed run must restart from.
+	// cpRNG is the selection RNG's state as of the last record(), which
+	// is exactly the state a resumed run must restart from: a round
+	// cancelled after its draw records nothing, so its draws must stay
+	// out of any later checkpoint.
 	cpRNG [4]uint64
 }
 
@@ -214,80 +213,40 @@ func (d *Driver) Checkpoint() *bundle.Checkpoint {
 	}
 }
 
-// Run executes pipelined rounds of select→simulate→train until the
-// error target is met, MaxSamples is reached, the drawable space is
-// exhausted, or ctx is cancelled, returning the final ensemble. A
-// cancelled run loses at most the in-flight round; everything up to the
-// last completed round is in the checkpoint (when configured) and in
-// the driver's own state.
+// Run executes rounds of select→simulate→train until the error target
+// is met, MaxSamples is reached, the drawable space is exhausted, or ctx
+// is cancelled, returning the final ensemble. A cancelled run loses at
+// most the in-flight round; everything up to the last completed round is
+// in the checkpoint (when configured) and in the driver's own state. No
+// oracle call is still running when Run returns.
 func (d *Driver) Run(ctx context.Context) (*core.Ensemble, error) {
-	// Derive a context that dies with this call, so a speculative
-	// flight abandoned at an early stop (error target met, training
-	// failure) stops simulating instead of burning cores behind the
-	// caller's back.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var pending *flight
 	for len(d.indices) < d.cfg.MaxSamples {
-		// Checked at entry as well as after each round: a run resumed
+		// Checked before every round, the first included: a run resumed
 		// from the checkpoint of a target-meeting final round must
 		// finish immediately, not simulate one batch more than the
 		// uninterrupted run did.
 		if d.targetMet() {
 			break
 		}
-		var batch []int
-		var results []pointResult
-		if pending != nil {
-			batch, results = pending.batch, pending.await()
-			pending = nil
-		} else {
-			var err error
-			batch, err = d.nextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if len(batch) == 0 {
-				break // space (minus exclusions and quarantine) exhausted
-			}
-			results = d.launch(ctx, batch).await()
-		}
-		// A cancelled round is discarded whole: nothing recorded, no
-		// quarantine from cancellation-induced failures.
-		if err := ctx.Err(); err != nil {
+		batch, err := d.nextBatch()
+		if err != nil {
 			return nil, err
 		}
-		added := d.record(batch, results)
+		if len(batch) == 0 {
+			break // space (minus exclusions and quarantine) exhausted
+		}
+		added, err := d.simulate(ctx, batch)
+		if err != nil {
+			return nil, err
+		}
 		if added == 0 {
 			if d.sel.Remaining() == 0 {
 				break // only quarantined points remained; no progress possible
 			}
 			continue // whole batch quarantined; draw a fresh one
 		}
-		training := d.trainAsync()
-		// Speculative overlap: under random selection the next batch's
-		// draws do not depend on the ensemble being trained, so its
-		// simulations can run now. If this round turns out to be the
-		// last, the speculative results are simply dropped — the
-		// recorded run is identical to the sequential loop's.
-		if d.speculative() && len(d.indices) < d.cfg.MaxSamples {
-			// Random selection never errors, so the speculative draw
-			// cannot either.
-			if next, err := d.nextBatch(); err != nil {
-				return nil, err
-			} else if len(next) > 0 {
-				pending = d.launch(ctx, next)
-			}
-		}
-		res := <-training
-		if res.err != nil {
-			return nil, res.err
-		}
-		if err := d.finishRound(res); err != nil {
+		if err := d.train(); err != nil {
 			return nil, err
-		}
-		if d.targetMet() {
-			break
 		}
 	}
 	if d.ens == nil {
@@ -302,11 +261,11 @@ func (d *Driver) targetMet() bool {
 	return d.ens != nil && d.cfg.TargetMeanErr > 0 && d.ens.Estimate().MeanErr <= d.cfg.TargetMeanErr
 }
 
-// Step runs one synchronous round growing the pool by up to n points —
-// the incremental API the learning-curve experiments script against.
-// Unlike Run it trains even when the batch came back smaller than
-// asked (quarantine, or fewer than n points left to draw), so every
-// requested size gets a round as long as the pool grew.
+// Step runs one round growing the pool by up to n points — the
+// incremental API the learning-curve experiments script against. Unlike
+// Run it trains even when the batch came back smaller than asked
+// (quarantine, or fewer than n points left to draw), so every requested
+// size gets a round as long as the pool grew.
 func (d *Driver) Step(ctx context.Context, n int) error {
 	if n > 0 {
 		batch, err := d.selectBatch(n)
@@ -315,11 +274,9 @@ func (d *Driver) Step(ctx context.Context, n int) error {
 		}
 		added := 0
 		if len(batch) > 0 {
-			results := d.launch(ctx, batch).await()
-			if err := ctx.Err(); err != nil {
+			if added, err = d.simulate(ctx, batch); err != nil {
 				return err
 			}
-			added = d.record(batch, results)
 		}
 		// An empty or fully-quarantined batch leaves the pool
 		// unchanged; the existing ensemble already models it, and
@@ -329,11 +286,7 @@ func (d *Driver) Step(ctx context.Context, n int) error {
 			return nil
 		}
 	}
-	res := <-d.trainAsync()
-	if res.err != nil {
-		return res.err
-	}
-	return d.finishRound(res)
+	return d.train()
 }
 
 // nextBatch sizes the next batch by the remaining budget and selects
@@ -358,22 +311,22 @@ func (d *Driver) selectBatch(n int) ([]int, error) {
 	return d.sel.Random(n), nil
 }
 
-// speculative reports whether the driver may overlap training with the
-// next round's simulations. Acquisition needs the latest ensemble to
-// choose the next batch, so it always runs the stages in lockstep.
-func (d *Driver) speculative() bool {
-	return !d.cfg.Sequential && d.acq == nil
-}
-
-// launch starts the fan-out evaluation of batch.
-func (d *Driver) launch(ctx context.Context, batch []int) *flight {
-	return launchEval(ctx, d.oracle, batch, resolveFanout(d.cfg.Workers), resolveAttempts(d.cfg.Retries))
+// simulate evaluates batch on the oracle fan-out and records the
+// outcomes, returning how many points joined the training pool. A
+// cancelled round is discarded whole: nothing recorded, no quarantine
+// from cancellation-induced failures.
+func (d *Driver) simulate(ctx context.Context, batch []int) (added int, err error) {
+	results := evalBatch(ctx, d.oracle, batch, resolveFanout(d.cfg.Workers), resolveAttempts(d.cfg.Retries))
+	if err = ctx.Err(); err != nil {
+		return 0, err
+	}
+	return d.record(batch, results), nil
 }
 
 // record folds a round's evaluation outcomes into the training pool:
 // successes append in batch order, failures quarantine. It finishes by
 // snapshotting the RNG — the state any checkpoint of this round must
-// carry, taken before speculation draws for the next one.
+// carry.
 func (d *Driver) record(batch []int, results []pointResult) int {
 	added := 0
 	for i, idx := range batch {
@@ -404,40 +357,21 @@ func (d *Driver) record(batch []int, results []pointResult) int {
 	return added
 }
 
-// trainResult carries one round's training outcome across the
-// train/simulate overlap.
-type trainResult struct {
-	ens *core.Ensemble
-	dur time.Duration
-	err error
-}
-
-// trainAsync trains an ensemble on everything recorded so far, off the
-// orchestration goroutine. The snapshot slices are append-safe: record
-// never runs while training does.
-func (d *Driver) trainAsync() <-chan trainResult {
+// train fits an ensemble on everything recorded so far and installs
+// the round: ensemble, step record, observer, checkpoint.
+func (d *Driver) train() error {
 	n := len(d.indices)
-	inputs := d.inputs[:n:n]
-	targets := d.targets[:n:n]
-	cfg := d.cfg.RoundModel(n)
-	done := make(chan trainResult, 1)
-	go func() {
-		start := time.Now() //repolint:allow determinism -- Step.TrainTime is wall-clock training telemetry; it never feeds selection or weights
-		ens, err := core.TrainEnsemble(inputs, targets, cfg)
-		done <- trainResult{ens: ens, dur: time.Since(start), err: err} //repolint:allow determinism -- wall-clock training telemetry; excluded from bit-identity comparisons
-	}()
-	return done
-}
-
-// finishRound installs a completed round: ensemble, step record,
-// observer, checkpoint.
-func (d *Driver) finishRound(res trainResult) error {
-	d.ens = res.ens
+	start := time.Now() //repolint:allow determinism -- Step.TrainTime is wall-clock training telemetry; it never feeds selection or weights
+	ens, err := core.TrainEnsemble(d.inputs, d.targets, d.cfg.RoundModel(n))
+	if err != nil {
+		return err
+	}
+	d.ens = ens
 	step := core.Step{
-		Samples:   len(d.indices),
-		Fraction:  float64(len(d.indices)) / float64(d.sp.Size()),
-		Est:       res.ens.Estimate(),
-		TrainTime: res.dur,
+		Samples:   n,
+		Fraction:  float64(n) / float64(d.sp.Size()),
+		Est:       ens.Estimate(),
+		TrainTime: time.Since(start), //repolint:allow determinism -- wall-clock training telemetry; excluded from bit-identity comparisons
 	}
 	d.steps = append(d.steps, step)
 	if d.cfg.OnStep != nil {

@@ -10,7 +10,9 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/space"
@@ -166,15 +168,14 @@ func requireSameRun(t *testing.T, label string, got, want runState) {
 }
 
 // pipelines are the scheduling settings a run must be invariant under.
-// The first runs the stages strictly one after another; it is the
-// reference the others must reproduce.
+// The first evaluates one design point at a time; it is the reference
+// the others must reproduce.
 var pipelines = []struct {
 	label string
 	pipe  Pipeline
 }{
-	{"workers=1 sequential", Pipeline{Workers: -1, Sequential: true}},
-	{"workers=1 overlapped", Pipeline{Workers: -1}},
-	{"workers=4 overlapped", Pipeline{Workers: 4}},
+	{"workers=1", Pipeline{Workers: -1}},
+	{"workers=4", Pipeline{Workers: 4}},
 	{"workers=16 no-retry", Pipeline{Workers: 16, Retries: -1}},
 }
 
@@ -217,9 +218,9 @@ var goldenRuns = []struct {
 }
 
 // requirePipelineParity runs cfg at every pipeline setting and requires
-// each to reproduce the strictly sequential setting's sample order, step
+// each to reproduce the one-point-at-a-time setting's sample order, step
 // history and final ensemble weights: the pipeline may only change
-// wall-clock time. It returns the sequential run.
+// wall-clock time. It returns the reference run.
 func requirePipelineParity(t *testing.T, name string, cfg core.ExploreConfig,
 	state func(*testing.T, core.ExploreConfig, Pipeline) runState) runState {
 	t.Helper()
@@ -230,7 +231,7 @@ func requirePipelineParity(t *testing.T, name string, cfg core.ExploreConfig,
 	return want
 }
 
-// TestDriverMatchesSequentialExplorer: the sequential setting reproduces
+// TestDriverMatchesSequentialExplorer: the reference setting reproduces
 // each golden run's sample order and round sizes, and every other
 // pipeline setting reproduces that run exactly, weights included.
 func TestDriverMatchesSequentialExplorer(t *testing.T) {
@@ -250,7 +251,7 @@ func TestDriverMatchesSequentialExplorer(t *testing.T) {
 
 // TestDriverMatchesExplorerUnderVarianceSelection: under variance
 // selection (the variance acquirer on a one-metric oracle) every
-// pipeline setting reproduces the sequential setting exactly.
+// pipeline setting reproduces the reference setting exactly.
 func TestDriverMatchesExplorerUnderVarianceSelection(t *testing.T) {
 	cfg := exploreCfg()
 	cfg.Acquire = &core.AcquireConfig{Strategy: core.AcquireVariance}
@@ -258,25 +259,67 @@ func TestDriverMatchesExplorerUnderVarianceSelection(t *testing.T) {
 	requirePipelineParity(t, "variance", cfg, driverState)
 }
 
+// TestDriverStopsAtErrorTarget: once the first round meets the error
+// target the run stops, having simulated exactly that round's batch,
+// under random selection and under acquisition alike.
 func TestDriverStopsAtErrorTarget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  core.ExploreConfig
+	}{
+		{"random", exploreCfg()},
+		{"acquisition", acquireCfg(t, "hvi:max=out0:min=out1")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.TargetMeanErr = 1e9 // met after the first round
+			sp := synthSpace()
+			oracle := &synthOracle{sp: sp}
+			d, err := New(sp, oracle, Config{ExploreConfig: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(d.Samples()); got != cfg.BatchSize {
+				t.Fatalf("driver recorded %d samples despite an immediately met target", got)
+			}
+			if got := oracle.evaluations(); got != cfg.BatchSize {
+				t.Fatalf("oracle ran %d evaluations before stopping, want exactly one %d-point batch",
+					got, cfg.BatchSize)
+			}
+		})
+	}
+}
+
+// TestRunLeavesNoOracleCallInFlight: when Run returns, every oracle call
+// it started has finished, so a finished job never keeps simulating
+// beside whatever its caller runs next.
+func TestRunLeavesNoOracleCallInFlight(t *testing.T) {
 	cfg := exploreCfg()
-	cfg.TargetMeanErr = 1e9 // stop after the first round
+	cfg.TargetMeanErr = 1e9 // met after the first round
 	sp := synthSpace()
-	oracle := &synthOracle{sp: sp}
-	d, err := New(sp, oracle, Config{ExploreConfig: cfg})
+	slow := &slowOracle{inner: &synthOracle{sp: sp}, latency: 5 * time.Millisecond}
+	var started, inFlight atomic.Int64
+	oracle := core.OracleFunc(func(indices []int) ([][]float64, error) {
+		started.Add(1)
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		return slow.Evaluate(indices)
+	})
+	d, err := New(sp, oracle, Config{ExploreConfig: cfg, Pipeline: Pipeline{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Samples()); got != cfg.BatchSize {
-		t.Fatalf("driver recorded %d samples despite an immediately met target", got)
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("%d oracle calls still running after Run returned", n)
 	}
-	// Speculation may have simulated (at most) one extra batch; those
-	// results are discarded, never recorded.
-	if got, max := oracle.evaluations(), 2*cfg.BatchSize; got > max {
-		t.Fatalf("oracle ran %d evaluations, speculation should bound it by %d", got, max)
+	if n := started.Load(); n != int64(cfg.BatchSize) {
+		t.Fatalf("Run started %d oracle calls, want exactly one %d-point batch", n, cfg.BatchSize)
 	}
 }
 

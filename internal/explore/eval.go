@@ -21,35 +21,17 @@ type pointResult struct {
 	err      error // last failure; nil on success
 }
 
-// flight is one in-flight batch evaluation: the batch's points fan out
-// over a worker pool, and results reassemble in batch order regardless
-// of which worker finishes when — the property that keeps parallel runs
-// bit-identical to sequential ones.
-type flight struct {
-	batch   []int
-	results []pointResult
-	done    chan struct{}
-}
-
-// await blocks until every point has an outcome.
-func (f *flight) await() []pointResult {
-	<-f.done
-	return f.results
-}
-
-// launchEval starts evaluating batch across a pool of workers and
-// returns immediately; the caller awaits the flight when it needs the
-// results. Each point is evaluated through its own single-element
-// Evaluate call, so any core.Oracle — including the cycle-level
-// simulator adapters, whose per-point cost is the reason this package
-// exists — runs genuinely in parallel without implementing its own
-// batching. attempts is the total tries per point (>= 1).
-func launchEval(ctx context.Context, oracle core.Oracle, batch []int, workers, attempts int) *flight {
-	fl := &flight{
-		batch:   batch,
-		results: make([]pointResult, len(batch)),
-		done:    make(chan struct{}),
-	}
+// evalBatch evaluates batch across a pool of workers and returns the
+// outcomes in batch order, whichever worker finishes when — the
+// property that keeps parallel runs bit-identical to sequential ones.
+// Each point is evaluated through its own single-element Evaluate call,
+// so any core.Oracle — including the cycle-level simulator adapters,
+// whose per-point cost is the reason this package exists — runs
+// genuinely in parallel without implementing its own batching. attempts
+// is the total tries per point (>= 1). It returns once every worker has
+// exited, so no oracle call outlives it.
+func evalBatch(ctx context.Context, oracle core.Oracle, batch []int, workers, attempts int) []pointResult {
+	results := make([]pointResult, len(batch))
 	if workers > len(batch) {
 		workers = len(batch)
 	}
@@ -64,18 +46,15 @@ func launchEval(ctx context.Context, oracle core.Oracle, batch []int, workers, a
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(fl.batch) {
+				if i >= len(batch) {
 					return
 				}
-				fl.results[i] = evalPoint(ctx, oracle, fl.batch[i], attempts)
+				results[i] = evalPoint(ctx, oracle, batch[i], attempts)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(fl.done)
-	}()
-	return fl
+	wg.Wait()
+	return results
 }
 
 // evalPoint evaluates one design point, retrying failures up to
