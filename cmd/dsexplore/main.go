@@ -11,11 +11,11 @@
 //
 //	dsexplore -study memory -app mcf -acquire hvi:max=out0:min=out1
 //
-// Exploration runs on the pipelined engine (internal/explore):
-// simulations fan out over -oracle-workers goroutines, training
-// overlaps with the next round's simulations, and failing design points
-// are retried then quarantined instead of aborting the run. With
-// -checkpoint the run is durable — kill it anywhere and
+// Exploration runs on the driver in internal/explore: each round's
+// simulations fan out over -oracle-workers goroutines before the
+// ensemble trains, and failing design points are retried then
+// quarantined instead of aborting the run. With -checkpoint the run is
+// durable — kill it anywhere and
 //
 //	dsexplore -resume run.checkpoint
 //

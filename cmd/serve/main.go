@@ -15,7 +15,7 @@
 //	curl -s localhost:8080/v1/sweep -d '{"model":"mcf","topk":10}'
 //
 // The server also runs exploration itself: POST /v1/explore submits an
-// asynchronous job that drives the pipelined engine (internal/explore)
+// asynchronous job that runs the exploration driver (internal/explore)
 // against the cycle-level simulator and registers the finished model
 // under the requested name — no bundle files needed:
 //

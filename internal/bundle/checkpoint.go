@@ -1,6 +1,6 @@
 // Checkpoint is the durable-exploration half of this package: where a
 // Bundle persists a *finished* model, a Checkpoint persists a *running*
-// exploration at a round boundary — everything the pipelined driver
+// exploration at a round boundary — everything the exploration driver
 // (internal/explore) needs to resume a killed run bit-identically: the
 // design space and encoding, the loop configuration, the selection
 // RNG's exact state, every simulated point with its oracle targets, the

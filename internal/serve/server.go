@@ -32,7 +32,7 @@
 //
 // With an exploration backend attached (see JobStore), the server also
 // runs the paper's whole §3.3 procedure as asynchronous jobs —
-// exploration as a service, powered by the pipelined engine in
+// exploration as a service, run by the exploration driver in
 // internal/explore:
 //
 //	POST /v1/explore             submit an exploration job (202 + job id)
