@@ -12,8 +12,8 @@
 //	dsexplore -study memory -app mcf -acquire hvi:max=out0:min=out1
 //
 // Exploration runs on the driver in internal/explore: each round's
-// simulations fan out over -oracle-workers goroutines before the
-// ensemble trains, and failing design points are retried then
+// simulations fan out over -workers goroutines before the ensemble
+// trains on as many, and failing design points are retried then
 // quarantined instead of aborting the run. With -checkpoint the run is
 // durable — kill it anywhere and
 //
@@ -54,8 +54,7 @@ func main() {
 	traceLen := flag.Int("insts", 30000, "instructions per simulation")
 	paperCfg := flag.Bool("paper", false, "use the paper's exact ANN hyperparameters (slower training)")
 	acquire := flag.String("acquire", "", "acquisition spec (variance = active learning): hvi|frontier|variance with :max=outN/:min=outN/:var=outN objectives and :outN>=v constraints")
-	workers := flag.Int("workers", 0, "goroutines for fold training and batched prediction (0 = all cores)")
-	oracleWorkers := flag.Int("oracle-workers", 0, "goroutines simulating design points concurrently (0 = all cores)")
+	workers := flag.Int("workers", 0, "goroutines for simulation, fold training and batched prediction (0 = all cores)")
 	retries := flag.Int("retries", 0, "oracle retries per failing point before quarantine (0 = default, negative = none)")
 	ckptPath := flag.String("checkpoint", "", "write a resumable snapshot here after every round")
 	resumePath := flag.String("resume", "", "resume a killed run from its checkpoint (study/app/budget come from the file)")
@@ -84,7 +83,7 @@ func main() {
 		fatal(err)
 		// A loaded bundle answers everything without exploring; refuse
 		// exploration flags instead of silently ignoring them.
-		for _, f := range []string{"acquire", "paper", "budget", "batch", "target", "checkpoint", "oracle-workers", "retries"} {
+		for _, f := range []string{"acquire", "paper", "budget", "batch", "target", "checkpoint", "retries"} {
 			if flagWasSet(f) {
 				fatal(fmt.Errorf("-%s controls exploration and has no effect with -load", f))
 			}
@@ -102,7 +101,7 @@ func main() {
 	} else {
 		var drv *explore.Driver
 		pipe := explore.Pipeline{
-			Workers:        *oracleWorkers,
+			Workers:        *workers,
 			Retries:        *retries,
 			CheckpointPath: *ckptPath,
 		}
@@ -139,7 +138,7 @@ func main() {
 			// The checkpoint's acquisition config decides how many target
 			// columns the resumed oracle must report — a multi-objective
 			// run must not resume against an IPC-only oracle.
-			metrics, _ := oracleMetrics(cp.Config.Acquire)
+			metrics, _ := experiments.OracleMetrics(cp.Config.Acquire)
 			oracle := experiments.NewSimOracle(study, appName, insts, metrics)
 			drv, err = explore.Resume(cp, oracle, pipe)
 			fatal(err)
@@ -163,7 +162,7 @@ func main() {
 				cfg.Acquire, err = core.ParseAcquireSpec(*acquire)
 				fatal(err)
 			}
-			metrics, metricName := oracleMetrics(cfg.Acquire)
+			metrics, metricName := experiments.OracleMetrics(cfg.Acquire)
 			pipe.Meta = bundle.Meta{
 				Study:    study.Name,
 				App:      appName,
@@ -278,17 +277,6 @@ func resolveBundle(path string, sp *space.Space, app string, workers int) (*bund
 	}
 	b.Ensemble.SetWorkers(workers)
 	return b, app, nil
-}
-
-// oracleMetrics picks the simulator target set an acquisition config
-// needs: objectives or constraints past out0 require the multi-task
-// statistics (out0 = IPC, out1 = L2 miss rate, out2 = branch
-// mispredict rate); everything else keeps the paper's IPC-only oracle.
-func oracleMetrics(acq *core.AcquireConfig) (experiments.Metrics, string) {
-	if acq.MaxOutput() > 0 {
-		return experiments.MultiTask, "IPC,L2MissRate,BrMispredRate"
-	}
-	return experiments.IPCOnly, "IPC"
 }
 
 func fatal(err error) {

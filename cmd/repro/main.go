@@ -10,8 +10,8 @@
 // Scales: quick (minutes), standard (paper-style batches, the default),
 // full (paper-faithful sweep incl. full-space evaluation; budget
 // accordingly). Output is the paper's rows/series plus ASCII renderings
-// of each figure. See EXPERIMENTS.md for recorded paper-vs-measured
-// comparisons.
+// of each figure. Item 1 of ROADMAP.md records the measured Table 5.1
+// error ranges against the paper's claims.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 	scaleName := flag.String("scale", "quick", "budget preset: quick|standard|full")
 	studyName := flag.String("study", "", "restrict to one study: memory|processor")
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: paper's choice per experiment)")
-	workers := flag.Int("workers", 0, "goroutines for fold training and batched prediction (0 = all cores)")
+	workers := flag.Int("workers", 0, "goroutines for exploration's simulations, fold training and batched prediction (0 = all cores)")
 	seed := flag.Uint64("seed", 42, "experiment seed")
 	flag.Parse()
 
@@ -279,8 +279,7 @@ func (r *runner) crossApp() {
 		st = r.studies[0]
 	}
 	perApp := r.scale.CurveEnd / 4
-	model := experiments.DefaultModel()
-	model.Workers = r.workers
+	model := r.curveConfig().Model
 	results, err := experiments.CrossApp(st, r.appsFor(studies.PaperApps()), perApp, r.scale.EvalPoints/2+100, r.scale.TraceLen, model, r.seed)
 	fatal(err)
 	fmt.Printf("\n%s study, %d samples/app:\n", st.Name, perApp)

@@ -200,18 +200,13 @@ func simBackend(defaultInsts int) serve.Backend {
 		if traceLen <= 0 {
 			traceLen = defaultInsts
 		}
-		// Acquisition objectives over out1/out2 need the simulator's
-		// multi-task targets; plain jobs keep the cheaper IPC column.
-		metrics, metricName := experiments.IPCOnly, "IPC"
+		var acq *core.AcquireConfig
 		if req.Acquire != "" {
-			acq, err := core.ParseAcquireSpec(req.Acquire)
-			if err != nil {
+			if acq, err = core.ParseAcquireSpec(req.Acquire); err != nil {
 				return nil, nil, bundle.Meta{}, err
 			}
-			if acq.MaxOutput() > 0 {
-				metrics, metricName = experiments.MultiTask, "IPC,L2MissRate,BrMispredRate"
-			}
 		}
+		metrics, metricName := experiments.OracleMetrics(acq)
 		oracle := experiments.NewSimOracle(study, req.App, traceLen, metrics)
 		meta := bundle.Meta{
 			Study:    study.Name,

@@ -33,6 +33,11 @@ var DeterminismScope = map[string][]string{
 	"repro/internal/studies":  nil,
 	"repro/internal/cacti":    nil,
 	"repro/internal/pb":       nil,
+	"repro/internal/par":      nil,
+	// experiments computes Table 5.1 and the learning curves; its
+	// training-time telemetry (CurvePoint.TrainTime, Fig. 5.8) is
+	// annotated at each wall read.
+	"repro/internal/experiments": nil,
 	// serve's hardening layer: the cache must key purely on
 	// (version, index) and the limiter/metrics files funnel
 	// every wall read through one annotated nowMono() site.

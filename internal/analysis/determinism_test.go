@@ -33,7 +33,8 @@ func TestDeterminismDefaultScope(t *testing.T) {
 		"repro/internal/encoding", "repro/internal/stats", "repro/internal/explore",
 		"repro/internal/ann", "repro/internal/sim", "repro/internal/workload",
 		"repro/internal/simpoint", "repro/internal/bundle", "repro/internal/studies",
-		"repro/internal/cacti", "repro/internal/pb",
+		"repro/internal/cacti", "repro/internal/pb", "repro/internal/par",
+		"repro/internal/experiments",
 	} {
 		files, ok := analysis.DeterminismScope[pkg]
 		if !ok {

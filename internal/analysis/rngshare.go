@@ -7,8 +7,8 @@ import (
 )
 
 // RNGShare flags a *stats.RNG shared with a goroutine — captured by a
-// `go` closure or passed as a `go` call argument — without an
-// intervening Split(). stats.RNG is documented single-goroutine; a
+// `go` or par.For closure, or passed as a `go` call argument — without
+// an intervening Split(). stats.RNG is documented single-goroutine; a
 // shared stream is both a data race and a determinism bug (draw order
 // depends on scheduling). The sanctioned pattern derives a child
 // generator per goroutine:
@@ -17,7 +17,7 @@ import (
 //	go func() { ... child.Float64() ... }()
 var RNGShare = &Analyzer{
 	Name: "rngshare",
-	Doc: "flag *stats.RNG values captured by `go` closures or passed to goroutines " +
+	Doc: "flag *stats.RNG values captured by `go` or par.For closures or passed to goroutines " +
 		"without an intervening .Split(); the RNG is single-goroutine by contract.",
 	Run: runRNGShare,
 }
@@ -26,54 +26,72 @@ func runRNGShare(pass *Pass) error {
 	fromSplit := splitDerivedVars(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			// RNG-typed arguments of the spawned call: fine when the
-			// expression is itself a .Split() call or a Split-derived
-			// variable.
-			for _, arg := range g.Call.Args {
-				if !isRNGPtr(pass.TypesInfo.TypeOf(arg)) {
-					continue
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				// RNG-typed arguments of the spawned call: fine when the
+				// expression is itself a .Split() call or a Split-derived
+				// variable.
+				for _, arg := range n.Call.Args {
+					if !isRNGPtr(pass.TypesInfo.TypeOf(arg)) {
+						continue
+					}
+					if isSplitCall(ast.Unparen(arg)) {
+						continue
+					}
+					if id, ok := ast.Unparen(arg).(*ast.Ident); ok && fromSplit[pass.TypesInfo.Uses[id]] {
+						continue
+					}
+					pass.Reportf(arg.Pos(), "*stats.RNG passed to a goroutine without an intervening .Split(); the RNG is single-goroutine — derive a child stream with Split()")
 				}
-				if isSplitCall(ast.Unparen(arg)) {
-					continue
+				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+					reportCapturedRNG(pass, lit, "`go`", fromSplit)
 				}
-				if id, ok := ast.Unparen(arg).(*ast.Ident); ok && fromSplit[pass.TypesInfo.Uses[id]] {
-					continue
-				}
-				pass.Reportf(arg.Pos(), "*stats.RNG passed to a goroutine without an intervening .Split(); the RNG is single-goroutine — derive a child stream with Split()")
-			}
-			// Free RNG variables captured by a spawned closure.
-			lit, ok := g.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			reported := map[types.Object]bool{}
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
+			case *ast.CallExpr:
+				// A closure passed to repro/internal/par runs on its
+				// goroutines (the path-suffix match, as in isRNGPtr).
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
-				obj := pass.TypesInfo.Uses[id]
-				if obj == nil || !isRNGPtr(obj.Type()) || reported[obj] {
+				fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/par") {
 					return true
 				}
-				if obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End() {
-					return true // declared inside the closure
+				for _, arg := range n.Args {
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						reportCapturedRNG(pass, lit, "par."+fn.Name(), fromSplit)
+					}
 				}
-				if fromSplit[obj] {
-					return true
-				}
-				reported[obj] = true
-				pass.Reportf(id.Pos(), "*stats.RNG %q captured by a `go` closure without an intervening .Split(); the RNG is single-goroutine — derive a child stream with Split()", obj.Name())
-				return true
-			})
+			}
 			return true
 		})
 	}
 	return nil
+}
+
+// reportCapturedRNG reports the free, not Split-derived *stats.RNG
+// variables of lit, the goroutine body of what.
+func reportCapturedRNG(pass *Pass, lit *ast.FuncLit, what string, fromSplit map[types.Object]bool) {
+	reported := map[types.Object]bool{}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := pass.TypesInfo.Uses[id]
+		if obj == nil || !isRNGPtr(obj.Type()) || reported[obj] {
+			return true
+		}
+		if obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End() {
+			return true // declared inside the closure
+		}
+		if fromSplit[obj] {
+			return true
+		}
+		reported[obj] = true
+		pass.Reportf(id.Pos(), "*stats.RNG %q captured by a %s closure without an intervening .Split(); the RNG is single-goroutine — derive a child stream with Split()", obj.Name(), what)
+		return true
+	})
 }
 
 // splitDerivedVars collects variables whose defining assignment draws

@@ -1,12 +1,14 @@
 // Package rngshare is the fixture for the rngshare analyzer: the
 // repo's real *stats.RNG shared with goroutines with and without an
-// intervening Split(). It imports both repro/internal/stats (module
-// export data) and the rngstub fixture (cross-package testdata).
+// intervening Split(). It imports repro/internal/stats and
+// repro/internal/par (module export data) and the rngstub fixture
+// (cross-package testdata).
 package rngshare
 
 import (
 	"rngstub"
 
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -35,6 +37,25 @@ func CapturedSplitVar() {
 	go func() {
 		_ = child.Uint64()
 	}()
+}
+
+// ParCaptured captures the parent generator in a par.For body, which
+// runs on several goroutines.
+func ParCaptured() {
+	rng := stats.NewRNG(1)
+	par.For(4, 0, func(int) {
+		_ = rng.Uint64() // want `captured by a par\.For closure without an intervening \.Split`
+	})
+}
+
+// ParSplit captures a Split-derived child in a par.For body:
+// sanctioned.
+func ParSplit() {
+	rng := stats.NewRNG(1)
+	child := rng.Split()
+	par.For(4, 0, func(int) {
+		_ = child.Uint64()
+	})
 }
 
 // PassedShared hands the parent to a spawned call.

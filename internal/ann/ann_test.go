@@ -232,30 +232,6 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	n := New(smallConfig(2, 1))
-	c := n.Clone()
-	x := []float64{0.4, 0.6}
-	if n.Predict(x)[0] != c.Predict(x)[0] {
-		t.Fatal("clone predicts differently")
-	}
-	for i := 0; i < 50; i++ {
-		c.Train(x, []float64{1}, 0.5)
-	}
-	if n.Predict(x)[0] == c.Predict(x)[0] {
-		t.Fatal("training the clone affected the original")
-	}
-}
-
-func TestNumWeights(t *testing.T) {
-	n := New(Config{Inputs: 3, Hidden: []int{4, 5}, Outputs: 2,
-		LearningRate: 0.1, InitRange: 0.1})
-	// (3+1)*4 + (4+1)*5 + (5+1)*2 = 16 + 25 + 12 = 53
-	if got := n.NumWeights(); got != 53 {
-		t.Fatalf("NumWeights = %d, want 53", got)
-	}
-}
-
 func TestActivationDerivatives(t *testing.T) {
 	check := func(raw float64) bool {
 		x := math.Mod(raw, 4)

@@ -334,10 +334,6 @@ func New(cfg Config) *Network {
 // Config returns the configuration the network was built from.
 func (n *Network) Config() Config { return n.cfg }
 
-// NumWeights returns the total number of trainable weights (including
-// biases).
-func (n *Network) NumWeights() int { return len(n.w) }
-
 func (l *layer) forward(x []float64) []float64 {
 	stride := l.in + 1
 	for j := range l.output {
@@ -474,12 +470,4 @@ func (n *Network) RestoreFlat(src []float64) {
 	for j := range n.dwPrev {
 		n.dwPrev[j] = 0
 	}
-}
-
-// Clone returns an independent copy of the network (weights and
-// configuration; scratch state is fresh).
-func (n *Network) Clone() *Network {
-	c := New(n.cfg)
-	copy(c.w, n.w)
-	return c
 }

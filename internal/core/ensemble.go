@@ -3,11 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/ann"
 	"repro/internal/encoding"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -132,62 +131,49 @@ func TrainEnsemble(x [][]float64, raws [][]float64, cfg ModelConfig) (*Ensemble,
 		scalers: scalers,
 		outputs: outputs,
 		logT:    cfg.LogTarget,
-		workers: resolveWorkers(cfg.Workers),
+		workers: par.Workers(cfg.Workers),
 	}
 	primaryUn := unscaler{s: scalers[0], log: cfg.LogTarget}
 
-	// Train members concurrently on a worker pool bounded by
-	// cfg.Workers; each member owns its network and a deterministic
-	// per-fold seed, so the only shared state is the read-only dataset
-	// and results do not depend on scheduling.
-	type memberResult struct {
-		errs []float64 // per-point test-fold percentage errors
-		err  error
-	}
-	results := make([]memberResult, cfg.Folds)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, ens.workers)
-	for m := 0; m < cfg.Folds; m++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-
-			k := cfg.Folds
-			esFold := (m + k - 2) % k
-			testFold := (m + k - 1) % k
-			var trainIdx []int
-			for f := 0; f < k; f++ {
-				if f != esFold && f != testFold {
-					trainIdx = append(trainIdx, folds[f]...)
-				}
+	// Train members on par.For under cfg.Workers; each member owns its
+	// network and a deterministic per-fold seed, so the only shared
+	// state is the read-only dataset and results do not depend on
+	// scheduling.
+	testErrs := make([][]float64, cfg.Folds) // per-point test-fold percentage errors
+	errs := make([]error, cfg.Folds)
+	par.For(cfg.Folds, ens.workers, func(m int) {
+		k := cfg.Folds
+		esFold := (m + k - 2) % k
+		testFold := (m + k - 1) % k
+		var trainIdx []int
+		for f := 0; f < k; f++ {
+			if f != esFold && f != testFold {
+				trainIdx = append(trainIdx, folds[f]...)
 			}
-			train := full.Subset(trainIdx)
-			es := full.Subset(folds[esFold])
-			test := full.Subset(folds[testFold])
+		}
+		train := full.Subset(trainIdx)
+		es := full.Subset(folds[esFold])
+		test := full.Subset(folds[testFold])
 
-			netCfg := cfg.NetConfig(len(x[0]), outputs)
-			netCfg.Seed = cfg.Seed + uint64(m)*0x9E37
-			net := ann.New(netCfg)
-			opts := cfg.Train
-			opts.Seed = cfg.Seed + uint64(m)*0x51ED + 1
-			if _, err := ann.TrainEarlyStopping(net, train, es, primaryUn, opts); err != nil {
-				results[m] = memberResult{err: err}
-				return
-			}
-			ens.nets[m] = net
-			results[m] = memberResult{errs: ann.PercentErrors(net, test, primaryUn)}
-		}(m)
-	}
-	wg.Wait()
+		netCfg := cfg.NetConfig(len(x[0]), outputs)
+		netCfg.Seed = cfg.Seed + uint64(m)*0x9E37
+		net := ann.New(netCfg)
+		opts := cfg.Train
+		opts.Seed = cfg.Seed + uint64(m)*0x51ED + 1
+		if _, err := ann.TrainEarlyStopping(net, train, es, primaryUn, opts); err != nil {
+			errs[m] = err
+			return
+		}
+		ens.nets[m] = net
+		testErrs[m] = ann.PercentErrors(net, test, primaryUn)
+	})
 
 	var pooled []float64
-	for m := range results {
-		if results[m].err != nil {
-			return nil, fmt.Errorf("core: fold %d: %w", m, results[m].err)
+	for m, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: fold %d: %w", m, err)
 		}
-		pooled = append(pooled, results[m].errs...)
+		pooled = append(pooled, testErrs[m]...)
 	}
 	mean, sd := stats.MeanStd(pooled)
 	ens.est = Estimate{MeanErr: mean, SDErr: sd, Points: len(pooled)}
@@ -203,28 +189,13 @@ func primaryColumn(raws [][]float64) []float64 {
 	return out
 }
 
-// resolveWorkers maps a ModelConfig.Workers setting to a concrete
-// goroutine bound: positive values are taken as-is, 0 selects
-// GOMAXPROCS, and negative values fall back to fully sequential.
-func resolveWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	if w == 0 {
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			return p
-		}
-	}
-	return 1
-}
-
 // Workers returns the ensemble's goroutine bound for fold training and
 // batched prediction.
 func (e *Ensemble) Workers() int { return e.workers }
 
 // SetWorkers adjusts the goroutine bound used by batched prediction
 // (0 = GOMAXPROCS). Predictions are identical for any setting.
-func (e *Ensemble) SetWorkers(w int) { e.workers = resolveWorkers(w) }
+func (e *Ensemble) SetWorkers(w int) { e.workers = par.Workers(w) }
 
 // Members returns the number of networks in the ensemble.
 func (e *Ensemble) Members() int { return len(e.nets) }

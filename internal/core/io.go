@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ann"
 	"repro/internal/encoding"
+	"repro/internal/par"
 )
 
 // serializedEnsemble is the on-disk form of an Ensemble: its scalers,
@@ -69,7 +70,7 @@ func LoadEnsemble(r io.Reader) (*Ensemble, error) {
 		logT:    s.LogTarget,
 		scalers: s.Scalers,
 		est:     s.Estimate,
-		workers: resolveWorkers(0),
+		workers: par.Workers(0),
 	}
 	for i, raw := range s.Nets {
 		n, err := ann.Load(bytes.NewReader(raw))

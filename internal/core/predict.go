@@ -3,22 +3,23 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ann"
 	"repro/internal/encoding"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
-// predictChunk is the number of design points one worker scores per
-// claim. Large enough to amortize scratch setup and keep the batched
+// predictChunk is the number of design points one par.For item
+// scores. Large enough to amortize scratch setup and keep the batched
 // kernels in their blocked regime, small enough to balance load across
 // workers on mid-sized pools.
 const predictChunk = 512
 
-// predictScratch is one worker's reusable buffers: the ANN scratch and
-// the members×chunk member-prediction matrix. Pooled so steady-state
-// batched prediction allocates nothing.
+// predictScratch is one chunk's reusable buffers: the ANN scratch and
+// the members×chunk member-prediction matrix. Pooled so chunks and
+// calls reuse them: what a batched prediction still allocates (its
+// closures) does not grow with its rows or members.
 type predictScratch struct {
 	s     *ann.Scratch
 	preds []float64
@@ -67,17 +68,22 @@ func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mean, varian
 }
 
 // predict is the body PredictBatch and RangeEvaluator.Eval share: over
-// chunks of [0, rows) on the ensemble's workers, forward runs member m
-// over rows [start, end) and returns its rows × outputs matrix, whose
-// column output goes into the member's column of the chunk's
-// prediction matrix; moments then reduces the matrix into mean and
-// variance.
+// predictChunk-sized chunks of [0, rows), fanned out by par.For under
+// the ensemble's worker bound, forward runs member m over rows
+// [start, end) and returns its rows × outputs matrix, whose column
+// output goes into the member's column of the chunk's prediction
+// matrix; moments then reduces the matrix into mean and variance. Each
+// chunk takes a pooled scratch and writes only its own rows.
 func (e *Ensemble) predict(output, rows int, mean, variance []float64, forward func(m, start, end int, s *ann.Scratch) []float64) {
-	e.forEachChunk(rows, func(start, end int, s *ann.Scratch, preds []float64) {
+	nchunks := (rows + predictChunk - 1) / predictChunk
+	par.For(nchunks, e.workers, func(c int) {
+		ps := getPredictScratch(len(e.nets))
+		start := c * predictChunk
+		end := min(start+predictChunk, rows)
 		cnt := end - start
 		for m := range e.nets {
-			out := forward(m, start, end, s)
-			col := preds[m*cnt : (m+1)*cnt]
+			out := forward(m, start, end, ps.s)
+			col := ps.preds[m*cnt : (m+1)*cnt]
 			if e.outputs == 1 {
 				copy(col, out)
 				continue
@@ -86,7 +92,8 @@ func (e *Ensemble) predict(output, rows int, mean, variance []float64, forward f
 				col[r] = out[r*e.outputs+output]
 			}
 		}
-		e.moments(output, preds[:len(e.nets)*cnt], cnt, window(mean, start, end), window(variance, start, end))
+		e.moments(output, ps.preds[:len(e.nets)*cnt], cnt, window(mean, start, end), window(variance, start, end))
+		predictPool.Put(ps)
 	})
 }
 
@@ -159,57 +166,4 @@ func (e *Ensemble) TrueError(enc *encoding.Encoder, idxs []int, truth []float64)
 	}
 	mean, sd = stats.MeanStd(errs)
 	return mean, sd, len(errs)
-}
-
-// forEachChunk splits [0, rows) into predictChunk-sized ranges and runs
-// fn over them, fanning out across the ensemble's worker bound when the
-// batch is large enough to pay for the goroutines. Each invocation gets
-// a private scratch and a members×chunk scratch buffer, so fn may use
-// them freely without locking.
-func (e *Ensemble) forEachChunk(rows int, fn func(start, end int, s *ann.Scratch, preds []float64)) {
-	if rows == 0 {
-		return
-	}
-	nchunks := (rows + predictChunk - 1) / predictChunk
-	workers := e.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nchunks {
-		workers = nchunks
-	}
-	run := func(s *ann.Scratch, preds []float64, c int) {
-		start := c * predictChunk
-		end := start + predictChunk
-		if end > rows {
-			end = rows
-		}
-		fn(start, end, s, preds)
-	}
-	if workers == 1 {
-		ps := getPredictScratch(len(e.nets))
-		for c := 0; c < nchunks; c++ {
-			run(ps.s, ps.preds, c)
-		}
-		predictPool.Put(ps)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ps := getPredictScratch(len(e.nets))
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nchunks {
-					predictPool.Put(ps)
-					return
-				}
-				run(ps.s, ps.preds, c)
-			}
-		}()
-	}
-	wg.Wait()
 }

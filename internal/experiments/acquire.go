@@ -173,7 +173,7 @@ func candidatePool(study *studies.Study, cfg CurveConfig) int {
 // "resuming" each other.
 func pipelineFor(study *studies.Study, app string, cfg CurveConfig, arm string) explore.Pipeline {
 	pipe := explore.Pipeline{
-		Workers: cfg.Workers,
+		Workers: cfg.Model.Workers,
 		Meta: bundle.Meta{
 			Study:    study.Name,
 			App:      app,

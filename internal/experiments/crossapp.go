@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -106,8 +107,8 @@ func CrossApp(study *studies.Study, apps []string, perApp, evalN, traceLen int, 
 			if truth == 0 {
 				continue
 			}
-			soloErrs = append(soloErrs, abs(soloPred[i]-truth)/truth*100)
-			crossErrs = append(crossErrs, abs(crossPred[i]-truth)/truth*100)
+			soloErrs = append(soloErrs, math.Abs(soloPred[i]-truth)/truth*100)
+			crossErrs = append(crossErrs, math.Abs(crossPred[i]-truth)/truth*100)
 		}
 		results[a] = CrossAppResult{
 			App:      app,

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bundle"
 	"repro/internal/core"
-	"repro/internal/encoding"
 	"repro/internal/explore"
 	"repro/internal/simpoint"
 	"repro/internal/stats"
@@ -56,9 +55,6 @@ type CurveConfig struct {
 	// Acquire selects batches after the first (nil: random, as in the
 	// paper; AcquireVariance: the active-learning extension).
 	Acquire *core.AcquireConfig
-	// Workers bounds the per-point oracle fan-out of each batch
-	// (0 = all cores); results are identical for any setting.
-	Workers int
 	// Checkpoint, when non-empty, makes the study durable: a resumable
 	// snapshot is written there after every round, and a rerun pointing
 	// at an existing file picks up where the killed run stopped —
@@ -138,7 +134,7 @@ func CurveAtSizes(study *studies.Study, app string, cfg CurveConfig, sizes []int
 		Exclude:    evalIdx,
 	}
 	pipe := explore.Pipeline{
-		Workers:        cfg.Workers,
+		Workers:        cfg.Model.Workers,
 		CheckpointPath: cfg.Checkpoint,
 		Meta: bundle.Meta{
 			Study:    study.Name,
@@ -187,7 +183,7 @@ func CurveAtSizes(study *studies.Study, app string, cfg CurveConfig, sizes []int
 			size = len(drv.Samples())
 		}
 
-		mean, sd := evaluateEnsemble(ens, drv.Encoder(), evalIdx, evalTruth)
+		mean, sd, _ := ens.TrueError(drv.Encoder(), evalIdx, evalTruth)
 		points = append(points, CurvePoint{
 			Samples:   size,
 			Fraction:  float64(size) / float64(study.Space.Size()),
@@ -262,30 +258,7 @@ func prefixEnsemble(drv *explore.Driver, size int) (*core.Ensemble, time.Duratio
 	for i := 0; i < size; i++ {
 		inputs[i] = drv.Encoder().EncodeIndex(cp.Indices[i], nil)
 	}
-	start := time.Now()
+	start := time.Now() //repolint:allow determinism -- training-time telemetry for CurvePoint.TrainTime; the ensemble does not depend on it
 	ens, err := core.TrainEnsemble(inputs, cp.Targets[:size], cp.Config.RoundModel(size))
-	return ens, time.Since(start), err
-}
-
-// evaluateEnsemble measures an ensemble against a held-out truth set,
-// returning mean and SD of percentage error. The whole evaluation set
-// is scored in one batched prediction — under the full-space scale
-// preset this is tens of thousands of points per round, the sweep the
-// batched path exists for.
-func evaluateEnsemble(ens *core.Ensemble, enc *encoding.Encoder, evalIdx []int, evalTruth []float64) (mean, sd float64) {
-	preds := ens.PredictIndices(enc, evalIdx)
-	errs := make([]float64, 0, len(evalIdx))
-	for i, truth := range evalTruth {
-		if truth != 0 {
-			errs = append(errs, abs(preds[i]-truth)/abs(truth)*100)
-		}
-	}
-	return stats.MeanStd(errs)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return ens, time.Since(start), err //repolint:allow determinism -- training-time telemetry, as above
 }

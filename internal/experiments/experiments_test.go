@@ -181,23 +181,6 @@ func TestScalePresets(t *testing.T) {
 	}
 }
 
-func TestSizesUpTo(t *testing.T) {
-	s := Quick()
-	sizes := s.SizesUpTo(20736, 0.01)
-	if len(sizes) == 0 {
-		t.Fatal("no sizes")
-	}
-	last := sizes[len(sizes)-1]
-	if last != 207 {
-		t.Fatalf("last size %d, want 207 (1%% of 20736)", last)
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] <= sizes[i-1] {
-			t.Fatal("sizes not ascending")
-		}
-	}
-}
-
 func TestSimPointOracleProducesEstimates(t *testing.T) {
 	st := studies.Processor()
 	o, err := NewSimPointOracle(st, "mesa", 8000, simpointTestConfig())

@@ -9,9 +9,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
+	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/simpoint"
 	"repro/internal/studies"
@@ -31,6 +32,17 @@ const (
 	MultiTask
 )
 
+// OracleMetrics picks the simulator targets an acquisition config needs
+// and their provenance name: objectives or constraints past out0 need
+// the multi-task statistics (out1 = L2 miss rate, out2 = branch
+// mispredict rate); any other config, nil included, the paper's IPC.
+func OracleMetrics(acq *core.AcquireConfig) (Metrics, string) {
+	if acq.MaxOutput() > 0 {
+		return MultiTask, "IPC,L2MissRate,BrMispredRate"
+	}
+	return IPCOnly, "IPC"
+}
+
 // resultCache memoizes full simulation results process-wide; the
 // simulator is deterministic, so caching changes wall-clock time only.
 // Keys combine study, app, trace length and design-point index.
@@ -42,8 +54,8 @@ func cacheKey(study, app string, traceLen, index int) string {
 
 // SimOracle evaluates design points by running the cycle-level
 // simulator on a fixed application trace. It parallelizes batches
-// across GOMAXPROCS workers and counts the simulations it actually
-// performs (cache misses), which the reduction-factor experiments use.
+// across every core and counts the simulations it actually performs
+// (cache misses), which the reduction-factor experiments use.
 type SimOracle struct {
 	Study    *studies.Study
 	App      string
@@ -110,22 +122,13 @@ func (o *SimOracle) Evaluate(indices []int) ([][]float64, error) {
 }
 
 // Results returns full simulation results for a batch, in order,
-// simulating cache misses in parallel.
+// simulating cache misses on par.For; an error is the first in order.
 func (o *SimOracle) Results(indices []int) ([]sim.Result, error) {
 	out := make([]sim.Result, len(indices))
 	errs := make([]error, len(indices))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers())
-	for i, idx := range indices {
-		wg.Add(1)
-		go func(i, idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = o.Result(idx)
-		}(i, idx)
-	}
-	wg.Wait()
+	par.For(len(indices), 0, func(i int) {
+		out[i], errs[i] = o.Result(indices[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -204,35 +207,19 @@ func (o *SimPointOracle) Estimate(index int) (float64, error) {
 	return ipc, nil
 }
 
-// Evaluate implements core.Oracle.
+// Evaluate implements core.Oracle on par.For; an error is the first in
+// batch order.
 func (o *SimPointOracle) Evaluate(indices []int) ([][]float64, error) {
 	out := make([][]float64, len(indices))
 	errs := make([]error, len(indices))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers())
-	for i, idx := range indices {
-		wg.Add(1)
-		go func(i, idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ipc, err := o.Estimate(idx)
-			out[i], errs[i] = []float64{ipc}, err
-		}(i, idx)
-	}
-	wg.Wait()
+	par.For(len(indices), 0, func(i int) {
+		ipc, err := o.Estimate(indices[i])
+		out[i], errs[i] = []float64{ipc}, err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-func workers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 )
@@ -89,21 +88,3 @@ func (s Scale) CurveConfig(seed uint64) CurveConfig {
 		Seed:       seed,
 	}
 }
-
-// SizesUpTo returns the preset's sweep sizes capped at fraction f of a
-// space of the given size (used by Table 5.1-style targeted runs).
-func (s Scale) SizesUpTo(spaceSize int, f float64) []int {
-	var out []int
-	limit := int(math.Round(f * float64(spaceSize)))
-	for v := s.CurveStart; v <= limit; v += s.CurveStep {
-		out = append(out, v)
-	}
-	if len(out) == 0 || out[len(out)-1] != limit {
-		out = append(out, limit)
-	}
-	return out
-}
-
-// DefaultModel returns the ensemble configuration the experiments use;
-// a convenience re-export for command-line tools.
-func DefaultModel() core.ModelConfig { return core.DefaultModelConfig() }

@@ -48,14 +48,14 @@ func TrainingTimes(study *studies.Study, app string, cfg CurveConfig, sizes []in
 
 	var out []TimePoint
 	for _, n := range sizes {
-		start := time.Now()
+		start := time.Now() //repolint:allow determinism -- Fig. 5.8 measures training time; no model output depends on it
 		if _, err := core.TrainEnsemble(x[:n], y[:n], cfg.Model); err != nil {
 			return nil, err
 		}
 		out = append(out, TimePoint{
 			Samples:  n,
 			Fraction: float64(n) / float64(study.Space.Size()),
-			Train:    time.Since(start),
+			Train:    time.Since(start), //repolint:allow determinism -- Fig. 5.8's training time, as above
 		})
 	}
 	return out, nil

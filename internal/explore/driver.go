@@ -316,7 +316,7 @@ func (d *Driver) selectBatch(n int) ([]int, error) {
 // cancelled round is discarded whole: nothing recorded, no quarantine
 // from cancellation-induced failures.
 func (d *Driver) simulate(ctx context.Context, batch []int) (added int, err error) {
-	results := evalBatch(ctx, d.oracle, batch, resolveFanout(d.cfg.Workers), resolveAttempts(d.cfg.Retries))
+	results := evalBatch(ctx, d.oracle, batch, d.cfg.Workers, resolveAttempts(d.cfg.Retries))
 	if err = ctx.Err(); err != nil {
 		return 0, err
 	}

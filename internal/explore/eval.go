@@ -3,11 +3,9 @@ package explore
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/par"
 )
 
 // DefaultRetries is how many extra attempts a failing design point gets
@@ -21,39 +19,17 @@ type pointResult struct {
 	err      error // last failure; nil on success
 }
 
-// evalBatch evaluates batch across a pool of workers and returns the
-// outcomes in batch order, whichever worker finishes when — the
-// property that keeps parallel runs bit-identical to sequential ones.
-// Each point is evaluated through its own single-element Evaluate call,
-// so any core.Oracle — including the cycle-level simulator adapters,
-// whose per-point cost is the reason this package exists — runs
-// genuinely in parallel without implementing its own batching. attempts
-// is the total tries per point (>= 1). It returns once every worker has
-// exited, so no oracle call outlives it.
+// evalBatch evaluates batch on par.For under the Pipeline.Workers
+// setting and returns the outcomes in batch order. Each point is its
+// own single-element Evaluate call, so any core.Oracle — the
+// cycle-level simulator adapters included — runs in parallel without
+// batching of its own. attempts is the total tries per point (>= 1).
+// No oracle call outlives it: par.For returns after the last one.
 func evalBatch(ctx context.Context, oracle core.Oracle, batch []int, workers, attempts int) []pointResult {
 	results := make([]pointResult, len(batch))
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(batch) {
-					return
-				}
-				results[i] = evalPoint(ctx, oracle, batch[i], attempts)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(batch), workers, func(i int) {
+		results[i] = evalPoint(ctx, oracle, batch[i], attempts)
+	})
 	return results
 }
 
@@ -85,20 +61,6 @@ func evalPoint(ctx context.Context, oracle core.Oracle, idx, attempts int) point
 		res.err = fmt.Errorf("explore: design point %d (attempt %d/%d): %w", idx, try, attempts, err)
 	}
 	return res
-}
-
-// resolveFanout maps a Pipeline.Workers setting to a concrete pool
-// size: positive as-is, 0 selects GOMAXPROCS, negative sequential.
-func resolveFanout(w int) int {
-	if w > 0 {
-		return w
-	}
-	if w == 0 {
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			return p
-		}
-	}
-	return 1
 }
 
 // resolveAttempts maps a Pipeline.Retries setting to total tries per

@@ -8,10 +8,7 @@
 // the Go version or platform.
 package stats
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // RNG is a xoshiro256** pseudo-random number generator seeded via
 // SplitMix64. It is deterministic across platforms and Go releases,
@@ -103,20 +100,6 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// NormFloat64 returns a standard normal variate using the polar
-// Box–Muller transform (deterministic, no cached spare to keep the
-// state minimal and Split-friendly).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n), Fisher–Yates shuffled.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -135,14 +118,6 @@ func (r *RNG) PermInto(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle permutes xs in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -105,47 +105,3 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// MeanAbsPercentError returns the mean of |pred-true|/true*100 over the
-// paired slices, the error metric used throughout the paper. Pairs with
-// a zero true value are skipped (they would make the metric undefined);
-// the simulator never produces a zero IPC for a non-empty trace.
-func MeanAbsPercentError(pred, truth []float64) float64 {
-	return Mean(AbsPercentErrors(pred, truth))
-}
-
-// AbsPercentErrors returns the per-point |pred-true|/true*100 values.
-func AbsPercentErrors(pred, truth []float64) []float64 {
-	if len(pred) != len(truth) {
-		panic("stats: mismatched prediction/truth lengths")
-	}
-	out := make([]float64, 0, len(pred))
-	for i := range pred {
-		if truth[i] == 0 {
-			continue
-		}
-		out = append(out, math.Abs(pred[i]-truth[i])/math.Abs(truth[i])*100)
-	}
-	return out
-}
-
-// Correlation returns the Pearson correlation coefficient of the paired
-// slices, used by the multi-task experiments to verify that auxiliary
-// targets are in fact correlated with IPC.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}

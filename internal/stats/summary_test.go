@@ -96,42 +96,3 @@ func TestPercentileUnsortedInputUnchanged(t *testing.T) {
 		t.Fatal("Percentile mutated its input")
 	}
 }
-
-func TestAbsPercentErrors(t *testing.T) {
-	pred := []float64{1.1, 2.0, 0}
-	truth := []float64{1.0, 2.5, 0} // zero-truth pair skipped
-	errs := AbsPercentErrors(pred, truth)
-	if len(errs) != 2 {
-		t.Fatalf("expected 2 errors, got %d", len(errs))
-	}
-	if !almostEqual(errs[0], 10, 1e-9) {
-		t.Fatalf("first error %v, want 10", errs[0])
-	}
-	if !almostEqual(errs[1], 20, 1e-9) {
-		t.Fatalf("second error %v, want 20", errs[1])
-	}
-}
-
-func TestMeanAbsPercentErrorMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	MeanAbsPercentError([]float64{1}, []float64{1, 2})
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if got := Correlation(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("perfect positive correlation = %v", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := Correlation(xs, neg); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("perfect negative correlation = %v", got)
-	}
-	if got := Correlation(xs, []float64{3, 3, 3, 3, 3}); got != 0 {
-		t.Fatalf("constant series correlation = %v, want 0", got)
-	}
-}

@@ -228,13 +228,6 @@ func PaperApps() []string {
 	return []string{"gzip", "mcf", "crafty", "twolf", "mgrid", "applu", "mesa", "equake"}
 }
 
-// RepresentativeApps returns the four applications the paper plots in
-// the body figures (mesa, mcf, equake, crafty); the rest appear in
-// Appendix A.
-func RepresentativeApps() []string {
-	return []string{"mesa", "mcf", "equake", "crafty"}
-}
-
 // SimPointApps returns the four longest-running applications, used in
 // the ANN+SimPoint experiments (§5.3).
 func SimPointApps() []string {

@@ -160,8 +160,8 @@ func TestAppLists(t *testing.T) {
 	if len(PaperApps()) != 8 {
 		t.Fatal("PaperApps should list eight benchmarks")
 	}
-	if len(RepresentativeApps()) != 4 || len(SimPointApps()) != 4 {
-		t.Fatal("representative/simpoint app lists should have four entries")
+	if len(SimPointApps()) != 4 {
+		t.Fatal("SimPointApps should list four entries")
 	}
 }
 

@@ -26,7 +26,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,6 +33,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/par"
 	"repro/internal/pareto"
 	"repro/internal/space"
 )
@@ -161,16 +161,9 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 
 	// Chunk c covers [c·chunk, (c+1)·chunk) ∩ [0, size).
 	nchunks := (size + chunk - 1) / chunk
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nchunks {
-		workers = nchunks
-	}
+	// Not par.For: progress, the MaxFrontier trip and the first error
+	// depend on workers streaming reductions to the ordered reducer.
+	workers := min(par.Workers(cfg.Workers), nchunks)
 
 	metrics := set.Metrics()
 	minimize := set.Minimize()
