@@ -13,18 +13,20 @@ import (
 )
 
 // The forward pass's vector kernels (sigmoidAVX512, sigmoidAVX2,
-// expAVX2, hidden16AVX2f64 and output16AVX2 on amd64) must reproduce
-// the scalar definitions bit for bit. On machines where they do not
-// run, these tests compare the scalar path with itself and always pass.
+// expAVX512, expAVX2, hidden16AVX2f64 and output16AVX2 on amd64) must
+// reproduce the scalar definitions bit for bit. On machines where they
+// do not run, these tests compare the scalar path with itself and
+// always pass.
 
-// eachSigmoidWidth runs check with the sigmoid kernel the CPU selects
-// and, where that is the 8-lane one, again with it off, so that the
-// 4-lane kernel is checked on whole groups and not only in tails.
-func eachSigmoidWidth(check func()) {
+// eachExpWidth runs check with the sigmoid and exp kernels the CPU
+// selects and, where those are the 8-lane ones, again with them off, so
+// that the 4-lane kernels are checked on whole groups and not only in
+// tails.
+func eachExpWidth(check func()) {
 	check()
-	if sigmoid512 {
-		sigmoid512 = false
-		defer func() { sigmoid512 = true }()
+	if exp512 {
+		exp512 = false
+		defer func() { exp512 = true }()
 		check()
 	}
 }
@@ -39,7 +41,7 @@ func checkSigmoidExact(t *testing.T, ys []float64) {
 		want := Sigmoid.apply(y)
 		if math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("sigmoid(%g) (bits %x) at %d of %d, 8-lane kernel %v: applyBatch %g (bits %x), apply %g (bits %x)",
-				y, math.Float64bits(y), i, len(ys), sigmoid512, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				y, math.Float64bits(y), i, len(ys), exp512, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
 }
@@ -53,8 +55,8 @@ func checkExpExact(t *testing.T, xs []float64) {
 	for i, x := range xs {
 		want := math.Exp(x)
 		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("exp(%g) (bits %x) at %d of %d: ExpBatch %g (bits %x), math.Exp %g (bits %x)",
-				x, math.Float64bits(x), i, len(xs), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			t.Fatalf("exp(%g) (bits %x) at %d of %d, 8-lane kernel %v: ExpBatch %g (bits %x), math.Exp %g (bits %x)",
+				x, math.Float64bits(x), i, len(xs), exp512, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
 }
@@ -90,12 +92,13 @@ func edgeLanes(check func(ys []float64)) {
 // TestSigmoidExactEdgeLanes runs the sigmoid over edgeLanes' slices,
 // at each kernel width.
 func TestSigmoidExactEdgeLanes(t *testing.T) {
-	eachSigmoidWidth(func() { edgeLanes(func(ys []float64) { checkSigmoidExact(t, ys) }) })
+	eachExpWidth(func() { edgeLanes(func(ys []float64) { checkSigmoidExact(t, ys) }) })
 }
 
-// TestExpExactEdgeLanes runs exp over edgeLanes' slices.
+// TestExpExactEdgeLanes runs exp over edgeLanes' slices, at each
+// kernel width.
 func TestExpExactEdgeLanes(t *testing.T) {
-	edgeLanes(func(xs []float64) { checkExpExact(t, xs) })
+	eachExpWidth(func() { edgeLanes(func(xs []float64) { checkExpExact(t, xs) }) })
 }
 
 // exponentGrid sweeps [-746, 746] densely, then walks a few thousand
@@ -133,11 +136,13 @@ func exponentGrid() []float64 {
 // TestSigmoidExactGrid runs the sigmoid over exponentGrid, at each
 // kernel width.
 func TestSigmoidExactGrid(t *testing.T) {
-	eachSigmoidWidth(func() { checkSigmoidExact(t, exponentGrid()) })
+	eachExpWidth(func() { checkSigmoidExact(t, exponentGrid()) })
 }
 
-// TestExpExactGrid runs exp over exponentGrid.
-func TestExpExactGrid(t *testing.T) { checkExpExact(t, exponentGrid()) }
+// TestExpExactGrid runs exp over exponentGrid, at each kernel width.
+func TestExpExactGrid(t *testing.T) {
+	eachExpWidth(func() { checkExpExact(t, exponentGrid()) })
+}
 
 // randomBits holds 2^20 uniformly random float64 bit patterns (every
 // exponent, both signs, NaN payloads) and 2^20 random values in
@@ -156,11 +161,14 @@ func randomBits(seed uint64) []float64 {
 // TestSigmoidExactRandomBits runs the sigmoid over randomBits, at each
 // kernel width.
 func TestSigmoidExactRandomBits(t *testing.T) {
-	eachSigmoidWidth(func() { checkSigmoidExact(t, randomBits(0x5164)) })
+	eachExpWidth(func() { checkSigmoidExact(t, randomBits(0x5164)) })
 }
 
-// TestExpExactRandomBits runs exp over randomBits.
-func TestExpExactRandomBits(t *testing.T) { checkExpExact(t, randomBits(0xE8B)) }
+// TestExpExactRandomBits runs exp over randomBits, at each kernel
+// width.
+func TestExpExactRandomBits(t *testing.T) {
+	eachExpWidth(func() { checkExpExact(t, randomBits(0xE8B)) })
+}
 
 // TestExactKernelVectorScalarParity compares ForwardBatch of 16-hidden-
 // unit networks with the scalar reference — sumBatch's MAC loop and
@@ -168,7 +176,7 @@ func TestExpExactRandomBits(t *testing.T) { checkExpExact(t, randomBits(0xE8B)) 
 // inputs. Every fourth row is scaled up so some hidden sums leave the
 // vector sigmoid's range and take its scalar hand-off.
 func TestExactKernelVectorScalarParity(t *testing.T) {
-	eachSigmoidWidth(func() { layerParity(t) })
+	eachExpWidth(func() { layerParity(t) })
 }
 
 func layerParity(t *testing.T) {
@@ -212,7 +220,7 @@ func layerParity(t *testing.T) {
 // scaled rows feed the output layer values up to 1e300, whose products
 // and sums overflow to ±Inf and NaN.
 func TestOutputKernelVectorScalarParity(t *testing.T) {
-	eachSigmoidWidth(func() { outputParity(t) })
+	eachExpWidth(func() { outputParity(t) })
 }
 
 func outputParity(t *testing.T) {
@@ -284,14 +292,14 @@ func FuzzSigmoidExact(f *testing.F) {
 		for i := range ys {
 			ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		eachSigmoidWidth(func() {
+		eachExpWidth(func() {
 			got := append([]float64(nil), ys...)
 			Sigmoid.applyBatch(got)
 			for i, y := range ys {
 				want := 1 / (1 + math.Exp(-y))
 				if math.Float64bits(got[i]) != math.Float64bits(want) {
 					t.Fatalf("sigmoid(%g) (bits %x) at %d of %d, 8-lane kernel %v: applyBatch bits %x, scalar bits %x",
-						y, math.Float64bits(y), i, n, sigmoid512, math.Float64bits(got[i]), math.Float64bits(want))
+						y, math.Float64bits(y), i, n, exp512, math.Float64bits(got[i]), math.Float64bits(want))
 				}
 			}
 		})
@@ -312,14 +320,16 @@ func FuzzExpExact(f *testing.F) {
 		for i := range xs {
 			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		got := append([]float64(nil), xs...)
-		ExpBatch(got)
-		for i, x := range xs {
-			if want := math.Exp(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("exp(%g) (bits %x) at %d of %d: ExpBatch bits %x, math.Exp bits %x",
-					x, math.Float64bits(x), i, n, math.Float64bits(got[i]), math.Float64bits(want))
+		eachExpWidth(func() {
+			got := append([]float64(nil), xs...)
+			ExpBatch(got)
+			for i, x := range xs {
+				if want := math.Exp(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("exp(%g) (bits %x) at %d of %d, 8-lane kernel %v: ExpBatch bits %x, math.Exp bits %x",
+						x, math.Float64bits(x), i, n, exp512, math.Float64bits(got[i]), math.Float64bits(want))
+				}
 			}
-		}
+		})
 	})
 }
 
@@ -337,15 +347,31 @@ func TestSigmoidExactKernelLive(t *testing.T) {
 }
 
 // TestSigmoidExact512Live fails when a CPU with AVX-512, AVX2 and FMA
-// does not run the sigmoid through the 8-lane kernel: sweeps would
-// then take the 4-lane one, and the parity tests' first pass would not
-// check the kernel that runs.
+// does not run the sigmoid and exp through the 8-lane kernels: sweeps
+// would then take the 4-lane ones, and the parity tests' first pass
+// would not check the kernels that run.
 func TestSigmoidExact512Live(t *testing.T) {
 	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
 		t.Skip("GODEBUG overrides CPU features")
 	}
-	if cpufeat.AVX512 && cpufeat.AVX2 && cpufeat.FMA && !sigmoid512 {
-		t.Fatal("an AVX-512 CPU runs the sigmoid on the 4-lane kernel")
+	if !cpufeat.AVX512 || !cpufeat.AVX2 || !cpufeat.FMA {
+		t.Skip("the 8-lane kernels need AVX-512, AVX2 and FMA")
+	}
+	if !exp512 {
+		t.Fatal("an AVX-512 CPU runs the sigmoid and exp on the 4-lane kernels")
+	}
+	// ExpBatch hands its first len/8 groups to expAVX512 under exp512;
+	// the kernel must take a group of ordinary values whole.
+	xs := []float64{0.5, -1.25, 3, -7, 0.1, 2.5, -3, 40}
+	ys := append([]float64(nil), xs...)
+	if done := expAVX512(&ys[0], 1); done != 8 {
+		t.Fatalf("expAVX512 did %d of 8 ordinary elements", done)
+	}
+	for i, x := range xs {
+		if want := math.Exp(x); math.Float64bits(ys[i]) != math.Float64bits(want) {
+			t.Fatalf("expAVX512: exp(%g) = %g (bits %x), math.Exp %g (bits %x)",
+				x, ys[i], math.Float64bits(ys[i]), want, math.Float64bits(want))
+		}
 	}
 }
 

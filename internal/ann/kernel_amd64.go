@@ -42,6 +42,11 @@ func sigmoidAVX512(ys *float64, groups int) int
 //go:noescape
 func expAVX2(ys *float64, groups int) int
 
+// expAVX512 is expAVX2 on eight lanes, for groups 8-element groups.
+//
+//go:noescape
+func expAVX512(ys *float64, groups int) int
+
 // output16AVX2 computes the pre-activation sums of a 1-unit layer over
 // 16 inputs for 4·groups rows of xs: dst[r] = bias + Σ_i w[i]·xs[r*16+i]
 // in ascending input order, one rounding per multiply and per add, as
@@ -62,8 +67,8 @@ func output16AVX2(w *float64, xs *float64, groups int, dst *float64)
 func gatherAdd16AVX2(par, prods *float64, card, cols, k, rows int, dst *float64)
 
 // gatherSigmoid16AVX512 is gatherAdd16AVX2 followed by the sigmoid of
-// sigmoidAVX512 on both 8-unit halves of each row, one EXPV chain per
-// half. It returns the number of rows stored: it stops before the first
+// sigmoidAVX512 on both 8-unit halves of each row, one 8-lane exp chain
+// per half. It returns the number of rows stored: it stops before the first
 // row with a lane that needs the scalar path (see sigmoidRows).
 //
 //go:noescape
@@ -109,17 +114,19 @@ func trainAsm16(n *Network) bool {
 // it. sigmoidProbe catches that case.
 var sigmoidAsm = cpufeat.AVX2 && cpufeat.FMA && sigmoidProbe()
 
-// sigmoid512 reports whether exactBatch runs the sigmoid through the
-// 8-lane kernel before the 4-lane one: the same ops on twice the lanes,
+// exp512 reports whether exactBatch runs the sigmoid and exp through
+// their 8-lane kernels before the 4-lane ones, and whether RangeNet
+// fuses layer 0's sigmoid: the same IEEE results on twice the lanes,
 // on a CPU with AVX-512 (cpufeat.AVX512) where sigmoidAsm holds. Tests
-// turn it off to reach the 4-lane kernel on such a CPU.
-var sigmoid512 = sigmoidAsm && cpufeat.AVX512
+// turn it off to reach the 4-lane kernels on such a CPU.
+var exp512 = sigmoidAsm && cpufeat.AVX512
 
 // sigmoidProbe reports whether the vector sigmoid matches the scalar
 // expression on four inputs where math.Exp's FMA and non-FMA branches
-// round differently. The exp kernel and the 8-lane sigmoid run the
-// same sequence (EXPV in kernel_amd64.s), so the probe speaks for them
-// too.
+// round differently. The exp kernels, the 8-lane sigmoid and the fused
+// kernel repeat the same FMA branch (EXPV, or EXPK8 and EXPR8, in
+// kernel_amd64.s), and run only where sigmoidAsm holds, so the probe
+// speaks for them too.
 func sigmoidProbe() bool {
 	ys := [4]float64{-7.25, -6.375, -3.625, -2.375}
 	want := ys

@@ -137,7 +137,9 @@ SPLAT8(832, $2.0)
 SPLAT4(896, $1022)
 SPLAT4(928, $2045)
 SPLAT4(960, $1023)
-GLOBL sigc<>(SB), RODATA|NOPTR, $992
+SPLAT8(992, $-1022.0)
+SPLAT8(1056, $1023.0)
+GLOBL sigc<>(SB), RODATA|NOPTR, $1120
 
 #define SIGN sigc<>+0(SB)
 #define LOG2E sigc<>+64(SB)
@@ -156,6 +158,8 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $992
 #define BIAS1022 sigc<>+896(SB)
 #define MAXU sigc<>+928(SB)
 #define BIAS1023 sigc<>+960(SB)
+#define KMIN sigc<>+992(SB)
+#define KMAX sigc<>+1056(SB)
 
 // EXPV replaces every lane of V0 with exp(V0), or jumps to fail, before
 // anything is stored, when some lane leaves the range in which
@@ -169,13 +173,8 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $992
 // results) takes a different sequence and is left to the caller's
 // scalar code. V0–V3 are double vectors, I4–I6 the int32 vectors of
 // the same lane count, ALL the mask of every lane, CVT the conversion
-// from V to I. Clobbers V1–V3, I4–I6 and DX. It is EXPK, the range
-// check with its one compare-and-branch, then EXPR, the rest.
+// from V to I. Clobbers V1–V3, I4–I6 and DX.
 #define EXPV(V0, V1, V2, V3, I4, I5, I6, ALL, CVT, fail) \
-	EXPK(V0, V1, I4, I5, I6, ALL, CVT, fail); \
-	EXPR(V0, V1, V2, V3, I4)
-
-#define EXPK(V0, V1, I4, I5, I6, ALL, CVT, fail) \
 	VMULPD LOG2E, V0, V1; \
 	CVT V1, I4; \
 	VPADDD BIAS1022, I4, I5; \
@@ -183,9 +182,7 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $992
 	VPCMPEQD I5, I6, I6; \
 	VMOVMSKPS I6, DX; \
 	CMPL DX, ALL; \
-	JNE fail
-
-#define EXPR(V0, V1, V2, V3, I4) \
+	JNE fail; \
 	VCVTDQ2PD I4, V1; \
 	VFNMADD231PD LN2U, V1, V0; \
 	VFNMADD231PD LN2L, V1, V0; \
@@ -212,10 +209,98 @@ GLOBL sigc<>(SB), RODATA|NOPTR, $992
 	VPSLLQ $52, V3, V3; \
 	VMULPD V3, V0, V0
 
-// EXP4 is EXPV on four lanes in YMM registers, EXP8 on eight in ZMM
-// registers (AVX-512F; VMOVMSKPS reads the eight k lanes from a YMM).
+// EXP4 is EXPV on four lanes in YMM registers.
 #define EXP4(fail) EXPV(Y0, Y1, Y2, Y3, X4, X5, X6, $15, VCVTPD2DQY, fail)
-#define EXP8(fail) EXPV(Z0, Z1, Z2, Z3, Y4, Y5, Y6, $255, VCVTPD2DQ, fail)
+
+// The 8-lane kernels keep every constant they use in Z16–Z31, loaded
+// once per call by CONST8, so the loop reads none from memory: a ZMM
+// load of sigc's 64-byte splats would split a cache line wherever the
+// linker places sigc off a 64-byte boundary (it aligns data to 32).
+// VZEROUPPER leaves Z16–Z31 alone; SSE code cannot reach them, so they
+// cost no transition penalty.
+#define ZSIGN Z16
+#define ZLOG2E Z17
+#define ZKMIN Z18
+#define ZKMAX Z19
+#define ZLN2U Z20
+#define ZLN2L Z21
+#define ZSIXTEENTH Z22
+#define ZC8 Z23
+#define ZC7 Z24
+#define ZC6 Z25
+#define ZC5 Z26
+#define ZC4 Z27
+#define ZC3 Z28
+#define ZHALF Z29
+#define ZONE Z30
+#define ZTWO Z31
+
+#define CONST8 \
+	VMOVUPD SIGN, ZSIGN; \
+	VMOVUPD LOG2E, ZLOG2E; \
+	VMOVUPD KMIN, ZKMIN; \
+	VMOVUPD KMAX, ZKMAX; \
+	VMOVUPD LN2U, ZLN2U; \
+	VMOVUPD LN2L, ZLN2L; \
+	VMOVUPD SIXTEENTH, ZSIXTEENTH; \
+	VMOVUPD C8, ZC8; \
+	VMOVUPD C7, ZC7; \
+	VMOVUPD C6, ZC6; \
+	VMOVUPD C5, ZC5; \
+	VMOVUPD C4, ZC4; \
+	VMOVUPD C3, ZC3; \
+	VMOVUPD HALF, ZHALF; \
+	VMOVUPD ONE, ZONE; \
+	VMOVUPD TWO, ZTWO
+
+// EXPK8 and EXPR8 are EXPV on eight ZMM lanes, split after its range
+// check and branch, with AVX-512's own rounding, compare and scale ops in
+// place of the int32 round trip and the constants in registers (CONST8);
+// they give the same bits:
+//   - k = VRNDSCALEPD(x·log2e) rounds per MXCSR (imm bit 2), as
+//     VCVTPD2DQ does, so every lane with |x·log2e| < 2^31 gets the
+//     same integer k; every other lane fails the range check on both
+//     paths, NaN included, since its ordered compares are false.
+//   - Where x·log2e is in (-0.5, 0), k is -0 where the int path has +0.
+//     That flips only the sign of the exact zero k·ln2: x - (±0) = x
+//     for x ≠ 0, and for x = ±0 both paths end at exactly 1.
+//   - VSCALEFPD is e·2^k rounded once, as the multiply by the normal
+//     power of two 2^k (k+1023 in [1, 2046]) is, subnormal results
+//     included: Go's MXCSR sets neither DAZ nor FTZ.
+// The range check is two ordered compares into K1 (k >= -1022, then
+// k <= 1023 under that mask) and one KORTESTB (AVX512DQ) and branch.
+// Between k and the scale, EXPR8 is EXPV's ops on the registers.
+// EXPK8 leaves k in V1; EXPR8 clobbers V2.
+#define EXPK8(V0, V1, fail) \
+	VMULPD ZLOG2E, V0, V1; \
+	VRNDSCALEPD $4, V1, V1; \
+	VCMPPD $0x1d, ZKMIN, V1, K1; \
+	VCMPPD $0x12, ZKMAX, V1, K1, K1; \
+	KORTESTB K1, K1; \
+	JCC fail
+
+#define EXPR8(V0, V1, V2) \
+	VFNMADD231PD ZLN2U, V1, V0; \
+	VFNMADD231PD ZLN2L, V1, V0; \
+	VMULPD ZSIXTEENTH, V0, V0; \
+	VMOVAPD ZC8, V2; \
+	VFMADD213PD ZC7, V0, V2; \
+	VFMADD213PD ZC6, V0, V2; \
+	VFMADD213PD ZC5, V0, V2; \
+	VFMADD213PD ZC4, V0, V2; \
+	VFMADD213PD ZC3, V0, V2; \
+	VFMADD213PD ZHALF, V0, V2; \
+	VFMADD213PD ZONE, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD ZTWO, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD ZTWO, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD ZTWO, V0, V2; \
+	VMULPD V2, V0, V0; \
+	VADDPD ZTWO, V0, V2; \
+	VFMADD213PD ZONE, V2, V0; \
+	VSCALEFPD V1, V0, V0
 
 // func expAVX2(ys *float64, groups int) int
 //
@@ -276,28 +361,55 @@ sigdone:
 
 // func sigmoidAVX512(ys *float64, groups int) int
 //
-// sigmoidAVX2 on eight lanes: the same ops in ZMM registers (EXP8 for
-// EXP4), for groups 8-element groups.
+// sigmoidAVX2 on eight lanes: the negate, the add and the divide in ZMM
+// registers, EXPK8 and EXPR8 for EXP4, for groups 8-element groups.
 TEXT ·sigmoidAVX512(SB), NOSPLIT, $0-24
 	MOVQ ys+0(FP), SI
 	MOVQ groups+8(FP), CX
 	XORQ AX, AX
-	VMOVUPD ONE, Z7
+	CONST8
 
 sig8loop:
 	CMPQ AX, CX
 	JGE sig8done
 	VMOVUPD (SI), Z0
-	VXORPD SIGN, Z0, Z0              // x = -y
-	EXP8(sig8done)
-	VADDPD Z7, Z0, Z0                // 1 + exp(-y)
-	VDIVPD Z0, Z7, Z0                // 1 / (1 + exp(-y))
+	VXORPD ZSIGN, Z0, Z0             // x = -y
+	EXPK8(Z0, Z1, sig8done)
+	EXPR8(Z0, Z1, Z2)
+	VADDPD ZONE, Z0, Z0              // 1 + exp(-y)
+	VDIVPD Z0, ZONE, Z0              // 1 / (1 + exp(-y))
 	VMOVUPD Z0, (SI)
 	ADDQ $64, SI
 	INCQ AX
 	JMP sig8loop
 
 sig8done:
+	SHLQ $3, AX
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func expAVX512(ys *float64, groups int) int
+//
+// expAVX2 on eight lanes: EXPK8 and EXPR8 for groups 8-element groups.
+TEXT ·expAVX512(SB), NOSPLIT, $0-24
+	MOVQ ys+0(FP), SI
+	MOVQ groups+8(FP), CX
+	XORQ AX, AX
+	CONST8
+
+exp8loop:
+	CMPQ AX, CX
+	JGE exp8done
+	VMOVUPD (SI), Z0
+	EXPK8(Z0, Z1, exp8done)
+	EXPR8(Z0, Z1, Z2)
+	VMOVUPD Z0, (SI)
+	ADDQ $64, SI
+	INCQ AX
+	JMP exp8loop
+
+exp8done:
 	SHLQ $3, AX
 	MOVQ AX, ret+16(FP)
 	VZEROUPPER
@@ -425,10 +537,10 @@ ganext:
 // func gatherSigmoid16AVX512(par, prods *float64, card, cols, k, rows int, dst *float64) int
 //
 // gatherAdd16AVX2 in two ZMM halves of eight units, then the sigmoid of
-// sigmoidAVX512 on both halves: the negate, EXPK on each half, each
-// with its own compare-and-branch, EXPR on each half, then 1+e and the
+// sigmoidAVX512 on both halves: the negate, EXPK8 on each half, each
+// with its own compare-and-branch, EXPR8 on each half, then 1+e and the
 // divide. It returns the number of rows stored, stopping before the
-// first row with a lane EXPK leaves to the scalar path.
+// first row with a lane EXPK8 leaves to the scalar path.
 TEXT ·gatherSigmoid16AVX512(SB), NOSPLIT, $0-64
 	MOVQ par+0(FP), SI
 	MOVQ prods+8(FP), DI
@@ -443,7 +555,7 @@ TEXT ·gatherSigmoid16AVX512(SB), NOSPLIT, $0-64
 	IMULQ R11, BX
 	ADDQ DI, BX
 	XORQ AX, AX
-	VMOVUPD ONE, Z7
+	CONST8
 
 gsrow:
 	CMPQ AX, CX
@@ -460,16 +572,16 @@ gscol:
 	DECQ R12
 	JNZ gscol
 
-	VXORPD SIGN, Z0, Z0      // x = -y
-	VXORPD SIGN, Z8, Z8
-	EXPK(Z0, Z1, Y4, Y5, Y6, $255, VCVTPD2DQ, gsdone)
-	EXPK(Z8, Z9, Y12, Y13, Y14, $255, VCVTPD2DQ, gsdone)
-	EXPR(Z0, Z1, Z2, Z3, Y4)
-	EXPR(Z8, Z9, Z10, Z11, Y12)
-	VADDPD Z7, Z0, Z0        // 1 + exp(-y)
-	VADDPD Z7, Z8, Z8
-	VDIVPD Z0, Z7, Z0        // 1 / (1 + exp(-y))
-	VDIVPD Z8, Z7, Z8
+	VXORPD ZSIGN, Z0, Z0     // x = -y
+	VXORPD ZSIGN, Z8, Z8
+	EXPK8(Z0, Z1, gsdone)
+	EXPK8(Z8, Z9, gsdone)
+	EXPR8(Z0, Z1, Z2)
+	EXPR8(Z8, Z9, Z10)
+	VADDPD ZONE, Z0, Z0      // 1 + exp(-y)
+	VADDPD ZONE, Z8, Z8
+	VDIVPD Z0, ZONE, Z0      // 1 / (1 + exp(-y))
+	VDIVPD Z8, ZONE, Z8
 	VMOVUPD Z0, (R13)
 	VMOVUPD Z8, 64(R13)
 	ADDQ $128, R13

@@ -36,8 +36,8 @@ func sigmoidAVX2(ys *float64, groups int) int {
 	panic("ann: sigmoidAVX2 is amd64-only")
 }
 
-// sigmoid512 is false without a vector sigmoid.
-var sigmoid512 = false
+// exp512 is false without a vector sigmoid and exp.
+var exp512 = false
 
 func sigmoidAVX512(ys *float64, groups int) int {
 	panic("ann: sigmoidAVX512 is amd64-only")
@@ -45,6 +45,10 @@ func sigmoidAVX512(ys *float64, groups int) int {
 
 func expAVX2(ys *float64, groups int) int {
 	panic("ann: expAVX2 is amd64-only")
+}
+
+func expAVX512(ys *float64, groups int) int {
+	panic("ann: expAVX512 is amd64-only")
 }
 
 // trainAsm16 is always false without a vector kernel; TrainEarlyStopping

@@ -107,8 +107,8 @@ func (a Activation) applyBatch(ys []float64) {
 // sigmoidExact sets ys[i] = 1/(1+math.Exp(-ys[i])) (see exactBatch).
 func sigmoidExact(ys []float64) { exactBatch(ys, false) }
 
-// ExpBatch sets ys[i] = math.Exp(ys[i]), bit for bit, four elements per
-// step where the vector kernel runs (see exactBatch).
+// ExpBatch sets ys[i] = math.Exp(ys[i]), bit for bit, four or eight
+// elements per step where the vector kernels run (see exactBatch).
 func ExpBatch(ys []float64) { exactBatch(ys, true) }
 
 // exactBatch is the scalar hand-off the sigmoid and exp kernels share:
@@ -117,21 +117,27 @@ func ExpBatch(ys []float64) { exactBatch(ys, true) }
 // stops at any group that math.Exp would not finish with a single 2^k
 // multiply (NaN, ±Inf, overflow, subnormal results); that group goes
 // to the scalar loop whole, and so does the 1–3-element tail. Where
-// sigmoid512 holds, the 8-lane sigmoid goes first and stops the same
-// way; the 4-lane loop takes over from there.
+// exp512 holds, the 8-lane kernel does eight elements per step; a
+// group it stops at goes through the 4-lane kernel as two halves, each
+// handed to the scalar loop whole where that stops too, and the 8-lane
+// kernel resumes after it. The 4-lane loop takes a tail of 4–7.
 func exactBatch(ys []float64, exp bool) {
 	if sigmoidAsm {
-		if !exp && sigmoid512 && len(ys) >= 8 {
-			ys = ys[sigmoidAVX512(&ys[0], len(ys)/8):]
+		for exp512 && len(ys) >= 8 {
+			if exp {
+				ys = ys[expAVX512(&ys[0], len(ys)/8):]
+			} else {
+				ys = ys[sigmoidAVX512(&ys[0], len(ys)/8):]
+			}
+			if len(ys) < 8 {
+				break
+			}
+			exact4(ys[:4], exp)
+			exact4(ys[4:8], exp)
+			ys = ys[8:]
 		}
 		for len(ys) >= 4 {
-			var done int
-			if exp {
-				done = expAVX2(&ys[0], len(ys)/4)
-			} else {
-				done = sigmoidAVX2(&ys[0], len(ys)/4)
-			}
-			ys = ys[done:]
+			ys = ys[vector4(ys, exp):]
 			if len(ys) < 4 {
 				break
 			}
@@ -140,6 +146,23 @@ func exactBatch(ys []float64, exp bool) {
 		}
 	}
 	exactScalar(ys, exp)
+}
+
+// vector4 runs the 4-lane kernel over ys's whole 4-element groups and
+// returns the number of elements it did.
+func vector4(ys []float64, exp bool) int {
+	if exp {
+		return expAVX2(&ys[0], len(ys)/4)
+	}
+	return sigmoidAVX2(&ys[0], len(ys)/4)
+}
+
+// exact4 applies the 4-lane kernel to the group g, or the scalar loop
+// where the kernel stops.
+func exact4(g []float64, exp bool) {
+	if vector4(g, exp) == 0 {
+		exactScalar(g, exp)
+	}
 }
 
 func exactScalar(ys []float64, exp bool) {

@@ -116,17 +116,17 @@ func NewRangeNet(n *Network, axes []encoding.Axis) *RangeNet {
 	for j := range r.bias {
 		r.bias[j] = l.w[j*(l.in+1)+l.in]
 	}
-	r.fused = sigmoid512 && l.act == Sigmoid
+	r.fused = exp512 && l.act == Sigmoid
 	return r
 }
 
 // ForwardRange runs rows [lo, lo+rows) of the space through the
 // network and returns the flat rows × Outputs activation matrix, owned
 // by s as in ForwardBatch. Layer 0 comes from the prefix sums (see
-// RangeNet); the last axis's level writes it. Where sigmoid512 holds
-// and layer 0 is sigmoid, one AVX-512 kernel adds that axis's products
-// to the parent sums and runs the sigmoid on both 8-unit halves as two
-// EXPV chains, stopping before any row with a lane outside the
+// RangeNet); the last axis's level writes it. Where exp512 holds and
+// layer 0 is sigmoid, one AVX-512 kernel adds that axis's products to
+// the parent sums and runs the sigmoid on both 8-unit halves as two
+// 8-lane exp chains, stopping before any row with a lane outside the
 // one-multiply range, which gets its sums from the gather-add kernel
 // and sigmoidScalar, as exactBatch hands off a group. Elsewhere the
 // gather-add kernel writes the sums and the activation runs as in

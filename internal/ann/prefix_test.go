@@ -100,7 +100,7 @@ func TestRangeForwardParity(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("the range path needs AVX2")
 	}
-	eachSigmoidWidth(func() { rangeParity(t) })
+	eachExpWidth(func() { rangeParity(t) })
 }
 
 func rangeParity(t *testing.T) {
@@ -139,7 +139,7 @@ func rangeParity(t *testing.T) {
 			if r == nil {
 				t.Fatalf("space %d: no range net on an AVX2 CPU", si)
 			}
-			if want := sigmoid512 && shape.hAct == Sigmoid; r.fused != want {
+			if want := exp512 && shape.hAct == Sigmoid; r.fused != want {
 				t.Fatalf("space %d, hidden %s: fused kernel %v, want %v", si, shape.hAct, r.fused, want)
 			}
 			check := func(lo, rows int) {
@@ -148,7 +148,7 @@ func rangeParity(t *testing.T) {
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("space %d, hidden %v %s, output %s, rows [%d,%d), 8-lane sigmoid %v: output %d: range %g (bits %x), scalar %g (bits %x)",
-							si, shape.hidden, shape.hAct, shape.oAct, lo, lo+rows, sigmoid512, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+							si, shape.hidden, shape.hAct, shape.oAct, lo, lo+rows, exp512, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 					}
 				}
 			}
@@ -178,8 +178,8 @@ var kernelEdges = append(append([]float64(nil), edgeInputs...),
 // parents change mid-call; the planted unit's products are 0, so its
 // sum is the planted value (+0 for -0).
 func TestGatherSigmoidEdgeRows(t *testing.T) {
-	if !sigmoid512 {
-		t.Skip("the fused kernel runs where sigmoid512 holds")
+	if !exp512 {
+		t.Skip("the fused kernel runs where exp512 holds")
 	}
 	rng := stats.NewRNG(0xED6E)
 	const card, cols, k = 3, 2, 1
@@ -230,7 +230,7 @@ func checkGatherSigmoid(t *testing.T, par, prods []float64, card, cols, k, rows 
 // inputs in either half of rows at the start, middle and end.
 func FuzzGatherSigmoid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if !sigmoid512 {
+		if !exp512 {
 			return
 		}
 		rows := len(raw) / 128

@@ -102,18 +102,23 @@ func BenchmarkSweepReference(b *testing.B) {
 }
 
 // BenchmarkSweepMemory ranks the memory study's whole space (23,040
-// points, 10 inputs) by goldenEnsemble's predicted mean, the paper's
-// best-configuration query, at one worker in DefaultChunkSize chunks.
-// Each iteration runs the sweep, Run with its reduction
-// ("sweep-points/s"), then the scoring Run did before it scored by
-// flat index, EncodeRange plus MetricSet.Eval alone
-// ("encoded-points/s"). The two alternate inside one loop so that the
-// machine's drift moves both alike: BENCH_sweep.json gates their
-// same-run ratio. With one metric the reduction is light (the frontier
-// is the best point), so the ratio shows the range path. With mean and
-// variance over this untrained ensemble the frontier churns and the
-// reduction swamps the scoring: a sweep took about 35 ms against 7.6
-// ms of encoded scoring on a 2-vCPU Xeon.
+// points, 10 inputs) through goldenEnsemble at one worker in
+// DefaultChunkSize chunks, and times three things in each iteration:
+//   - "sweep-points/s": Run by the predicted mean alone, the paper's
+//     best-configuration query. With one metric the reduction is light
+//     (the frontier is the best point), so this shows the range path.
+//   - "churn-points/s": Run by the mean and the variance (DefaultSpecs).
+//     Over this untrained ensemble the frontier churns to 731 points,
+//     so this shows the reduction. On a 2-vCPU AVX-512 Xeon it took
+//     about 24 ms a sweep against 6 ms of encoded scoring with an
+//     unsorted frontier offered row by row, and about 5.7 ms with the
+//     sorted frontier and the columnar chunk reduction.
+//   - "encoded-points/s": the scoring Run did before it scored by flat
+//     index, EncodeRange plus MetricSet.Eval of the mean alone.
+//
+// The three alternate inside one loop so that the machine's drift moves
+// them alike: BENCH_sweep.json gates the first two as same-run ratios to
+// the third.
 func BenchmarkSweepMemory(b *testing.B) {
 	st, err := studies.ByName("memory")
 	if err != nil {
@@ -124,7 +129,12 @@ func BenchmarkSweepMemory(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, sp, err := Resolve([]MetricSpec{{Model: "m"}}, map[string]*bundle.Bundle{"m": bd})
+	bundles := map[string]*bundle.Bundle{"m": bd}
+	set, sp, err := Resolve([]MetricSpec{{Model: "m"}}, bundles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	churn, _, err := Resolve(DefaultSpecs([]string{"m"}), bundles)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,15 +142,19 @@ func BenchmarkSweepMemory(b *testing.B) {
 	xs := make([]float64, DefaultChunkSize*width)
 	cols := [][]float64{make([]float64, DefaultChunkSize)}
 	view := make([][]float64, 1)
-	var swept, encoded time.Duration
+	var swept, churned, encoded time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		start := time.Now() //repolint:allow determinism -- benchmark timing: each iteration's wall time splits between its two halves
+		start := time.Now() //repolint:allow determinism -- benchmark timing: each iteration's wall time splits between its three parts
 		if _, err := Run(context.Background(), sp, set, Config{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 		mid := time.Now() //repolint:allow determinism -- benchmark timing, as above
+		if _, err := Run(context.Background(), sp, churn, Config{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+		late := time.Now() //repolint:allow determinism -- benchmark timing, as above
 		for lo := 0; lo < sp.Size(); lo += DefaultChunkSize {
 			rows := min(DefaultChunkSize, sp.Size()-lo)
 			view[0] = cols[0][:rows]
@@ -148,9 +162,11 @@ func BenchmarkSweepMemory(b *testing.B) {
 			set.Eval(xs[:rows*width], rows, view)
 		}
 		swept += mid.Sub(start)
-		encoded += time.Since(mid) //repolint:allow determinism -- benchmark timing, as above
+		churned += late.Sub(mid)
+		encoded += time.Since(late) //repolint:allow determinism -- benchmark timing, as above
 	}
 	points := float64(sp.Size()) * float64(b.N)
 	b.ReportMetric(points/swept.Seconds(), "sweep-points/s")
+	b.ReportMetric(points/churned.Seconds(), "churn-points/s")
 	b.ReportMetric(points/encoded.Seconds(), "encoded-points/s")
 }

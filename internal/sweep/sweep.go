@@ -191,7 +191,7 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 			for m := range cols {
 				cols[m] = make([]float64, chunk)
 			}
-			vbuf := make([]float64, len(metrics))
+			red := newChunkReducer(minimize)
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nchunks || ctx.Err() != nil {
@@ -212,19 +212,12 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 				for m := range metrics {
 					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
 				}
-				for r := 0; r < rows; r++ {
-					for m := range vbuf {
-						vbuf[m] = cols[m][r]
-					}
-					// The frontier's offer validates finiteness before
-					// ranking; an unrankable point abandons the chunk
-					// and travels to the reducer as its error.
-					if err := p.front.Offer(lo+r, vbuf); err != nil {
-						p.err = err
-						break
-					}
+				// An unrankable point abandons the chunk and travels to
+				// the reducer as its error.
+				if p.err = red.checkFinite(lo, view); p.err == nil {
+					red.offerFront(p.front, lo, view)
 					for _, t := range p.tops {
-						t.offer(lo+r, vbuf)
+						t.offerColumn(lo, view, red.row)
 					}
 				}
 				select {

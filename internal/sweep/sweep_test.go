@@ -15,6 +15,7 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/pareto"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -289,8 +290,10 @@ func TestRunCancel(t *testing.T) {
 
 // TestRunFrontierCap: a degenerate metric set (one axis maximized and
 // minimized) would otherwise put every distinct point on the frontier;
-// the cap fails the sweep deterministically, and a negative cap opts
-// back into the unbounded reduction.
+// the cap fails the sweep at one point count for every worker setting,
+// the count at which the frontier of the chunks reduced so far first
+// outgrows it, and a negative cap opts back into the unbounded
+// reduction.
 func TestRunFrontierCap(t *testing.T) {
 	perf, _ := testBundles(t)
 	set, sp, err := Resolve([]MetricSpec{
@@ -300,10 +303,19 @@ func TestRunFrontierCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		_, err = Run(context.Background(), sp, set, Config{ChunkSize: 10, Workers: workers, MaxFrontier: 16})
-		if err == nil || !strings.Contains(err.Error(), "frontier exceeds 16") {
-			t.Fatalf("workers=%d: degenerate sweep err = %v, want frontier cap", workers, err)
+	for _, chunk := range []int{7, 10} {
+		want := frontierCapTrip(t, sp, set, chunk, 16)
+		var first string
+		for _, workers := range []int{1, 2, 4} {
+			_, err = Run(context.Background(), sp, set, Config{ChunkSize: chunk, Workers: workers, MaxFrontier: 16})
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("chunk=%d workers=%d: degenerate sweep err = %v, want it to start %q", chunk, workers, err, want)
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("chunk=%d: workers=%d err %q, workers=1 err %q", chunk, workers, err, first)
+			}
 		}
 	}
 	res, err := Run(context.Background(), sp, set, Config{ChunkSize: 10, MaxFrontier: -1})
@@ -313,6 +325,39 @@ func TestRunFrontierCap(t *testing.T) {
 	if len(res.Frontier) <= 16 {
 		t.Fatalf("unbounded degenerate frontier has %d points, expected > 16", len(res.Frontier))
 	}
+}
+
+// frontierCapTrip returns the start of the error Run reports when the
+// frontier outgrows limit, from a reduction of its own: every point,
+// scored from encoded rows, offered in index order to one frontier,
+// which is checked after each chunk of the given size.
+func frontierCapTrip(t *testing.T, sp *space.Space, set *core.MetricSet, chunk, limit int) string {
+	t.Helper()
+	size := sp.Size()
+	enc := encoding.NewEncoder(sp)
+	cols := make([][]float64, len(set.Metrics()))
+	for m := range cols {
+		cols[m] = make([]float64, size)
+	}
+	set.Eval(enc.EncodeRange(0, size, nil), size, cols)
+	f := pareto.NewFrontier(set.Minimize())
+	vals := make([]float64, len(cols))
+	for lo := 0; lo < size; lo += chunk {
+		end := min(size, lo+chunk)
+		for r := lo; r < end; r++ {
+			for m := range cols {
+				vals[m] = cols[m][r]
+			}
+			if err := f.Offer(r, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.Len() > limit {
+			return fmt.Sprintf("sweep: Pareto frontier exceeds %d points after %d of %d swept", limit, end, size)
+		}
+	}
+	t.Fatalf("the frontier never outgrows %d points", limit)
+	return ""
 }
 
 // TestRunRejectsNonFiniteDeterministically: a model that predicts NaN
