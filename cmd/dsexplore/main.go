@@ -216,11 +216,10 @@ func main() {
 	// Predicted optimum over the whole space, verified once: a top-1
 	// streaming sweep through the shared engine (internal/sweep) — the
 	// same chunked enumeration and reduction cmd/sweep and POST
-	// /v1/sweep run, with the batched prediction kernels fanning out
-	// under the ensemble's own worker bound.
+	// /v1/sweep run, each chunk scored on up to -workers goroutines.
 	set, err := core.NewMetricSet([]core.Metric{{Name: "IPC", Ens: ens}})
 	fatal(err)
-	res, err := sweep.Run(context.Background(), study.Space, set, sweep.Config{TopK: 1, Workers: 1})
+	res, err := sweep.Run(context.Background(), study.Space, set, sweep.Config{TopK: 1, Workers: *workers})
 	fatal(err)
 	best := res.TopK[0][0]
 	truth, err := oracle.IPCs([]int{best.Index})

@@ -15,9 +15,10 @@
 //
 // (":var" ranks by ensemble disagreement — the confidence axis; the
 // default for a single bundle is its prediction maximized plus its
-// variance minimized). The engine streams the space in chunks over a
-// worker pool; output is bit-identical for any -workers/-chunk
-// setting. -json emits the full result document instead of tables.
+// variance minimized). The engine streams the space in chunks, each
+// scored on up to -workers goroutines and reduced on the main one;
+// output is bit-identical for any -workers/-chunk setting. -json emits
+// the full result document instead of tables.
 package main
 
 import (
@@ -38,7 +39,7 @@ import (
 func main() {
 	topk := flag.Int("topk", sweep.DefaultTopK, "per-metric leaderboard size (negative = frontier only)")
 	metricsFlag := flag.String("metrics", "", "ranking axes, e.g. \"perf,energy:min,conf=perf:var\" (default: per-bundle primaries; single bundle adds its :var axis)")
-	workers := flag.Int("workers", 0, "sweep worker goroutines (0 = all cores); results are identical for any setting")
+	workers := flag.Int("workers", 0, "goroutines that score a chunk (0 = all cores); results are identical for any setting")
 	chunk := flag.Int("chunk", 0, "design points per streamed chunk (0 = default)")
 	jsonOut := flag.Bool("json", false, "emit the result document as JSON")
 	quiet := flag.Bool("quiet", false, "suppress progress reporting on stderr")
@@ -72,9 +73,6 @@ func main() {
 		}
 		b, err := bundle.ReadFile(path)
 		fatal(err)
-		// The sweep pool owns the parallelism; single-worker ensembles
-		// keep -workers scaling attributable and avoid oversubscription.
-		b.Ensemble.SetWorkers(1)
 		bundles[name] = b
 		names = append(names, name)
 	}

@@ -171,33 +171,39 @@ func (s *MetricSet) eval(rows int, cols [][]float64, predict func(gi int, g *met
 
 // RangeEvaluator scores design points by flat index: Eval(lo, rows,
 // cols) fills cols exactly as MetricSet.Eval does over EncodeRange's
-// rows of points [lo, lo+rows), bit for bit, without encoding them.
-// Each member network scores through its ann.RangeNet, whose layer 0
-// comes from per-axis product tables and shared prefix sums; the layers
-// after it, the unscale, the exp and the mean and variance run as in
-// PredictBatch, chunked over the same worker bound. It is safe for
-// concurrent use.
+// rows of points [lo, lo+rows), bit for bit. Where every member has an
+// ann.RangeNet, each scores through it, layer 0 from per-axis product
+// tables and shared prefix sums, with no point encoded; elsewhere
+// (ann.NewRangeNet returns nil) Eval encodes the rows once into a
+// buffer of its own and runs PredictBatch's forward. The layers after
+// layer 0, the unscale, the exp and the mean and variance run as in
+// PredictBatch, their 512-row pieces fanned out by par.For under the
+// evaluator's worker bound. It is not safe for concurrent use.
 type RangeEvaluator struct {
-	set  *MetricSet
-	nets [][]*ann.RangeNet // per group, per member
+	set     *MetricSet
+	enc     *encoding.Encoder
+	workers int
+	nets    [][]*ann.RangeNet // per group, per member; nil where rows are encoded
+	xs      []float64         // the encoded rows, where nets is nil
 }
 
 // NewRangeEvaluator builds every member's product tables over enc's
-// axes (encoding.Encoder.Axes), once per evaluator. It returns nil
-// where the range path does not apply to some member
-// (ann.NewRangeNet): callers then encode rows and call Eval. enc must
-// produce Inputs() inputs.
-func (s *MetricSet) NewRangeEvaluator(enc *encoding.Encoder) *RangeEvaluator {
+// axes (encoding.Encoder.Axes), once per evaluator, or, where the range
+// path does not apply to some member, sets the evaluator to encode
+// rows. workers bounds Eval's goroutines as par.For does (0 =
+// GOMAXPROCS, negative = 1). enc must produce Inputs() inputs.
+func (s *MetricSet) NewRangeEvaluator(enc *encoding.Encoder, workers int) *RangeEvaluator {
 	if enc.Width() != s.inputs {
 		panic(fmt.Sprintf("core: encoder produces %d inputs, metric models expect %d", enc.Width(), s.inputs))
 	}
 	axes := enc.Axes()
-	ev := &RangeEvaluator{set: s}
+	ev := &RangeEvaluator{set: s, enc: enc, workers: workers}
 	for _, g := range s.groups {
 		nets := make([]*ann.RangeNet, len(g.ens.nets))
 		for m, n := range g.ens.nets {
 			if nets[m] = ann.NewRangeNet(n, axes); nets[m] == nil {
-				return nil
+				ev.nets = nil
+				return ev
 			}
 		}
 		ev.nets = append(ev.nets, nets)
@@ -207,11 +213,25 @@ func (s *MetricSet) NewRangeEvaluator(enc *encoding.Encoder) *RangeEvaluator {
 
 // Eval scores points [lo, lo+rows) into cols (see RangeEvaluator).
 func (ev *RangeEvaluator) Eval(lo, rows int, cols [][]float64) {
+	var xs []float64
+	if ev.nets == nil {
+		n := rows * ev.enc.Width()
+		if cap(ev.xs) < n {
+			ev.xs = make([]float64, n)
+		}
+		xs = ev.enc.EncodeRange(lo, rows, ev.xs[:n])
+	}
 	ev.set.eval(rows, cols, func(gi int, g *metricGroup, mean, variance []float64) {
-		nets := ev.nets[gi]
-		g.ens.predict(g.output, rows, mean, variance, func(m, start, end int, s *ann.Scratch) []float64 {
-			return nets[m].ForwardRange(lo+start, end-start, s)
-		})
+		var forward func(m, start, end int, s *ann.Scratch) []float64
+		if ev.nets == nil {
+			forward = g.ens.encodedForward(xs)
+		} else {
+			nets := ev.nets[gi]
+			forward = func(m, start, end int, s *ann.Scratch) []float64 {
+				return nets[m].ForwardRange(lo+start, end-start, s)
+			}
+		}
+		g.ens.predict(g.output, rows, ev.workers, mean, variance, forward)
 	})
 }
 

@@ -61,22 +61,28 @@ func (e *Ensemble) PredictBatch(output int, xs []float64, rows int, mean, varian
 	if (mean != nil && len(mean) != rows) || (variance != nil && len(variance) != rows) {
 		panic(fmt.Sprintf("core: mean/variance buffers have %d/%d slots for %d rows", len(mean), len(variance), rows))
 	}
+	e.predict(output, rows, e.workers, mean, variance, e.encodedForward(xs))
+}
+
+// encodedForward is PredictBatch's forward for predict: member m over
+// rows [start, end) of the row-major encoded matrix xs.
+func (e *Ensemble) encodedForward(xs []float64) func(m, start, end int, s *ann.Scratch) []float64 {
 	in := e.Inputs()
-	e.predict(output, rows, mean, variance, func(m, start, end int, s *ann.Scratch) []float64 {
+	return func(m, start, end int, s *ann.Scratch) []float64 {
 		return e.nets[m].ForwardBatch(xs[start*in:end*in], end-start, s)
-	})
+	}
 }
 
 // predict is the body PredictBatch and RangeEvaluator.Eval share: over
 // predictChunk-sized chunks of [0, rows), fanned out by par.For under
-// the ensemble's worker bound, forward runs member m over rows
-// [start, end) and returns its rows × outputs matrix, whose column
-// output goes into the member's column of the chunk's prediction
-// matrix; moments then reduces the matrix into mean and variance. Each
-// chunk takes a pooled scratch and writes only its own rows.
-func (e *Ensemble) predict(output, rows int, mean, variance []float64, forward func(m, start, end int, s *ann.Scratch) []float64) {
+// workers, forward runs member m over rows [start, end) and returns its
+// rows × outputs matrix, whose column output goes into the member's
+// column of the chunk's prediction matrix; moments then reduces the
+// matrix into mean and variance. Each chunk takes a pooled scratch and
+// writes only its own rows.
+func (e *Ensemble) predict(output, rows, workers int, mean, variance []float64, forward func(m, start, end int, s *ann.Scratch) []float64) {
 	nchunks := (rows + predictChunk - 1) / predictChunk
-	par.For(nchunks, e.workers, func(c int) {
+	par.For(nchunks, workers, func(c int) {
 		ps := getPredictScratch(len(e.nets))
 		start := c * predictChunk
 		end := min(start+predictChunk, rows)

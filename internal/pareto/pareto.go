@@ -6,8 +6,8 @@
 // sweep depends on core, so the algebra has to live below both.
 //
 // Every operation here is a pure function of the point *set*: the
-// frontier membership rules do not depend on arrival order, chunking
-// or merge order, which is the foundation of the sweep engine's (and
+// frontier membership rules do not depend on arrival order or
+// chunking, which is the foundation of the sweep engine's (and
 // the acquisition subsystem's) bit-identity guarantee.
 package pareto
 
@@ -83,8 +83,7 @@ func CheckValues(index int, values []float64) error {
 // A point survives iff no other point weakly dominates it; points with
 // exactly equal metric vectors collapse onto the lowest index. Both
 // rules are properties of the point set, not of arrival order, so the
-// frontier is identical for any chunking, worker count, or merge
-// order.
+// frontier is identical for any chunking or worker count.
 //
 // Members are stored flat, sorted best-first on metric 0: idx holds
 // their flat indices and vals their values, one run of len(minimize)
@@ -249,16 +248,6 @@ func (f *Frontier) replace(pos, end, index int, values []float64) {
 	case f.hint >= pos:
 		f.hint = pos
 	}
-}
-
-// Merge folds another frontier in.
-func (f *Frontier) Merge(o *Frontier) error {
-	for i, index := range o.idx {
-		if err := f.Offer(index, o.member(i)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sorted returns the frontier in ascending index order — the canonical

@@ -60,17 +60,6 @@ func TestCheckValuesNamesMetric(t *testing.T) {
 	}
 }
 
-// TestMergePropagatesRejection: merge is offer-at-scale, so it carries
-// the same non-finite rejection.
-func TestMergePropagatesRejection(t *testing.T) {
-	dir := []bool{true}
-	bad := &Frontier{minimize: dir, idx: []int{4}, vals: []float64{math.NaN()}, hint: -1}
-	f := NewFrontier(dir)
-	if err := f.Merge(bad); err == nil || !strings.Contains(err.Error(), "point 4") {
-		t.Fatalf("merge err = %v, want rejection naming point 4", err)
-	}
-}
-
 // referenceFrontier is the O(n²) transcription of the frontier's
 // definition: a point survives iff nothing weakly dominates it and it
 // is the lowest-indexed member of its exact-value class. The result is
@@ -127,9 +116,8 @@ func randomPoints(rng *stats.RNG, n, m, levels int) []Point {
 }
 
 // TestFrontierMatchesReference offers random point sets over 1, 2 and
-// 3 metrics in every direction, in random orders, one by one and as
-// random splits merged back together, and compares Sorted with the
-// O(n²) reference. It also checks the frontier's own invariants after
+// 3 metrics in every direction, one by one in random orders, and
+// compares Sorted with the O(n²) reference. It also checks the frontier's own invariants after
 // every offer: members sorted best-first on metric 0, and on two
 // metrics strictly ordered on both.
 func TestFrontierMatchesReference(t *testing.T) {
@@ -156,28 +144,6 @@ func TestFrontierMatchesReference(t *testing.T) {
 				}
 				if got := f.Sorted(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: offered one by one: %v, reference %v", name, got, want)
-				}
-
-				// Random splits, each reduced on its own, merged in a
-				// random order.
-				parts := make([]*Frontier, 1+rng.Intn(5))
-				for i := range parts {
-					parts[i] = NewFrontier(minimize)
-				}
-				for _, i := range order {
-					if err := parts[rng.Intn(len(parts))].Offer(pts[i].Index, pts[i].Values); err != nil {
-						t.Fatal(err)
-					}
-				}
-				merged := NewFrontier(minimize)
-				for _, i := range rng.Perm(len(parts)) {
-					if err := merged.Merge(parts[i]); err != nil {
-						t.Fatal(err)
-					}
-					checkSortedInvariant(t, name, merged)
-				}
-				if got := merged.Sorted(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %d parts merged: %v, reference %v", name, len(parts), got, want)
 				}
 			}
 		}

@@ -81,7 +81,7 @@ func (s *JobStore) Frontier(ctx context.Context, id string) (*FrontierDoc, error
 	if err != nil {
 		return nil, err
 	}
-	res, err := sweep.Run(ctx, sp, set, sweep.Config{TopK: -1, Workers: 1})
+	res, err := sweep.Run(ctx, sp, set, sweep.Config{TopK: -1, Workers: ens.Workers()})
 	if err != nil {
 		return nil, err
 	}

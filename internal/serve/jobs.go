@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -39,8 +40,9 @@ type ExploreRequest struct {
 	// "variance:out0>=1.2", ...). The first round is always random.
 	Acquire string `json:"acquire,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
-	// Workers bounds the per-job oracle fan-out (0 = all cores);
-	// Retries is per-point retries before quarantine (0 = default).
+	// Workers bounds the per-job oracle fan-out and fold training (0 =
+	// all cores; a larger value is capped at GOMAXPROCS); Retries is
+	// per-point retries before quarantine (0 = default).
 	Workers int `json:"workers,omitempty"`
 	Retries int `json:"retries,omitempty"`
 }
@@ -459,8 +461,9 @@ func (s *JobStore) explore(ctx context.Context, job *Job, req ExploreRequest) (*
 }
 
 // driverConfig maps an exploration request onto the driver's
-// configuration.
+// configuration, its worker count capped at GOMAXPROCS.
 func driverConfig(req ExploreRequest, batch int) (explore.Config, error) {
+	workers := min(req.Workers, runtime.GOMAXPROCS(0))
 	cfg := explore.Config{
 		ExploreConfig: core.ExploreConfig{
 			Model:         core.DefaultModelConfig(),
@@ -470,7 +473,7 @@ func driverConfig(req ExploreRequest, batch int) (explore.Config, error) {
 			Seed:          req.Seed,
 		},
 		Pipeline: explore.Pipeline{
-			Workers: req.Workers,
+			Workers: workers,
 			Retries: req.Retries,
 		},
 	}
@@ -481,6 +484,6 @@ func driverConfig(req ExploreRequest, batch int) (explore.Config, error) {
 		}
 		cfg.Acquire = acq
 	}
-	cfg.Model.Workers = req.Workers
+	cfg.Model.Workers = workers
 	return cfg, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -342,6 +343,22 @@ func TestSubmitValidation(t *testing.T) {
 	for label, req := range cases {
 		if _, err := s.Submit(req); err == nil {
 			t.Fatalf("%s accepted", label)
+		}
+	}
+}
+
+// TestDriverConfigCapsWorkers: an exploration request's workers bound
+// its oracle fan-out and fold training, capped at GOMAXPROCS; 0 keeps
+// the all-cores default.
+func TestDriverConfigCapsWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ req, want int }{{0, 0}, {1, 1}, {procs, procs}, {1_000_000, procs}} {
+		cfg, err := driverConfig(ExploreRequest{Name: "x", Budget: 10, Workers: c.req}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Pipeline.Workers != c.want || cfg.Model.Workers != c.want {
+			t.Errorf("workers %d: oracle fan-out %d, fold training %d, want %d", c.req, cfg.Pipeline.Workers, cfg.Model.Workers, c.want)
 		}
 	}
 }

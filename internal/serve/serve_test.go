@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -251,13 +252,19 @@ func TestConcurrentPredictsCoalesceAndMatch(t *testing.T) {
 	t.Logf("coalesced %d requests into %d flushes", st.Requests, st.Flushes)
 }
 
-func TestMalformedRequestsRejected(t *testing.T) {
-	ts, _, b := newTestServer(t, CoalesceOpts{})
-	outOfRange := b.Space.Size()
-	cases := []struct {
-		name, path, body string
-		status           int
-	}{
+// pointRequestCase is one point-query body the server rejects, and the
+// status it answers.
+type pointRequestCase struct {
+	name, path, body string
+	status           int
+}
+
+// malformedPointRequests are the point-query bodies
+// TestMalformedRequestsRejected posts and FuzzPointRequest seeds from;
+// outOfRange is the size of the model's space, one past its last
+// point.
+func malformedPointRequests(outOfRange int) []pointRequestCase {
+	return []pointRequestCase{
 		{"bad json", "/v1/predict", `{"point":`, http.StatusBadRequest},
 		{"unknown field", "/v1/predict", `{"pt":3}`, http.StatusBadRequest},
 		{"no addressing", "/v1/predict", `{}`, http.StatusBadRequest},
@@ -272,8 +279,13 @@ func TestMalformedRequestsRejected(t *testing.T) {
 		{"batch empty", "/v1/predict/batch", `{"points":[]}`, http.StatusBadRequest},
 		{"batch bad member", "/v1/predict/batch", fmt.Sprintf(`{"points":[0,%d]}`, outOfRange), http.StatusBadRequest},
 		{"variance bad choices", "/v1/variance", `{"choices":[[0,0,0],[0,9,0]]}`, http.StatusBadRequest},
+		{"batch over the row limit", "/v1/predict/batch", `{"points":[0` + strings.Repeat(",0", maxBatchRows) + `]}`, http.StatusBadRequest},
 	}
-	for _, c := range cases {
+}
+
+func TestMalformedRequestsRejected(t *testing.T) {
+	ts, _, b := newTestServer(t, CoalesceOpts{})
+	for _, c := range malformedPointRequests(b.Space.Size()) {
 		resp, out := postJSON(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != c.status {
 			t.Errorf("%s: status %d, want %d (%v)", c.name, resp.StatusCode, c.status, out)

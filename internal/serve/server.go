@@ -208,7 +208,7 @@ func encodeOne(m *Model, req pointSpec) (x []float64, index int, err error) {
 		return b.Encoder.EncodeIndex(*req.Point, nil), *req.Point, nil
 	case req.Point == nil && len(req.Choices) == 1:
 		if err := b.ValidateChoices(req.Choices[0]); err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("choices[0]: %v", err)
 		}
 		return b.Encoder.Encode(req.Choices[0], nil), b.Space.Index(req.Choices[0]), nil
 	default:
@@ -226,9 +226,12 @@ func encodeBatch(m *Model, req pointSpec) (xs []float64, idxs []int, err error) 
 	if (len(req.Points) == 0) == (len(req.Choices) == 0) {
 		return nil, nil, fmt.Errorf("request must carry exactly one of \"points\" or \"choices\"")
 	}
-	rows := len(req.Points) + len(req.Choices)
+	field, rows := "points", len(req.Points)
+	if rows == 0 {
+		field, rows = "choices", len(req.Choices)
+	}
 	if rows > maxBatchRows {
-		return nil, nil, fmt.Errorf("batch of %d rows exceeds the %d-row limit; page the request", rows, maxBatchRows)
+		return nil, nil, fmt.Errorf("%q holds %d rows, past the %d-row batch limit; page the request", field, rows, maxBatchRows)
 	}
 	width := b.Encoder.Width()
 	xs = make([]float64, rows*width)

@@ -37,11 +37,9 @@ type SweepRequest struct {
 	Metrics []sweep.MetricSpec `json:"metrics,omitempty"`
 	// TopK is the per-metric leaderboard size (0 = default, negative =
 	// frontier only); Chunk is the enumeration granularity (0 =
-	// default). Workers bounds the engine's own pool — 0 keeps it at 1
-	// on the server, because the registered ensembles already fan
-	// batched predictions out over the server-wide worker bound and
-	// nesting two full-size pools would only oversubscribe the host
-	// under concurrent query traffic.
+	// default). Workers bounds the goroutines that score a chunk: 0
+	// takes the first model's ensemble worker bound (the server's
+	// -workers), and a larger value is capped at it.
 	TopK    int `json:"topk,omitempty"`
 	Chunk   int `json:"chunk,omitempty"`
 	Workers int `json:"workers,omitempty"`
@@ -72,11 +70,12 @@ func (r SweepRequest) Validate() error {
 	return nil
 }
 
-// resolveSweepRequest validates a sweep request's engine bounds and
-// resolves its models and metrics against the registry.
-func resolveSweepRequest(reg *Registry, req SweepRequest) (*core.MetricSet, *space.Space, error) {
+// resolveSweepRequest validates a sweep request's engine bounds,
+// resolves its models and metrics against the registry, and returns
+// the sweep configuration it runs at.
+func resolveSweepRequest(reg *Registry, req SweepRequest) (*core.MetricSet, *space.Space, sweep.Config, error) {
 	if err := req.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, sweep.Config{}, err
 	}
 	models := req.Models
 	if req.Model != "" {
@@ -85,18 +84,18 @@ func resolveSweepRequest(reg *Registry, req SweepRequest) (*core.MetricSet, *spa
 	if len(models) == 0 {
 		m, err := reg.Get("") // the sole model, or a descriptive error
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, sweep.Config{}, err
 		}
 		models = []string{m.Name}
 	}
 	bundles := make(map[string]*bundle.Bundle, len(models))
 	for _, name := range models {
 		if name == "" {
-			return nil, nil, fmt.Errorf(`serve: sweep "models" entries must be named`)
+			return nil, nil, sweep.Config{}, fmt.Errorf(`serve: sweep "models" entries must be named`)
 		}
 		m, err := reg.Get(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, sweep.Config{}, err
 		}
 		bundles[m.Name] = m.Bundle
 	}
@@ -104,7 +103,15 @@ func resolveSweepRequest(reg *Registry, req SweepRequest) (*core.MetricSet, *spa
 	if len(specs) == 0 {
 		specs = sweep.DefaultSpecs(models)
 	}
-	return sweep.Resolve(specs, bundles)
+	set, sp, err := sweep.Resolve(specs, bundles)
+	if err != nil {
+		return nil, nil, sweep.Config{}, err
+	}
+	workers, bound := req.Workers, bundles[models[0]].Ensemble.Workers()
+	if workers == 0 || workers > bound {
+		workers = bound
+	}
+	return set, sp, sweep.Config{TopK: req.TopK, ChunkSize: req.Chunk, Workers: workers}, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -113,7 +120,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	set, sp, err := resolveSweepRequest(s.reg, req)
+	set, sp, cfg, err := resolveSweepRequest(s.reg, req)
 	if err != nil {
 		status := http.StatusBadRequest
 		if strings.Contains(err.Error(), "unknown model") {
@@ -122,11 +129,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	res, err := sweep.Run(r.Context(), sp, set, sweep.Config{
-		TopK:      req.TopK,
-		ChunkSize: req.Chunk,
-		Workers:   max(req.Workers, 1), // 0 means 1 here; see SweepRequest.Workers
-	})
+	res, err := sweep.Run(r.Context(), sp, set, cfg)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return

@@ -167,24 +167,45 @@ func TestSweepSubmitValidation(t *testing.T) {
 		"bad metric output":     {Model: "synth", Metrics: []sweep.MetricSpec{{Output: 4}}},
 	}
 	for label, req := range cases {
-		if _, _, err := resolveSweepRequest(reg, req); err == nil {
+		if _, _, _, err := resolveSweepRequest(reg, req); err == nil {
 			t.Errorf("%s accepted", label)
 		}
 	}
 	// The sole model may be left implicit — and once a second model
 	// exists, it may not.
-	set, sp, err := resolveSweepRequest(reg, SweepRequest{TopK: -1})
+	set, sp, cfg, err := resolveSweepRequest(reg, SweepRequest{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweep.Run(context.Background(), sp, set, sweep.Config{TopK: -1}); err != nil {
+	if _, err := sweep.Run(context.Background(), sp, set, cfg); err != nil {
 		t.Fatalf("implicit-model sweep: %v", err)
 	}
 	if _, err := reg.Add("second", trainedBundle(t), CoalesceOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := resolveSweepRequest(reg, SweepRequest{}); err == nil {
+	if _, _, _, err := resolveSweepRequest(reg, SweepRequest{}); err == nil {
 		t.Fatal("ambiguous implicit model accepted")
+	}
+}
+
+// TestSweepRequestWorkers: a sweep request's workers default to the
+// first model's ensemble worker bound, and no request runs above it.
+func TestSweepRequestWorkers(t *testing.T) {
+	b := trainedBundle(t)
+	b.Ensemble.SetWorkers(3)
+	reg := NewRegistry()
+	defer reg.Close()
+	if _, err := reg.Add("synth", b, CoalesceOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ req, want int }{{0, 3}, {1, 1}, {3, 3}, {1_000_000, 3}} {
+		_, _, cfg, err := resolveSweepRequest(reg, SweepRequest{Model: "synth", TopK: 4, Chunk: 9, Workers: c.req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (sweep.Config{TopK: 4, ChunkSize: 9, Workers: c.want}); !reflect.DeepEqual(cfg, want) {
+			t.Errorf("workers %d: config %+v, want %+v", c.req, cfg, want)
+		}
 	}
 }
 

@@ -35,10 +35,6 @@ func benchBundle(b *testing.B) *bundle.Bundle {
 	cfg.Train.MaxEpochs = 60
 	cfg.Train.Patience = 15
 	cfg.Seed = 3
-	// The engine owns the parallelism under benchmark; a fixed
-	// single-worker ensemble keeps the workers=N scaling attributable
-	// to the sweep pool alone.
-	cfg.Workers = 1
 	rng := stats.NewRNG(3)
 	train := sp.Sample(rng, 60)
 	enc := encoding.NewEncoder(sp)
@@ -61,7 +57,8 @@ func benchBundle(b *testing.B) *bundle.Bundle {
 }
 
 // BenchmarkSweep measures chunked full-space sweep throughput (the
-// default perf + confidence metric pair) at several worker counts;
+// default perf + confidence metric pair) at several worker counts, in
+// DefaultChunkSize chunks, whose 512-row pieces the workers share;
 // BENCH_sweep.json records the points/s baselines the CI
 // bench-regression gate (cmd/benchdiff) compares against.
 func BenchmarkSweep(b *testing.B) {
@@ -74,7 +71,7 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), sp, set, Config{Workers: workers, ChunkSize: 512}); err != nil {
+				if _, err := Run(context.Background(), sp, set, Config{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,8 +99,10 @@ func BenchmarkSweepReference(b *testing.B) {
 }
 
 // BenchmarkSweepMemory ranks the memory study's whole space (23,040
-// points, 10 inputs) through goldenEnsemble at one worker in
-// DefaultChunkSize chunks, and times three things in each iteration:
+// points, 10 inputs) through goldenEnsemble in DefaultChunkSize chunks,
+// every part at GOMAXPROCS workers (the sweeps at Workers 0, the
+// encoded scoring at goldenEnsemble's own bound), and times three
+// things in each iteration:
 //   - "sweep-points/s": Run by the predicted mean alone, the paper's
 //     best-configuration query. With one metric the reduction is light
 //     (the frontier is the best point), so this shows the range path.
@@ -147,11 +146,11 @@ func BenchmarkSweepMemory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now() //repolint:allow determinism -- benchmark timing: each iteration's wall time splits between its three parts
-		if _, err := Run(context.Background(), sp, set, Config{Workers: 1}); err != nil {
+		if _, err := Run(context.Background(), sp, set, Config{}); err != nil {
 			b.Fatal(err)
 		}
 		mid := time.Now() //repolint:allow determinism -- benchmark timing, as above
-		if _, err := Run(context.Background(), sp, churn, Config{Workers: 1}); err != nil {
+		if _, err := Run(context.Background(), sp, churn, Config{}); err != nil {
 			b.Fatal(err)
 		}
 		late := time.Now() //repolint:allow determinism -- benchmark timing, as above

@@ -49,14 +49,15 @@ var goldenSweepDigestsNoFMA = map[string]string{
 // prediction goes through the untransform's exp.
 func goldenEnsemble(t testing.TB, inputs int) *core.Ensemble {
 	t.Helper()
-	return scaledGoldenEnsemble(t, inputs, 1)
+	return goldenEnsembleOf(t, inputs, 16, 1)
 }
 
-// scaledGoldenEnsemble is goldenEnsemble with every hidden-layer weight
-// and bias multiplied by scale; at 300 some hidden sums of every study
-// leave the vector sigmoid's one-multiply range in either half of the
-// 16 units, so rows take the scalar hand-off.
-func scaledGoldenEnsemble(t testing.TB, inputs int, scale float64) *core.Ensemble {
+// goldenEnsembleOf is goldenEnsemble with hidden units in its hidden
+// layer and every hidden-layer weight and bias multiplied by scale; at
+// 16 units and a scale of 300 some hidden sums of every study leave the
+// vector sigmoid's one-multiply range in either half of the units, so
+// rows take the scalar hand-off.
+func goldenEnsembleOf(t testing.TB, inputs, hidden int, scale float64) *core.Ensemble {
 	t.Helper()
 	doc := struct {
 		Version   int               `json:"version"`
@@ -72,6 +73,7 @@ func scaledGoldenEnsemble(t testing.TB, inputs int, scale float64) *core.Ensembl
 	}
 	for m := 0; m < 10; m++ {
 		cfg := core.DefaultModelConfig().NetConfig(inputs, 1)
+		cfg.Hidden = []int{hidden}
 		cfg.InitRange = 2
 		cfg.Seed = uint64(1000 + m)
 		var buf bytes.Buffer
@@ -116,11 +118,12 @@ func scaledGoldenEnsemble(t testing.TB, inputs int, scale float64) *core.Ensembl
 
 // TestGoldenSweepDigest sweeps each study's whole space through
 // goldenEnsemble with DefaultSpecs' mean + variance metrics and the
-// default top-k, and hashes the JSON result document, with the two
-// wall-clock fields zeroed, against the table of math.Exp's branch.
-// TestRunMatchesReference cannot catch an error that Run and Reference
-// share, since both go through the same encoder and kernels; this test
-// can.
+// default top-k, at workers 1 and 3 (one goroutine, then each chunk's
+// 512-row pieces fanned out), and hashes the JSON result document,
+// with the two wall-clock fields zeroed, against the table of
+// math.Exp's branch. TestRunMatchesReference cannot catch an error that
+// Run and Reference share, since both go through the same encoder and
+// kernels; this test can.
 func TestGoldenSweepDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("sweep bits are pinned on amd64 only: Go may fuse x*y+z into one rounding on other architectures")
@@ -147,21 +150,23 @@ func TestGoldenSweepDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(context.Background(), sp, set, Config{TopK: DefaultTopK, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Points != sp.Size() {
-				t.Fatalf("swept %d points, space has %d", res.Points, sp.Size())
-			}
-			res.Elapsed, res.PointsPerSec = 0, 0
-			doc, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(doc)
-			if got, want := hex.EncodeToString(sum[:]), digests[st.Name]; got != want {
-				t.Fatalf("sweep document digest %s, want %s (%s branch; frontier %d points)", got, want, branch, len(res.Frontier))
+			for _, workers := range []int{1, 3} {
+				res, err := Run(context.Background(), sp, set, Config{TopK: DefaultTopK, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Points != sp.Size() {
+					t.Fatalf("swept %d points, space has %d", res.Points, sp.Size())
+				}
+				res.Elapsed, res.PointsPerSec = 0, 0
+				doc, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(doc)
+				if got, want := hex.EncodeToString(sum[:]), digests[st.Name]; got != want {
+					t.Fatalf("workers %d: sweep document digest %s, want %s (%s branch; frontier %d points)", workers, got, want, branch, len(res.Frontier))
+				}
 			}
 		})
 	}

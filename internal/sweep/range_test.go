@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/cpufeat"
@@ -33,7 +34,7 @@ func flagSpace() *space.Space {
 
 // TestRangeEvalMatchesEncoded compares core.RangeEvaluator with
 // MetricSet.Eval over EncodeRange's rows (PredictBatch), bit for bit,
-// at ensemble workers 1 and 3: whole spaces, 0–13-row windows at random
+// at evaluator workers 1 and 3: whole spaces, 0–13-row windows at random
 // starts, and 4096-row windows that start on the last row and in the
 // middle of a prefix at every axis. It covers goldenEnsemble (weights
 // on U[-2,2]) and a trained small-weight ensemble, on testSpace (a
@@ -43,12 +44,15 @@ func flagSpace() *space.Space {
 // goldenEnsemble with hidden weights ×300, whose rows take the
 // sigmoid's scalar hand-off in either half.
 func TestRangeEvalMatchesEncoded(t *testing.T) {
+	if !cpufeat.AVX2 {
+		t.Skip("the range path needs AVX2; elsewhere the evaluator encodes rows")
+	}
 	perf, _ := testBundles(t)
 	type evalCase struct {
 		name  string
 		sp    *space.Space
 		ens   *core.Ensemble
-		scale float64 // of scaledGoldenEnsemble's hidden weights, when ens is nil
+		scale float64 // of goldenEnsembleOf's hidden weights, when ens is nil
 	}
 	cases := []evalCase{
 		{"synth trained", perf.Space, perf.Ensemble, 0},
@@ -60,11 +64,13 @@ func TestRangeEvalMatchesEncoded(t *testing.T) {
 	rng := stats.NewRNG(0x5A4E)
 	for _, c := range cases {
 		enc := encoding.NewEncoder(c.sp)
+		if ann.NewRangeNet(ann.New(core.DefaultModelConfig().NetConfig(enc.Width(), 1)), enc.Axes()) == nil {
+			t.Fatalf("%s: no range path for a 16-unit network on an AVX2 CPU", c.name)
+		}
 		ens := c.ens
 		if ens == nil {
-			ens = scaledGoldenEnsemble(t, enc.Width(), c.scale)
+			ens = goldenEnsembleOf(t, enc.Width(), 16, c.scale)
 		}
-		defer ens.SetWorkers(ens.Workers())
 		kindSets := [][]core.MetricKind{{core.MetricMean}, {core.MetricVariance}, {core.MetricMean, core.MetricVariance}}
 		if c.scale > 1 {
 			kindSets = kindSets[2:] // the hand-off is the case here, not the columns
@@ -77,13 +83,6 @@ func TestRangeEvalMatchesEncoded(t *testing.T) {
 			set, err := core.NewMetricSet(metrics)
 			if err != nil {
 				t.Fatal(err)
-			}
-			ev := set.NewRangeEvaluator(enc)
-			if ev == nil {
-				if cpufeat.AVX2 {
-					t.Fatalf("%s: no range evaluator on an AVX2 CPU", c.name)
-				}
-				t.Skip("the range path needs AVX2")
 			}
 			size := c.sp.Size()
 			windows := [][2]int{{0, size}}
@@ -104,10 +103,66 @@ func TestRangeEvalMatchesEncoded(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 3} {
-				ens.SetWorkers(workers)
+				ev := set.NewRangeEvaluator(enc, workers)
 				for _, w := range windows {
 					checkRangeEval(t, fmt.Sprintf("%s, metrics %v, workers %d", c.name, kinds, workers), enc, set, ev, w[0], w[1])
 				}
+			}
+		}
+	}
+}
+
+// TestRunEncodedFallback sweeps through goldenEnsembleOf with 8 hidden
+// units, where ann.NewRangeNet returns nil, so Run's evaluator encodes
+// every chunk and scores it through PredictBatch's forward. Over a
+// space of 1,152 points, whose one 4096-point chunk splits into three
+// 512-row pieces, the sweep must match Reference, and its document must
+// be byte-identical across workers 1, 2 and 3 and chunk sizes 7 and
+// 4096.
+func TestRunEncodedFallback(t *testing.T) {
+	sp := space.New("fallback", []space.Param{
+		{Name: "a", Kind: space.Cardinal, Values: []float64{1, 2, 4, 8, 16, 32, 64, 128}},
+		{Name: "b", Kind: space.Cardinal, Values: []float64{1, 2, 3, 4, 5, 6}},
+		{Name: "c", Kind: space.Continuous, Values: []float64{0.5, 1, 1.5, 2}},
+		{Name: "mode", Kind: space.Nominal, Levels: []string{"x", "y", "z"}},
+		{Name: "on", Kind: space.Boolean, Values: []float64{0, 1}},
+	})
+	enc := encoding.NewEncoder(sp)
+	cfg := core.DefaultModelConfig().NetConfig(enc.Width(), 1)
+	cfg.Hidden = []int{8}
+	if ann.NewRangeNet(ann.New(cfg), enc.Axes()) != nil {
+		t.Fatal("an 8-unit hidden layer takes the range path, so this test does not reach the encoded fallback")
+	}
+	b, err := bundle.New(sp, goldenEnsembleOf(t, enc.Width(), 8, 1), bundle.Meta{Study: "fallback", Metric: "ipc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, _, err := Resolve(DefaultSpecs([]string{"m"}), map[string]*bundle.Bundle{"m": b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Reference(sp, set, DefaultTopK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for _, workers := range []int{1, 2, 3} {
+		for _, chunk := range []int{7, 4096} {
+			label := fmt.Sprintf("workers=%d chunk=%d", workers, chunk)
+			got, err := Run(context.Background(), sp, set, Config{ChunkSize: chunk, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReduction(t, label+" vs reference", want, got)
+			got.Elapsed, got.PointsPerSec = 0, 0
+			doc, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = doc
+			} else if !bytes.Equal(doc, first) {
+				t.Fatalf("%s: sweep document differs from workers=1 chunk=7's", label)
 			}
 		}
 	}

@@ -62,13 +62,6 @@ func (t *topK) offer(index int, values []float64) {
 	heap.Push(t, Point{Index: index, Values: append([]float64(nil), values...)})
 }
 
-// merge folds another leaderboard's kept points in.
-func (t *topK) merge(o *topK) {
-	for _, p := range o.pts {
-		t.offer(p.Index, p.Values)
-	}
-}
-
 // ranked returns the kept points best-first. The leaderboard is spent
 // afterwards.
 func (t *topK) ranked() []Point {
@@ -105,38 +98,35 @@ func gather(buf []float64, cols [][]float64, r int) {
 	}
 }
 
-// chunkReducer is one sweep worker's column-by-column reduction of the
-// chunks it claims. It carries hint, the values of the point that last
-// rejected one of its rows, from chunk to chunk, each value times sign
-// (+1 where the metric is maximized, -1 where minimized), so that a row
-// whose signed values are all <= hint's is dominated by or equal to
-// that point and is dropped inline, without a gather or a call.
+// reducer is a sweep's reduction: the one Pareto frontier and one
+// top-k list per metric, fed chunk by chunk in ascending index order.
+// It carries hint, the values of the member that last rejected one of
+// its rows (Frontier.Hint), each value times sign (+1 where the metric
+// is maximized, -1 where minimized), so that a row whose signed values
+// are all <= hint's is dominated by or equal to that point and is
+// dropped inline, without a gather or a call.
 //
-// Dropping such a row from chunk c's part leaves the reducer's frontier
-// after chunk c unchanged. Workers claim chunks in ascending id order,
-// so the hint point lies in chunk c or an earlier chunk, and its index
-// is below the row's: the row is not on the frontier of chunks 0..c.
-// The part therefore still holds every member of that frontier that
-// lies in chunk c, and the reducer's frontier of chunks 0..c-1 holds
-// every other member. Merging a set that holds a point set's whole
-// frontier, and only points of that set, gives that frontier, so the
-// reducer's frontier is the frontier of chunks 0..c as before, and
-// MaxFrontier's trip count, the progress reports and the first error
-// reported do not move.
-type chunkReducer struct {
+// Dropping such a row leaves the frontier as it is: the hint point was
+// offered before the row, so its index is lower, and a row it dominates
+// or equals is not on the frontier.
+type reducer struct {
+	front  *pareto.Frontier
+	tops   []*topK
 	sign   []float64
 	hint   []float64
 	hinted bool
 	row    []float64 // one row's values, gathered
 }
 
-func newChunkReducer(minimize []bool) *chunkReducer {
-	r := &chunkReducer{
-		sign: make([]float64, len(minimize)),
-		hint: make([]float64, len(minimize)),
-		row:  make([]float64, len(minimize)),
+func newReducer(minimize []bool, topk int) *reducer {
+	r := &reducer{
+		front: pareto.NewFrontier(minimize),
+		sign:  make([]float64, len(minimize)),
+		hint:  make([]float64, len(minimize)),
+		row:   make([]float64, len(minimize)),
 	}
 	for m, min := range minimize {
+		r.tops = append(r.tops, newTopK(m, min, topk))
 		r.sign[m] = 1
 		if min {
 			r.sign[m] = -1
@@ -150,7 +140,7 @@ func newChunkReducer(minimize []bool) *chunkReducer {
 // row's first such metric, as offering the rows in order would; nil
 // when every value is finite. Columns are scanned one by one, each up
 // to the lowest bad row found so far.
-func (red *chunkReducer) checkFinite(lo int, cols [][]float64) error {
+func (red *reducer) checkFinite(lo int, cols [][]float64) error {
 	bad := len(cols[0])
 	for _, c := range cols {
 		for r, v := range c[:bad] {
@@ -167,11 +157,11 @@ func (red *chunkReducer) checkFinite(lo int, cols [][]float64) error {
 	return pareto.CheckValues(lo+bad, red.row)
 }
 
-// offerFront offers the chunk's finite rows to its frontier part in
+// offerFront offers the chunk's finite rows to the frontier in
 // ascending order. A row the hint covers is dropped inline; any other is
-// gathered and offered, and the hint then follows the part's own
-// (Frontier.Hint).
-func (red *chunkReducer) offerFront(f *pareto.Frontier, lo int, cols [][]float64) {
+// gathered and offered, and the hint then follows the frontier's own.
+func (red *reducer) offerFront(lo int, cols [][]float64) {
+	f := red.front
 	for r := range cols[0] {
 		covered := red.hinted
 		for m := 0; covered && m < len(cols); m++ {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/pareto"
-	"repro/internal/stats"
 )
 
 func frontierOf(minimize []bool, pts []Point) []Point {
@@ -115,37 +114,6 @@ func TestFrontierSingleMetric(t *testing.T) {
 	}
 }
 
-// TestFrontierMergeEqualsSequential: merging per-shard frontiers must
-// equal one sequential pass — the property chunked reduction rests on.
-func TestFrontierMergeEqualsSequential(t *testing.T) {
-	dir := []bool{false, true, false}
-	rng := stats.NewRNG(7)
-	var pts []Point
-	for i := 0; i < 400; i++ {
-		pts = append(pts, Point{Index: i, Values: []float64{
-			float64(rng.Intn(8)), float64(rng.Intn(8)), float64(rng.Intn(8)),
-		}})
-	}
-	want := frontierOf(dir, pts)
-	for _, shard := range []int{1, 3, 64, 400} {
-		merged := pareto.NewFrontier(dir)
-		for lo := 0; lo < len(pts); lo += shard {
-			local := pareto.NewFrontier(dir)
-			for _, p := range pts[lo:min(lo+shard, len(pts))] {
-				if err := local.Offer(p.Index, p.Values); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := merged.Merge(local); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := merged.Sorted(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d: merged frontier %v != sequential %v", shard, indices(got), indices(want))
-		}
-	}
-}
-
 // TestTopKOrderingAndTies: best-first output with ties broken toward
 // the lower index, under both directions.
 func TestTopKOrderingAndTies(t *testing.T) {
@@ -168,34 +136,6 @@ func TestTopKOrderingAndTies(t *testing.T) {
 	}
 	if want := []int{7, 2}; !reflect.DeepEqual(indices(tk.ranked()), want) {
 		t.Fatalf("minimize top-2 = %v, want %v", indices(tk.ranked()), want)
-	}
-}
-
-// TestTopKMergeEqualsSequential mirrors the frontier merge property
-// for the leaderboards.
-func TestTopKMergeEqualsSequential(t *testing.T) {
-	rng := stats.NewRNG(11)
-	var pts []Point
-	for i := 0; i < 300; i++ {
-		pts = append(pts, Point{Index: i, Values: []float64{float64(rng.Intn(12))}})
-	}
-	seq := newTopK(0, false, 10)
-	for _, p := range pts {
-		seq.offer(p.Index, p.Values)
-	}
-	want := append([]Point(nil), seq.ranked()...)
-	for _, shard := range []int{1, 7, 128} {
-		merged := newTopK(0, false, 10)
-		for lo := 0; lo < len(pts); lo += shard {
-			local := newTopK(0, false, 10)
-			for _, p := range pts[lo:min(lo+shard, len(pts))] {
-				local.offer(p.Index, p.Values)
-			}
-			merged.merge(local)
-		}
-		if got := merged.ranked(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d: merged top-k %v != sequential %v", shard, indices(got), indices(want))
-		}
 	}
 }
 

@@ -7,40 +7,38 @@
 // energy across model bundles, or performance vs. prediction variance
 // as a confidence axis).
 //
-// The engine is streaming: the space is enumerated in fixed-size
-// chunks of flat indices (never materializing the cross product), a
-// worker pool scores each chunk by its index range through
-// core.RangeEvaluator — layer 0 from per-axis product tables and
-// shared prefix sums, so no point is encoded — and per-chunk partial
-// reductions — a bounded top-k heap per metric plus a local Pareto
-// front — merge in chunk order. Where the range path does not apply,
-// chunks are encoded (encoding.EncodeRange) and scored through
-// core.MetricSet, as Reference always does. Chunk boundaries depend
-// only on ChunkSize and every reduction is a total order (ties break on
-// the lower flat index; exactly equal metric vectors collapse onto the
-// lowest index), so the output is bit-identical for any worker count,
-// and parity-tested against the naive materialize-everything
-// Reference.
+// The engine is streaming: one loop on the caller's goroutine takes
+// the space in fixed-size chunks of flat indices, in ascending order,
+// never materializing the cross product. It scores each chunk through
+// core.RangeEvaluator, whose par.For over the chunk's 512-row pieces is
+// the sweep's one fan-out: layer 0 comes from per-axis product tables
+// and shared prefix sums, so no point is encoded, except where that
+// path does not apply and rows are encoded as Reference encodes them.
+// It then offers the chunk's rows to one bounded top-k heap per metric
+// and one Pareto frontier. Chunk boundaries depend only on ChunkSize,
+// each row is scored on its own, and every reduction is a total order
+// (ties break on the lower flat index; exactly equal metric vectors
+// collapse onto the lowest index), so the output is bit-identical for
+// any worker count, and parity-tested against the naive
+// materialize-everything Reference.
 package sweep
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
-	"repro/internal/par"
 	"repro/internal/pareto"
 	"repro/internal/space"
 )
 
 // DefaultChunkSize is the enumeration granularity when Config leaves
 // it zero: big enough to keep the batched kernels in their blocked
-// regime, small enough that per-worker buffers stay cache-friendly.
+// regime, small enough that a chunk's metric columns stay
+// cache-friendly.
 const DefaultChunkSize = 4096
 
 // DefaultTopK is the per-metric leaderboard size when Config leaves it
@@ -59,21 +57,24 @@ type Config struct {
 	// TopK is the per-metric leaderboard size (0 = DefaultTopK,
 	// negative = no leaderboards, frontier only).
 	TopK int
-	// ChunkSize is the number of points one work unit enumerates,
-	// encodes and scores (0 = DefaultChunkSize; anything past the
-	// space's size means one chunk). Results are bit-identical for any
-	// setting; throughput is flat across a wide range.
+	// ChunkSize is the number of points the loop scores and reduces
+	// at a time (0 = DefaultChunkSize; anything past the space's size
+	// means one chunk). Results are bit-identical for any setting.
 	ChunkSize int
-	// Workers bounds the sweep's worker pool (0 = GOMAXPROCS; 1 or
-	// negative = fully sequential). Output bits do not depend on it.
+	// Workers bounds the goroutines that score a chunk (0 =
+	// GOMAXPROCS, negative = 1); the reduction runs on the caller's
+	// goroutine. A chunk splits into 512-row pieces, so one of
+	// DefaultChunkSize rows feeds up to 8 workers, and a chunk of 512
+	// rows or fewer scores on the caller's goroutine. Output bits do
+	// not depend on it.
 	Workers int
 	// MaxFrontier fails the sweep if the Pareto frontier outgrows it
-	// (0 = DefaultMaxFrontier, negative = unbounded). The check runs in
-	// the ordered reducer, so it trips at the same point count for any
+	// (0 = DefaultMaxFrontier, negative = unbounded). The check runs
+	// after each chunk, so it trips at the same point count for any
 	// worker setting.
 	MaxFrontier int
-	// OnProgress, when non-nil, is called from the reducer — in chunk
-	// order, on the Run goroutine — as chunks complete.
+	// OnProgress, when non-nil, is called on the Run goroutine after
+	// each chunk, in chunk order.
 	OnProgress func(done, total int)
 }
 
@@ -103,25 +104,12 @@ type Result struct {
 	PointsPerSec float64       `json:"pointsPerSec"`
 }
 
-// chunkPart is one chunk's reduction, travelling worker → reducer. A
-// non-nil err means the chunk hit an unrankable point (NaN/±Inf metric
-// value); the reducer surfaces errors strictly in chunk-id order, so
-// the error a sweep reports is a function of the space, not of worker
-// scheduling.
-type chunkPart struct {
-	id    int
-	rows  int
-	tops  []*topK
-	front *pareto.Frontier
-	err   error
-}
-
 // Run sweeps every point of sp through the metric set and reduces the
 // stream into per-metric top-k leaderboards and the Pareto frontier.
 // The encoder is derived from sp, so the metric set's ensembles must
 // have been trained on sp's encoding (bundle loading guarantees this
-// for bundle-backed metrics). Cancelling ctx abandons the sweep and
-// returns the context's error.
+// for bundle-backed metrics). Cancelling ctx abandons the sweep at the
+// next chunk and returns the context's error.
 func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) (*Result, error) {
 	start := time.Now() //repolint:allow determinism -- throughput telemetry; Elapsed/PointsPerSec are documented as the only wall-varying Result fields
 	if sp == nil || set == nil {
@@ -140,7 +128,7 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 		return nil, fmt.Errorf("sweep: Config.ChunkSize %d is not positive", cfg.ChunkSize)
 	}
 	size := sp.Size()
-	// Workers size their buffers by the chunk, so a chunk larger than
+	// The column buffers are sized by the chunk, so a chunk larger than
 	// the space would allocate rows that can never be filled. Either
 	// way the space is one chunk, so clamping cannot change the result.
 	chunk = min(chunk, size)
@@ -159,140 +147,51 @@ func Run(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg Config) 
 		maxFrontier = DefaultMaxFrontier
 	}
 
-	// Chunk c covers [c·chunk, (c+1)·chunk) ∩ [0, size).
-	nchunks := (size + chunk - 1) / chunk
-	// Not par.For: progress, the MaxFrontier trip and the first error
-	// depend on workers streaming reductions to the ordered reducer.
-	workers := min(par.Workers(cfg.Workers), nchunks)
-
 	metrics := set.Metrics()
-	minimize := set.Minimize()
-	// Chunks score by flat index where the range path applies (layer 0
-	// from per-axis product tables, no encoding); elsewhere they encode
-	// rows, as Reference does.
-	ev := set.NewRangeEvaluator(enc)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan chunkPart, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			width := enc.Width()
-			var xs []float64
-			if ev == nil {
-				xs = make([]float64, chunk*width)
-			}
-			cols := make([][]float64, len(metrics))
-			view := make([][]float64, len(metrics))
-			for m := range cols {
-				cols[m] = make([]float64, chunk)
-			}
-			red := newChunkReducer(minimize)
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nchunks || ctx.Err() != nil {
-					return
-				}
-				lo := c * chunk
-				rows := min(size, lo+chunk) - lo
-				for m := range cols {
-					view[m] = cols[m][:rows]
-				}
-				if ev != nil {
-					ev.Eval(lo, rows, view)
-				} else {
-					enc.EncodeRange(lo, rows, xs[:rows*width])
-					set.Eval(xs[:rows*width], rows, view)
-				}
-				p := chunkPart{id: c, rows: rows, front: pareto.NewFrontier(minimize)}
-				for m := range metrics {
-					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
-				}
-				// An unrankable point abandons the chunk and travels to
-				// the reducer as its error.
-				if p.err = red.checkFinite(lo, view); p.err == nil {
-					red.offerFront(p.front, lo, view)
-					for _, t := range p.tops {
-						t.offerColumn(lo, view, red.row)
-					}
-				}
-				select {
-				case results <- p:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
+	ev := set.NewRangeEvaluator(enc, cfg.Workers)
+	red := newReducer(set.Minimize(), topk)
+	cols := make([][]float64, len(metrics))
+	view := make([][]float64, len(metrics))
+	for m := range cols {
+		cols[m] = make([]float64, chunk)
 	}
-
-	// Ordered reduction: chunk pieces may arrive in any order, but
-	// merge strictly by chunk id, so progress is monotone and the merge
-	// sequence is one fixed function of the space — not of scheduling.
-	front := pareto.NewFrontier(minimize)
-	var tops []*topK
-	for m := range metrics {
-		tops = append(tops, newTopK(m, minimize[m], topk))
-	}
-	pending := make(map[int]chunkPart, workers)
-	reduced, scored := 0, 0
-	for reduced < nchunks {
-		var p chunkPart
-		select {
-		case p = <-results:
-		case <-ctx.Done():
-			cancel()
-			wg.Wait()
-			return nil, ctx.Err()
+	// Chunks in ascending index order, which the reducer's hint, the
+	// frontier cap's trip count and the first error reported rely on.
+	for lo := 0; lo < size; lo += chunk {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		pending[p.id] = p
-		for {
-			q, ok := pending[reduced]
-			if !ok {
-				break
-			}
-			delete(pending, reduced)
-			if q.err != nil {
-				cancel()
-				wg.Wait()
-				return nil, fmt.Errorf("sweep: %w", q.err)
-			}
-			for m, t := range tops {
-				t.merge(q.tops[m])
-			}
-			if err := front.Merge(q.front); err != nil {
-				cancel()
-				wg.Wait()
-				return nil, fmt.Errorf("sweep: %w", err)
-			}
-			if maxFrontier > 0 && front.Len() > maxFrontier {
-				cancel()
-				wg.Wait()
-				return nil, fmt.Errorf("sweep: Pareto frontier exceeds %d points after %d of %d swept — the metric set is likely degenerate (one axis both maximized and minimized); raise Config.MaxFrontier (negative = unbounded) if the frontier is genuinely this large",
-					maxFrontier, scored+q.rows, size)
-			}
-			scored += q.rows
-			reduced++
-			if cfg.OnProgress != nil {
-				cfg.OnProgress(scored, size)
-			}
+		rows := min(size, lo+chunk) - lo
+		for m := range cols {
+			view[m] = cols[m][:rows]
+		}
+		ev.Eval(lo, rows, view)
+		if err := red.checkFinite(lo, view); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+		red.offerFront(lo, view)
+		for _, t := range red.tops {
+			t.offerColumn(lo, view, red.row)
+		}
+		if maxFrontier > 0 && red.front.Len() > maxFrontier {
+			return nil, fmt.Errorf("sweep: Pareto frontier exceeds %d points after %d of %d swept — the metric set is likely degenerate (one axis both maximized and minimized); raise Config.MaxFrontier (negative = unbounded) if the frontier is genuinely this large",
+				maxFrontier, lo+rows, size)
+		}
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(lo+rows, size)
 		}
 	}
-	wg.Wait()
 
 	res := &Result{
 		Space:    sp.Name,
 		Points:   size,
-		Frontier: front.Sorted(),
+		Frontier: red.front.Sorted(),
 	}
 	for _, m := range metrics {
 		res.Metrics = append(res.Metrics, MetricInfo{Name: m.Name, Minimize: m.Minimize})
 	}
 	if topk > 0 {
-		for _, t := range tops {
+		for _, t := range red.tops {
 			res.TopK = append(res.TopK, t.ranked())
 		}
 	}

@@ -121,7 +121,7 @@ func sameReduction(t *testing.T, label string, a, b *Result) {
 }
 
 // TestRunMatchesReference is the engine's ground-truth parity: the
-// streaming, chunked, pooled sweep must reproduce the naive
+// streaming, chunked sweep must reproduce the naive
 // materialize-everything reference exactly on a small space.
 func TestRunMatchesReference(t *testing.T) {
 	set, sp := testSet(t)
@@ -138,8 +138,10 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunBitIdenticalAcrossWorkers is the sharding guarantee: output
-// bits do not depend on the worker count.
+// TestRunBitIdenticalAcrossWorkers: output bits do not depend on the
+// worker setting. The space's 120 points fit in one 512-row prediction
+// piece, so every run here scores on one goroutine; TestGoldenSweepDigest,
+// TestRunEncodedFallback and TestRangeEvalMatchesEncoded fan out.
 func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 	set, sp := testSet(t)
 	var base *Result
@@ -156,9 +158,10 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunKernelBitIdentity crosses worker counts with chunk sizes:
+// TestRunKernelBitIdentity crosses worker settings with chunk sizes:
 // the sweep reduction through the forward kernel is byte-identical for
-// every (workers, chunk) pair, not only along one axis at a time.
+// every (workers, chunk) pair, not only along one axis at a time. As in
+// TestRunBitIdenticalAcrossWorkers, every chunk scores on one goroutine.
 func TestRunKernelBitIdentity(t *testing.T) {
 	set, sp := testSet(t)
 	var base *Result
@@ -362,9 +365,8 @@ func frontierCapTrip(t *testing.T, sp *space.Space, set *core.MetricSet, chunk, 
 
 // TestRunRejectsNonFiniteDeterministically: a model that predicts NaN
 // (an exec-oracle backend gone bad, say) must fail the sweep with an
-// error naming the offending flat index — and because the reducer
-// surfaces errors strictly in chunk-id order, the same error for any
-// worker count instead of whichever chunk lost the race.
+// error naming the offending flat index — and because chunks are
+// reduced in order, the same error for any worker count.
 func TestRunRejectsNonFiniteDeterministically(t *testing.T) {
 	nan := trainBundle(t, 43, func(*space.Space, int) float64 { return math.NaN() })
 	set, sp, err := Resolve([]MetricSpec{
@@ -391,8 +393,8 @@ func TestRunRejectsNonFiniteDeterministically(t *testing.T) {
 
 // TestRunClampsChunkToSpace: a chunk larger than the space sweeps the
 // space as one chunk, so it must reproduce the default sweep and
-// allocate no more than a chunk of exactly the space's size — workers
-// size their buffers by the chunk, not by what it can hold.
+// allocate no more than a chunk of exactly the space's size — the sweep
+// sizes its buffers by the chunk, not by what it can hold.
 func TestRunClampsChunkToSpace(t *testing.T) {
 	set, sp := testSet(t)
 	run := func(chunk int) (*Result, uint64) {
