@@ -216,10 +216,11 @@ func main() {
 	// Predicted optimum over the whole space, verified once: a top-1
 	// streaming sweep through the shared engine (internal/sweep) — the
 	// same chunked enumeration and reduction cmd/sweep and POST
-	// /v1/sweep run, each chunk scored on up to -workers goroutines.
+	// /v1/sweep run, each chunk scored on up to the ensemble's worker
+	// bound (-workers, or the checkpoint's on a resume without it).
 	set, err := core.NewMetricSet([]core.Metric{{Name: "IPC", Ens: ens}})
 	fatal(err)
-	res, err := sweep.Run(context.Background(), study.Space, set, sweep.Config{TopK: 1, Workers: *workers})
+	res, err := sweep.Run(context.Background(), study.Space, set, sweep.Config{TopK: 1, Workers: ens.Workers()})
 	fatal(err)
 	best := res.TopK[0][0]
 	truth, err := oracle.IPCs([]int{best.Index})

@@ -211,6 +211,10 @@ func (s *MetricSet) NewRangeEvaluator(enc *encoding.Encoder, workers int) *Range
 	return ev
 }
 
+// RangePath reports whether Eval scores through every member's
+// ann.RangeNet; false means it encodes rows.
+func (ev *RangeEvaluator) RangePath() bool { return ev.nets != nil }
+
 // Eval scores points [lo, lo+rows) into cols (see RangeEvaluator).
 func (ev *RangeEvaluator) Eval(lo, rows int, cols [][]float64) {
 	var xs []float64

@@ -270,9 +270,11 @@ func TestServerDefaultKernel(t *testing.T) {
 
 // TestSweepJobVarianceOnly: a sweep whose only metric is the model's
 // variance answers the variance leaderboard of the default
-// mean+variance sweep, and the server keeps serving afterwards. The
-// engine scores inside its own worker goroutines, where nothing
-// recovers a panic, so any panic on this path kills the process.
+// mean+variance sweep, and the server keeps serving afterwards. At
+// chunk 16 every chunk is one prediction piece, so the sweep runs on
+// the request goroutine, where net/http recovers a panic; only a
+// multi-piece chunk's par.For goroutines run unrecovered, and a panic
+// there kills the process.
 func TestSweepJobVarianceOnly(t *testing.T) {
 	s, reg, b := sweepStore(t)
 	ts := httptest.NewServer(NewWithJobs(reg, s))

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/bundle"
 	"repro/internal/core"
 	"repro/internal/cpufeat"
@@ -42,7 +41,8 @@ func flagSpace() *space.Space {
 // dependent axis) and flagSpace, for mean only, variance only and
 // both; and, for both studies' whole spaces and short windows,
 // goldenEnsemble with hidden weights ×300, whose rows take the
-// sigmoid's scalar hand-off in either half.
+// sigmoid's scalar hand-off in either half. Since the encoded fallback
+// gives the same bits, every evaluator must also report RangePath.
 func TestRangeEvalMatchesEncoded(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("the range path needs AVX2; elsewhere the evaluator encodes rows")
@@ -64,9 +64,6 @@ func TestRangeEvalMatchesEncoded(t *testing.T) {
 	rng := stats.NewRNG(0x5A4E)
 	for _, c := range cases {
 		enc := encoding.NewEncoder(c.sp)
-		if ann.NewRangeNet(ann.New(core.DefaultModelConfig().NetConfig(enc.Width(), 1)), enc.Axes()) == nil {
-			t.Fatalf("%s: no range path for a 16-unit network on an AVX2 CPU", c.name)
-		}
 		ens := c.ens
 		if ens == nil {
 			ens = goldenEnsembleOf(t, enc.Width(), 16, c.scale)
@@ -104,6 +101,9 @@ func TestRangeEvalMatchesEncoded(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				ev := set.NewRangeEvaluator(enc, workers)
+				if !ev.RangePath() {
+					t.Fatalf("%s, metrics %v: the evaluator encodes rows on an AVX2 CPU", c.name, kinds)
+				}
 				for _, w := range windows {
 					checkRangeEval(t, fmt.Sprintf("%s, metrics %v, workers %d", c.name, kinds, workers), enc, set, ev, w[0], w[1])
 				}
@@ -114,25 +114,13 @@ func TestRangeEvalMatchesEncoded(t *testing.T) {
 
 // TestRunEncodedFallback sweeps through goldenEnsembleOf with 8 hidden
 // units, where ann.NewRangeNet returns nil, so Run's evaluator encodes
-// every chunk and scores it through PredictBatch's forward. Over a
-// space of 1,152 points, whose one 4096-point chunk splits into three
-// 512-row pieces, the sweep must match Reference, and its document must
-// be byte-identical across workers 1, 2 and 3 and chunk sizes 7 and
-// 4096.
+// every chunk and scores it through PredictBatch's forward. Over
+// wideSpace, whose one 4096-point chunk splits into three 512-row
+// pieces, the sweep must match Reference, and its document must be
+// byte-identical across workers 1, 2 and 3 and chunk sizes 7 and 4096.
 func TestRunEncodedFallback(t *testing.T) {
-	sp := space.New("fallback", []space.Param{
-		{Name: "a", Kind: space.Cardinal, Values: []float64{1, 2, 4, 8, 16, 32, 64, 128}},
-		{Name: "b", Kind: space.Cardinal, Values: []float64{1, 2, 3, 4, 5, 6}},
-		{Name: "c", Kind: space.Continuous, Values: []float64{0.5, 1, 1.5, 2}},
-		{Name: "mode", Kind: space.Nominal, Levels: []string{"x", "y", "z"}},
-		{Name: "on", Kind: space.Boolean, Values: []float64{0, 1}},
-	})
+	sp := wideSpace()
 	enc := encoding.NewEncoder(sp)
-	cfg := core.DefaultModelConfig().NetConfig(enc.Width(), 1)
-	cfg.Hidden = []int{8}
-	if ann.NewRangeNet(ann.New(cfg), enc.Axes()) != nil {
-		t.Fatal("an 8-unit hidden layer takes the range path, so this test does not reach the encoded fallback")
-	}
 	b, err := bundle.New(sp, goldenEnsembleOf(t, enc.Width(), 8, 1), bundle.Meta{Study: "fallback", Metric: "ipc"})
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +128,9 @@ func TestRunEncodedFallback(t *testing.T) {
 	set, _, err := Resolve(DefaultSpecs([]string{"m"}), map[string]*bundle.Bundle{"m": b})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if set.NewRangeEvaluator(enc, 1).RangePath() {
+		t.Fatal("an 8-unit hidden layer takes the range path, so this test does not reach the encoded fallback")
 	}
 	want, err := Reference(sp, set, DefaultTopK)
 	if err != nil {

@@ -29,6 +29,18 @@ func testSpace() *space.Space {
 	})
 }
 
+// wideSpace has 1,152 points, so a DefaultChunkSize chunk of it splits
+// into three 512-row prediction pieces that workers score in parallel.
+func wideSpace() *space.Space {
+	return space.New("wide", []space.Param{
+		{Name: "a", Kind: space.Cardinal, Values: []float64{1, 2, 4, 8, 16, 32, 64, 128}},
+		{Name: "b", Kind: space.Cardinal, Values: []float64{1, 2, 3, 4, 5, 6}},
+		{Name: "c", Kind: space.Continuous, Values: []float64{0.5, 1, 1.5, 2}},
+		{Name: "mode", Kind: space.Nominal, Levels: []string{"x", "y", "z"}},
+		{Name: "on", Kind: space.Boolean, Values: []float64{0, 1}},
+	})
+}
+
 func perfTarget(sp *space.Space, idx int) float64 {
 	c := sp.Choices(idx)
 	v := 0.4 + 0.3*math.Log2(sp.Value(c, 0)) + 0.1*sp.Value(c, 1)*sp.Value(c, 2)
@@ -102,6 +114,33 @@ func testSet(t testing.TB) (*core.MetricSet, *space.Space) {
 	return set, sp
 }
 
+// wideSet is testSet's three metrics over wideSpace: perf is
+// goldenEnsemble, energy goldenEnsembleOf with hidden weights ×0.5.
+func wideSet(t testing.TB) (*core.MetricSet, *space.Space) {
+	sp := wideSpace()
+	width := encoding.NewEncoder(sp).Width()
+	models := map[string]*bundle.Bundle{}
+	for _, m := range []struct {
+		name  string
+		scale float64
+	}{{"perf", 1}, {"energy", 0.5}} {
+		b, err := bundle.New(sp, goldenEnsembleOf(t, width, 16, m.scale), bundle.Meta{Study: "wide", Metric: m.name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[m.name] = b
+	}
+	set, _, err := Resolve([]MetricSpec{
+		{Name: "perf", Model: "perf"},
+		{Name: "energy", Model: "energy", Minimize: true},
+		{Name: "conf", Model: "perf", Variance: true, Minimize: true},
+	}, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set, sp
+}
+
 // sameReduction compares the deterministic parts of two results
 // (everything but wall-clock throughput), bit for bit.
 func sameReduction(t *testing.T, label string, a, b *Result) {
@@ -139,14 +178,14 @@ func TestRunMatchesReference(t *testing.T) {
 }
 
 // TestRunBitIdenticalAcrossWorkers: output bits do not depend on the
-// worker setting. The space's 120 points fit in one 512-row prediction
-// piece, so every run here scores on one goroutine; TestGoldenSweepDigest,
-// TestRunEncodedFallback and TestRangeEvalMatchesEncoded fan out.
+// worker setting. At DefaultChunkSize, wideSpace's one chunk splits
+// into three 512-row pieces, so 2 workers share three pieces and 16
+// run one piece each.
 func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
-	set, sp := testSet(t)
+	set, sp := wideSet(t)
 	var base *Result
-	for _, workers := range []int{1, 4, 16} {
-		got, err := Run(context.Background(), sp, set, Config{TopK: 5, ChunkSize: 9, Workers: workers})
+	for _, workers := range []int{1, 2, 16} {
+		got, err := Run(context.Background(), sp, set, Config{TopK: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,13 +199,14 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 
 // TestRunKernelBitIdentity crosses worker settings with chunk sizes:
 // the sweep reduction through the forward kernel is byte-identical for
-// every (workers, chunk) pair, not only along one axis at a time. As in
-// TestRunBitIdenticalAcrossWorkers, every chunk scores on one goroutine.
+// every (workers, chunk) pair, not only along one axis at a time. Over
+// wideSpace, a 9-row chunk scores on one goroutine, a 600-row one
+// splits into two pieces and a 4096-row one into three.
 func TestRunKernelBitIdentity(t *testing.T) {
-	set, sp := testSet(t)
+	set, sp := wideSet(t)
 	var base *Result
-	for _, workers := range []int{1, 4, 16} {
-		for _, chunk := range []int{9, 64, 512} {
+	for _, workers := range []int{1, 2, 16} {
+		for _, chunk := range []int{9, 600, 4096} {
 			got, err := Run(context.Background(), sp, set, Config{
 				TopK: 5, ChunkSize: chunk, Workers: workers,
 			})
